@@ -61,7 +61,8 @@ class ExperimentSpec:
 
     k_t_db/k_r_db set the per-side K-factors; when k_sweep_db is given
     the grid sweeps that list (applied to both sides) instead.  workers
-    defaults to the RISOPT_WORKERS environment variable, then 1.
+    defaults to the RISOPT_WORKERS environment variable, then 1, and is
+    capped at the number of trials to run and at the CPU count.
     """
 
     preset: str
@@ -569,10 +570,9 @@ _AGG_FNS = {
 }
 
 
-def _resolve_workers(spec: ExperimentSpec) -> int:
-    if spec.workers is not None:
-        return max(1, spec.workers)
-    return max(1, int(os.environ.get(WORKERS_ENV, "1")))
+def _resolve_workers(requested: int, n_tasks: int, cpu_count: int | None) -> int:
+    """Pool size: the request capped by the task and CPU counts, at least 1."""
+    return max(1, min(requested, n_tasks, cpu_count or 1))
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -599,7 +599,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         row["point"] = pi
         return task, row, timing
 
-    workers = _resolve_workers(spec)
+    requested = (spec.workers if spec.workers is not None
+                 else int(os.environ.get(WORKERS_ENV, "1")))
+    workers = _resolve_workers(requested, len(tasks), os.cpu_count())
     if workers == 1:
         done = [one(task) for task in tasks]
     else:

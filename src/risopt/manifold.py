@@ -29,15 +29,12 @@ class RmoSettings:
 
     objective: str = "gain"
     max_iters: int = 500
-    step_rule: str = "backtracking"
     initial_step: float = 1.0
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError("step_rule must be 'fixed' or 'backtracking'")
         if self.max_iters < 1 or self.initial_step <= 0 or self.gradient_tolerance <= 0:
             raise ValueError("numeric settings must be positive")
 
@@ -54,21 +51,36 @@ class RmoResult:
     stop_reason: str
 
 
-def _closures(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
-              snr: float | None, n_t: int):
-    """Value and Euclidean-gradient callables on the unconstrained embedding."""
+def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
+               snr: float | None, n_t: int):
+    """Callables evaluate(phi) -> (value, state) and grad(phi, state).
+
+    The state is what the value computed on the way: the cascade
+    a @ diag(phi) @ t, or the stream projections cols.T @ phi for the
+    surrogate.  The gradient builds on it and makes no conjugate copy of
+    the N_S-row channels, using the exact identity
+    conj(x) * y == conj(x * conj(y)), so it equals the textbook form
+    rowsum((a^H @ G) * conj(t)) bit for bit.
+    """
     a = np.asarray(h_r_herm, dtype=complex)
     t = np.asarray(h_t, dtype=complex)
+
+    def backproject(x):
+        # rowsum((a^H @ x) * conj(t)) as conj(rowsum((a^T @ conj(x)) * t))
+        y = a.T @ x.conj()
+        y *= t
+        y = np.sum(y, axis=1)
+        return np.conjugate(y, out=y)
+
     if objective == "gain":
-        def value(phi):
+        def evaluate(phi):
             g_mat = a @ (phi[:, None] * t)
-            return float(np.sum(np.abs(g_mat) ** 2))
+            return float(np.sum(np.abs(g_mat) ** 2)), g_mat
 
-        def grad(phi):
-            g_mat = a @ (phi[:, None] * t)
-            return 2.0 * np.sum((a.conj().T @ g_mat) * t.conj(), axis=1)
+        def grad(phi, g_mat):
+            return 2.0 * backproject(g_mat)
 
-        return value, grad
+        return evaluate, grad
 
     if snr is None or snr <= 0:
         raise ValueError("capacity objectives need a positive linear snr")
@@ -77,18 +89,17 @@ def _closures(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     if objective == "capacity_exact":
         eye = np.eye(a.shape[0])
 
-        def value(phi):
+        def evaluate(phi):
             g_mat = a @ (phi[:, None] * t)
             s = np.linalg.svd(g_mat, compute_uv=False)
-            return float(np.sum(np.log1p(rho * s ** 2)) / _LN2)
+            return float(np.sum(np.log1p(rho * s ** 2)) / _LN2), g_mat
 
-        def grad(phi):
-            g_mat = a @ (phi[:, None] * t)
+        def grad(phi, g_mat):
             m = eye + rho * (g_mat @ g_mat.conj().T)
             x = np.linalg.solve(m, g_mat)
-            return (2.0 * rho / _LN2) * np.sum((a.conj().T @ x) * t.conj(), axis=1)
+            return (2.0 * rho / _LN2) * backproject(x)
 
-        return value, grad
+        return evaluate, grad
 
     # capacity_surrogate: per-stream rank-1 quadratics through the SVDs
     bundle_r = svd_bundle(a)
@@ -97,16 +108,21 @@ def _closures(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
 
-    def value(phi):
+    def evaluate(phi):
         z = cols.T @ phi
-        return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / _LN2)
+        return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / _LN2), z
 
-    def grad(phi):
-        z = cols.T @ phi
+    def grad(phi, z):
         coef = (2.0 * rho / _LN2) * w / (1.0 + rho * w * np.abs(z) ** 2)
-        return cols.conj() @ (coef * z)
+        g = cols @ (coef * z).conj()
+        return np.conjugate(g, out=g)
 
-    return value, grad
+    return evaluate, grad
+
+
+def _check_finite(g: np.ndarray, where: str = "") -> None:
+    if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(g.imag)):
+        raise FloatingPointError(f"non-finite gradient{where}")
 
 
 def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
@@ -117,11 +133,33 @@ def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     h_t = np.asarray(h_t)
     if n_t is None:
         n_t = h_t.shape[1]
-    _, grad = _closures(objective, h_r_herm, h_t, snr, n_t)
-    g = grad(phi)
-    if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(g.imag)):
-        raise FloatingPointError("non-finite gradient")
+    evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
+    g = grad(phi, evaluate(phi)[1])
+    _check_finite(g)
     return g
+
+
+def finite_difference_error(objective: str, h_r_herm: np.ndarray,
+                            h_t: np.ndarray, phi, snr: float | None = None,
+                            n_t: int | None = None, eps: float = 1e-6) -> float:
+    """Gradient oracle: largest entrywise gap between the Euclidean gradient
+    and central differences of the value along the real and imaginary
+    axes (combined as d/dRe + j d/dIm, the g = 2 df/d(conj phi)
+    convention), relative to the largest gradient entry."""
+    phi = np.asarray(phi, dtype=complex).ravel()
+    h_t = np.asarray(h_t)
+    if n_t is None:
+        n_t = h_t.shape[1]
+    evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
+    g = grad(phi, evaluate(phi)[1])
+    fd = np.zeros(phi.size, dtype=complex)
+    for i in range(phi.size):
+        for unit in (1.0, 1.0j):
+            e = np.zeros(phi.size, dtype=complex)
+            e[i] = unit * eps
+            d = (evaluate(phi + e)[0] - evaluate(phi - e)[0]) / (2.0 * eps)
+            fd[i] += d if unit == 1.0 else 1.0j * d
+    return float(np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12))
 
 
 def riemannian_gradient(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -138,15 +176,19 @@ def _retract(z: np.ndarray) -> np.ndarray:
 def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
                  init=None, snr: float | None = None,
                  n_t: int | None = None) -> RmoResult:
-    """Gradient ascent on the circle manifold.
+    """Gradient ascent on the circle manifold with Armijo backtracking.
 
-    Starts from all-ones unless init (unit modulus) is given.  With the
-    backtracking rule (Armijo factor 0.5, sufficient increase 1e-4, the
-    directional derivative along xi is ||xi||^2) every accepted step
-    raises the objective; the first trial step is sized so the largest
-    element moves by initial_step radians, later ones start at twice the
-    last accepted step.  Stops on gradient norm below tolerance, an
-    exhausted line search, or max_iters.
+    Starts from all-ones unless init (unit modulus) is given.  Backtracking
+    uses factor 0.5 and sufficient increase 1e-4 (the directional
+    derivative along xi is ||xi||^2), so every accepted step raises the
+    objective; the first trial step is sized so the largest element moves
+    by initial_step radians, later ones start at twice the last accepted
+    step.  Stops on gradient norm below tolerance, an exhausted line
+    search, or max_iters.
+
+    Cost: one cascade product (or stream projection for the surrogate)
+    per line-search trial; the gradient reuses the accepted trial's
+    cascade and makes no conjugate copy of the channels.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
@@ -159,9 +201,9 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
         phi = np.asarray(init, dtype=complex).ravel().copy()
         if phi.size != n_s or np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
             raise ValueError("init must be unit modulus of matching length")
-    value, grad = _closures(settings.objective, h_r_herm, h_t, snr, n_t)
+    evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr, n_t)
 
-    f = value(phi)
+    f, state = evaluate(phi)
     trace = [f]
     last_step = None
     iterations = 0
@@ -169,10 +211,8 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     stop_reason = "max_iters"
     grad_norm = math.inf
     for _ in range(settings.max_iters):
-        g = grad(phi)
-        if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(g.imag)):
-            raise FloatingPointError(
-                f"non-finite gradient at iteration {iterations}")
+        g = grad(phi, state)
+        _check_finite(g, f" at iteration {iterations}")
         xi = riemannian_gradient(g, phi)
         sq_norm = float(np.sum(xi.real ** 2 + xi.imag ** 2))
         grad_norm = math.sqrt(sq_norm)
@@ -180,12 +220,6 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             converged = True
             stop_reason = "gradient_tolerance"
             break
-        if settings.step_rule == "fixed":
-            phi = _retract(phi + settings.initial_step * xi)
-            f = value(phi)
-            trace.append(f)
-            iterations += 1
-            continue
         if last_step is None:
             mu = settings.initial_step / max(float(np.max(np.abs(xi))), 1e-300)
         else:
@@ -193,7 +227,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
         accepted = False
         for _ in range(60):
             cand = _retract(phi + mu * xi)
-            f_new = value(cand)
+            f_new, cand_state = evaluate(cand)
             if f_new >= f + 1e-4 * mu * sq_norm:
                 accepted = True
                 break
@@ -202,8 +236,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             stop_reason = "line_search"
             break
         last_step = mu
-        phi = cand
-        f = f_new
+        phi, f, state = cand, f_new, cand_state
         trace.append(f)
         iterations += 1
     return RmoResult(phi, np.asarray(trace), iterations, converged,

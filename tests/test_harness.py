@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from risopt.harness import (ExperimentSpec, bench_runtime, db2lin, nmse,
-                            preset_spec, run_experiment)
+from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
+                            db2lin, nmse, preset_spec, run_experiment)
 
 
 def tiny_capacity_spec(**kw):
@@ -66,6 +66,19 @@ def test_rows_deterministic_across_runs_and_workers():
     again = run_experiment(spec).to_csv()
     four = run_experiment(dataclasses.replace(spec, workers=4)).to_csv()
     assert first == again == four
+
+
+@pytest.mark.parametrize("requested,n_tasks,cpu_count,expected", [
+    (1, 10, 8, 1),
+    (4, 10, 8, 4),
+    (10 ** 6, 10, 8, 8),        # an oversized request stops at the CPUs
+    (10 ** 6, 3, 8, 3),         # ... or at the tasks there are
+    (2, 10, None, 1),           # unknown CPU count runs serially
+    (0, 10, 8, 1),
+    (-3, 10, 8, 1),
+])
+def test_worker_count_is_bounded(requested, n_tasks, cpu_count, expected):
+    assert _resolve_workers(requested, n_tasks, cpu_count) == expected
 
 
 def test_trials_independent_of_grid_shape():

@@ -5,9 +5,11 @@ import pytest
 
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.gain import channel_gain
+from risopt import manifold
 from risopt.manifold import (OBJECTIVES, RmoSettings, euclidean_gradient,
-                             quantize_1bit, riemannian_gradient, rmo_optimize)
-from risopt.manifold import _closures
+                             finite_difference_error, quantize_1bit,
+                             riemannian_gradient, rmo_optimize)
+from risopt.spectral import svd_bundle
 from tests.test_channels import make_los
 
 
@@ -19,29 +21,81 @@ def random_instance(seed, n_r=8, n_s=4, n_t=8):
     return a, t, phi
 
 
-def finite_difference_gradient(value, phi, eps=1e-6):
-    """Central differences along real and imaginary axes, combined as
-    d/dRe + j d/dIm, which reproduces the g = 2 df/d(conj phi) convention."""
-    n = phi.size
-    fd = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for unit in (1.0, 1.0j):
-            e = np.zeros(n, dtype=complex)
-            e[i] = unit * eps
-            d = (value(phi + e) - value(phi - e)) / (2.0 * eps)
-            fd[i] += d if unit == 1.0 else 1.0j * d
-    return fd
-
-
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_gradients_match_finite_differences(objective):
     for seed in range(5):
         a, t, phi = random_instance(seed)
-        value, _ = _closures(objective, a, t, 5.0, t.shape[1])
-        g = euclidean_gradient(objective, a, t, phi, snr=5.0, n_t=t.shape[1])
-        fd = finite_difference_gradient(value, phi)
-        rel = np.max(np.abs(fd - g)) / np.max(np.abs(g))
-        assert rel < 1e-5
+        assert finite_difference_error(objective, a, t, phi, snr=5.0) < 1e-5
+
+
+def textbook_gradient(objective, a, t, phi, snr):
+    """The gradients written with explicit conjugate copies of the channels."""
+    rho = snr / t.shape[1]
+    if objective == "gain":
+        return 2 * np.sum((a.conj().T @ (a @ (phi[:, None] * t))) * t.conj(),
+                          axis=1)
+    if objective == "capacity_exact":
+        g_mat = a @ (phi[:, None] * t)
+        x = np.linalg.solve(np.eye(a.shape[0]) + rho * (g_mat @ g_mat.conj().T),
+                            g_mat)
+        return (2.0 * rho / math.log(2.0)) * np.sum((a.conj().T @ x) * t.conj(),
+                                                    axis=1)
+    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
+    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
+    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+    z = cols.T @ phi
+    coef = (2.0 * rho / math.log(2.0)) * w / (1.0 + rho * w * np.abs(z) ** 2)
+    return cols.conj() @ (coef * z)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("n_r,n_s,n_t", [(8, 4, 8), (3, 200, 5), (6, 1024, 4)])
+def test_gradient_is_bit_identical_to_textbook_form(objective, n_r, n_s, n_t):
+    for seed in range(3):
+        a, t, phi = random_instance(seed, n_r=n_r, n_s=n_s, n_t=n_t)
+        evaluate, grad = manifold._objective(objective, a, t, 5.0, n_t)
+        g = grad(phi, evaluate(phi)[1])
+        assert np.array_equal(g, textbook_gradient(objective, a, t, phi, 5.0))
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_rmo_evaluates_each_trial_once(objective, monkeypatch):
+    evaluated, graded = [], []
+    real = manifold._objective
+
+    def counting(*args):
+        evaluate, grad = real(*args)
+
+        def counted_evaluate(phi):
+            out = evaluate(phi)
+            evaluated.append(out)
+            return out
+
+        def counted_grad(phi, state):
+            graded.append(state)
+            return grad(phi, state)
+        return counted_evaluate, counted_grad
+
+    monkeypatch.setattr(manifold, "_objective", counting)
+    a, t, _ = random_instance(7, n_r=4, n_s=64, n_t=4)
+    res = rmo_optimize(a, t, RmoSettings(objective=objective, max_iters=40),
+                       snr=10.0)
+    # walk the evaluations: each one is either the next accepted value of
+    # the trace or a rejected line-search trial
+    trace = list(res.objective_trace)
+    assert evaluated[0][0] == trace[0]
+    accepted, rejected = [evaluated[0]], 0
+    for out in evaluated[1:]:
+        if len(accepted) < len(trace) and out[0] == trace[len(accepted)]:
+            accepted.append(out)
+        else:
+            rejected += 1
+    assert len(accepted) == res.iterations + 1
+    assert len(evaluated) == 1 + res.iterations + rejected
+    # every gradient reuses the state of an accepted evaluation as is
+    assert len(graded) in (res.iterations, res.iterations + 1)
+    assert all(state is out[1] for state, out in zip(graded, accepted))
 
 
 def test_capacity_objectives_require_snr():
@@ -92,14 +146,6 @@ def test_optimizer_near_continuous_optimum_on_rank_one():
     assert g >= 0.2 * n_s ** 2
 
 
-def test_fixed_step_rule_runs():
-    a, t, _ = random_instance(4, n_r=3, n_s=10, n_t=3)
-    res = rmo_optimize(a, t, RmoSettings(objective="gain", step_rule="fixed",
-                                         max_iters=5, initial_step=1e-3))
-    assert res.iterations == 5
-    assert np.max(np.abs(np.abs(res.phi) - 1.0)) < 1e-12
-
-
 def test_gradient_tolerance_stop_sets_converged():
     a, t, _ = random_instance(5, n_r=3, n_s=12, n_t=3)
     res = rmo_optimize(a, t, RmoSettings(objective="gain", max_iters=100000,
@@ -123,8 +169,6 @@ def test_init_validation():
 def test_settings_validation():
     with pytest.raises(ValueError):
         RmoSettings(objective="throughput")
-    with pytest.raises(ValueError):
-        RmoSettings(step_rule="newton")
     with pytest.raises(ValueError):
         RmoSettings(max_iters=0)
     with pytest.raises(ValueError):
