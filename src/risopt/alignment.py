@@ -37,14 +37,13 @@ def _masked(b, mask) -> np.ndarray:
         b = b[idx]
     if b.size == 0:
         raise ValueError("empty effective vector")
-    if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
-        raise ValueError("input must be finite")
     return b
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
-    # sign(0) := +1 keeps outputs deterministic
-    return np.where(x >= 0.0, 1.0, -1.0)
+    # sign(0) := +1 keeps outputs deterministic; complex so that b @ signs
+    # needs no float-to-complex cast
+    return np.where(x >= 0.0, 1.0 + 0.0j, -1.0 + 0.0j)
 
 
 def sign_align(b, mask=None) -> AlignmentResult:
@@ -63,15 +62,28 @@ def sign_align(b, mask=None) -> AlignmentResult:
     AlignmentResult
         The winning pattern, its |b^T phi| value, and the branch name.
         Guarantee: achieved_value >= 0.5 * sum(|b_n|) over the mask.
+
+    Raises
+    ------
+    ValueError
+        If the masked vector is empty, or not finite.  With +/-1 weights
+        any inf or nan entry makes a pattern sum non-finite, so the two
+        sums are checked instead of every entry (a finite vector whose
+        sum overflows is refused too).
     """
     bm = _masked(b, mask)
     phi_re = _signs(bm.real)
     phi_im = _signs(bm.imag)
-    val_re = abs(bm @ phi_re)
-    val_im = abs(bm @ phi_im)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sum_re = bm @ phi_re
+        sum_im = bm @ phi_im
+    if not (np.isfinite(sum_re) and np.isfinite(sum_im)):
+        raise ValueError("input must be finite")
+    val_re = abs(sum_re)
+    val_im = abs(sum_im)
     if val_re >= val_im:
-        return AlignmentResult(phi_re, float(val_re), "real")
-    return AlignmentResult(phi_im, float(val_im), "imaginary")
+        return AlignmentResult(phi_re.real.copy(), float(val_re), "real")
+    return AlignmentResult(phi_im.real.copy(), float(val_im), "imaginary")
 
 
 def phase_align(b, mask=None) -> np.ndarray:
@@ -81,4 +93,6 @@ def phase_align(b, mask=None) -> np.ndarray:
     optimum of |b^T phi| over unit-modulus phi.
     """
     bm = _masked(b, mask)
+    if not np.isfinite(bm).all():
+        raise ValueError("input must be finite")
     return np.exp(-1j * np.angle(bm))

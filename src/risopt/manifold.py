@@ -180,11 +180,15 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
 
     Starts from all-ones unless init (unit modulus) is given.  Backtracking
     uses factor 0.5 and sufficient increase 1e-4 (the directional
-    derivative along xi is ||xi||^2), so every accepted step raises the
-    objective; the first trial step is sized so the largest element moves
-    by initial_step radians, later ones start at twice the last accepted
-    step.  Stops on gradient norm below tolerance, an exhausted line
-    search, or max_iters.
+    derivative along xi is ||xi||^2), and a trial must also raise the
+    objective strictly, so every accepted step raises it.  The first
+    trial step is sized so the largest element moves by initial_step
+    radians, later ones start at twice the last accepted step.  Stops on
+    gradient norm below tolerance, on max_iters, or with stop_reason
+    "line_search" when 60 halvings fail or a trial fails once the target
+    f + 1e-4*mu*||xi||^2 rounds to f itself: the required increase is
+    then below the resolution of f, and shorter steps cannot be told
+    apart from rounding.
 
     Cost: one cascade product (or stream projection for the surrogate)
     per line-search trial; the gradient reuses the accepted trial's
@@ -228,8 +232,13 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
         for _ in range(60):
             cand = _retract(phi + mu * xi)
             f_new, cand_state = evaluate(cand)
-            if f_new >= f + 1e-4 * mu * sq_norm:
+            target = f + 1e-4 * mu * sq_norm
+            if f_new >= target and f_new > f:
                 accepted = True
+                break
+            if target == f:
+                # the required increase is below the resolution of f:
+                # shorter steps cannot be told apart from rounding
                 break
             mu *= 0.5
         if not accepted:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,10 @@ def _laguerre_roots_cached(n_big: int, n_small: int) -> tuple[float, ...]:
     # to the n_small roots of L_{n_small}^{n_big - n_small}.  Those are the
     # eigenvalues of the symmetric tridiagonal Jacobi matrix of the
     # generalized-Laguerre recurrence (Golub-Welsch, nodes only).
+    # scipy.linalg is imported here, its only use: it would otherwise make
+    # up about half the import time of the package.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     alpha = n_big - n_small
     diag = 2.0 * np.arange(n_small) + alpha + 1.0
     k = np.arange(1, n_small)

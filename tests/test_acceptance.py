@@ -9,6 +9,7 @@ averaged away.
 
 import dataclasses
 import math
+import os
 import time
 from itertools import product
 
@@ -21,7 +22,8 @@ from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
                              sample_ricean)
 from risopt.gain import channel_gain, configure_gain_los
 from risopt.geometry import AnglePair, near_square_geometry
-from risopt.harness import bench_runtime, db2lin, preset_spec, run_experiment
+from risopt.harness import (_resolve_workers, bench_runtime, db2lin,
+                            preset_spec, run_experiment)
 from risopt.manifold import OBJECTIVES, finite_difference_error
 from risopt.spectral import svd_bundle
 
@@ -298,7 +300,10 @@ def test_c12_diagonalization_trend(capsys):
            f"(in [3, 30]); Mirsky bound held per instance")
 
 
-def test_c13_byte_identical_determinism(capsys):
+def test_c13_byte_identical_determinism(capsys, monkeypatch):
+    # the pool is capped at the CPU count; report 4 CPUs so that the
+    # 4-worker pass runs 4 threads on a smaller host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     checked = []
     for name, scale, trials in (("fig2a", 0.02, 2), ("fig1c", 0.05, 3)):
         spec = preset_spec(name, scale=scale, trials=trials)
@@ -309,7 +314,9 @@ def test_c13_byte_identical_determinism(capsys):
                 and first.to_aggregate_csv() == second.to_aggregate_csv()
                 == four.to_aggregate_csv())
         assert same, f"{name} output varies across runs/workers"
-        checked.append(name)
+        effective = _resolve_workers(4, len(four.rows), os.cpu_count())
+        checked.append(f"{name} ({len(four.rows)} trials, 1 and "
+                       f"{effective} workers)")
     report(capsys, "C13", True,
            f"presets {checked}: CSVs byte-identical across two runs "
-           f"and across worker counts 1 and 4")
+           f"and across worker counts")

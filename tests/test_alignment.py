@@ -79,6 +79,50 @@ def test_mask_validation():
         sign_align(np.array([1.0 + 1j * np.inf]))
 
 
+def reference_sign_align(b):
+    """The two patterns as float signs, each sum cast to complex by numpy."""
+    phi_re = np.where(b.real >= 0.0, 1.0, -1.0)
+    phi_im = np.where(b.imag >= 0.0, 1.0, -1.0)
+    val_re, val_im = abs(b @ phi_re), abs(b @ phi_im)
+    if val_re >= val_im:
+        return phi_re, float(val_re), "real"
+    return phi_im, float(val_im), "imaginary"
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_bit_identical_to_reference_expressions(masked):
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        n = int(rng.integers(1, 3000))
+        b = (rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+             + 1j * rng.normal(size=n))
+        if i % 5 == 0:
+            b.real[: n // 3] = 0.0
+        mask = (np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
+                if masked else None)
+        res = sign_align(b, mask=mask)
+        phi, value, branch = reference_sign_align(b if mask is None else b[mask])
+        assert res.phi.dtype == np.float64
+        assert np.array_equal(res.phi, phi)
+        assert res.achieved_value == value
+        assert res.branch == branch
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+@pytest.mark.parametrize("align", [sign_align, phase_align])
+def test_non_finite_entries_are_refused(bad, part, align):
+    b = np.array([1.0 + 2.0j, -0.5 + 0.25j, 3.0 - 1.0j, 0.0 + 0.0j])
+    getattr(b, part)[2] = bad
+    assert np.isfinite(getattr(b, "imag" if part == "real" else "real")).all()
+    with pytest.raises(ValueError):
+        align(b)
+    with pytest.raises(ValueError):
+        align(b, mask=[0, 2])
+    # entries outside the mask are not looked at
+    align(b, mask=[0, 1, 3])
+
+
 def test_phase_align_reaches_continuous_optimum():
     rng = np.random.default_rng(3)
     b = rng.normal(size=12) + 1j * rng.normal(size=12)

@@ -60,8 +60,11 @@ def test_run_experiment_rejects_runtime_presets():
         bench_runtime(tiny_capacity_spec())
 
 
-def test_rows_deterministic_across_runs_and_workers():
-    spec = tiny_capacity_spec()
+def test_rows_deterministic_across_runs_and_workers(monkeypatch):
+    # report 4 CPUs so that the pool really has 4 threads on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    spec = tiny_capacity_spec(trials=4)
+    assert _resolve_workers(4, spec.trials, os.cpu_count()) == 4
     first = run_experiment(spec).to_csv()
     again = run_experiment(spec).to_csv()
     four = run_experiment(dataclasses.replace(spec, workers=4)).to_csv()

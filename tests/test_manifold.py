@@ -59,8 +59,8 @@ def test_gradient_is_bit_identical_to_textbook_form(objective, n_r, n_s, n_t):
         assert np.array_equal(g, textbook_gradient(objective, a, t, phi, 5.0))
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
-def test_rmo_evaluates_each_trial_once(objective, monkeypatch):
+def count_calls(monkeypatch):
+    """Record every evaluate output and every state passed to grad."""
     evaluated, graded = [], []
     real = manifold._objective
 
@@ -78,6 +78,12 @@ def test_rmo_evaluates_each_trial_once(objective, monkeypatch):
         return counted_evaluate, counted_grad
 
     monkeypatch.setattr(manifold, "_objective", counting)
+    return evaluated, graded
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_rmo_evaluates_each_trial_once(objective, monkeypatch):
+    evaluated, graded = count_calls(monkeypatch)
     a, t, _ = random_instance(7, n_r=4, n_s=64, n_t=4)
     res = rmo_optimize(a, t, RmoSettings(objective=objective, max_iters=40),
                        snr=10.0)
@@ -96,6 +102,33 @@ def test_rmo_evaluates_each_trial_once(objective, monkeypatch):
     # every gradient reuses the state of an accepted evaluation as is
     assert len(graded) in (res.iterations, res.iterations + 1)
     assert all(state is out[1] for state, out in zip(graded, accepted))
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_every_accepted_step_strictly_raises_the_objective(objective):
+    # run to the stop: near it, the sufficient-increase target rounds to
+    # f itself, where a step of zero increase must not be accepted
+    for seed in range(4):
+        a, t, _ = random_instance(seed, n_r=4, n_s=64, n_t=4)
+        res = rmo_optimize(a, t, RmoSettings(objective=objective), snr=10.0)
+        assert np.all(np.diff(res.objective_trace) > 0)
+
+
+def test_stalled_gain_run_stops_at_the_resolution_of_the_objective(monkeypatch):
+    # a Ricean 1024x16 gain instance whose objective stops changing in
+    # floating point long before max_iters
+    evaluated, _ = count_calls(monkeypatch)
+    rng = np.random.default_rng(2)
+    ch_t = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=4), rng)
+    ch_r = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=5), rng)
+    settings = RmoSettings(objective="gain")
+    res = rmo_optimize(ch_r.hermitian, ch_t.matrix, settings)
+    assert res.stop_reason == "line_search" and not res.converged
+    assert res.iterations < settings.max_iters
+    # the trials of the last line search follow the last accepted value
+    values = [value for value, _ in evaluated]
+    last_accepted = len(values) - 1 - values[::-1].index(res.objective_trace[-1])
+    assert 1 <= len(values) - 1 - last_accepted < 60
 
 
 def test_capacity_objectives_require_snr():

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
+import risopt
 from risopt.channels import complex_gaussian
 from risopt.spectral import (asymptotic_spectrum, laguerre_top_roots,
                              svd_bundle)
@@ -166,3 +170,28 @@ def test_spectrum_against_monte_carlo_at_moderate_size():
     assert rel[0] < 0.02       # spike
     assert rel[1] < 0.05       # top of the bulk
     assert np.all(rel[:5] < 0.08)
+
+
+LAZY_SCIPY_SCRIPT = """
+import sys
+import risopt
+from risopt.harness import preset_spec, run_experiment
+res = run_experiment(preset_spec("fig2b", trials=1, n_ris_list=(1024,)))
+assert not res.rows[0]["error"], res.rows[0]["error"]
+assert "scipy.linalg" not in sys.modules, "scipy.linalg imported"
+spec = risopt.asymptotic_spectrum(1024, 4, 1.0)
+assert "scipy.linalg" in sys.modules
+print(spec.predicted_sq_singular_values.size)
+"""
+
+
+def test_scipy_linalg_is_imported_only_for_the_asymptotic_spectrum():
+    # importing scipy.linalg is about half the import time of the package;
+    # a fresh interpreter shows whether anything else pulls it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(risopt.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["4"]
