@@ -18,8 +18,7 @@ from .capacity import (AllocationPlan, CapacityReport, allocate_sca,
                        run_wsa, water_level_solve)
 from .channels import (LosSpec, RiceanChannel, RisConfig, cascaded_channel,
                        complex_gaussian, sample_ricean)
-from .gain import (GainReport, channel_gain, configure_gain_los,
-                   configure_gain_svd, evaluate_gain, gain_expansion,
+from .gain import (channel_gain, configure_gain_los, gain_expansion,
                    gain_lower_bound)
 from .geometry import AnglePair, UpaGeometry, near_square_geometry, upa_steering
 from .harness import (ExperimentResult, ExperimentSpec, bench_runtime, db2lin,
@@ -38,8 +37,7 @@ __all__ = [
     "round_allocation", "run_wsa", "water_level_solve",
     "LosSpec", "RiceanChannel", "RisConfig", "cascaded_channel",
     "complex_gaussian", "sample_ricean",
-    "GainReport", "channel_gain", "configure_gain_los",
-    "configure_gain_svd", "evaluate_gain", "gain_expansion",
+    "channel_gain", "configure_gain_los", "gain_expansion",
     "gain_lower_bound",
     "AnglePair", "UpaGeometry", "near_square_geometry", "upa_steering",
     "ExperimentResult", "ExperimentSpec", "bench_runtime", "db2lin", "nmse",

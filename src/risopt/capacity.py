@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alignment import phase_align, sign_align
-from .channels import RisConfig, cascaded_channel
+from .channels import RisConfig, _phase_vector, cascaded_channel
 from .spectral import AsymptoticSpectrum, SvdBundle, svd_bundle
 
 _LN2 = math.log(2.0)
@@ -80,29 +80,34 @@ def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarr
     SVD of the n_s x n_t transmit-side channel (left vectors on the RIS
     side).
     """
-    v = phi.states if isinstance(phi, RisConfig) else np.asarray(phi).ravel()
+    v = _phase_vector(phi)
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
     core = bundle_r.right.conj().T @ (v[:, None] * bundle_t.left)
     return d_r[:, None] * core * d_t[None, :]
 
 
-def _stream_vectors(bundle_r: SvdBundle, bundle_t: SvdBundle, n_streams: int) -> np.ndarray:
-    """Columns conj(v_R,i) * u_T,i for the first n_streams streams."""
-    return bundle_r.right[:, :n_streams].conj() * bundle_t.left[:, :n_streams]
+def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Per-stream targets conj(v_R,i) * u_T,i (as columns) and weights
+    d_R,i^2 d_T,i^2, for the min(n_r, n_t) streams."""
+    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
+    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+    return cols, w
+
+
+def surrogate_bits(z: np.ndarray, w: np.ndarray, rho: float) -> float:
+    """sum_i log2(1 + rho * w_i * |z_i|^2) for stream projections z = cols.T @ phi."""
+    return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / _LN2)
 
 
 def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
                          snr: float, n_t: int | None = None) -> float:
     """Diagonal surrogate: per-stream terms only, in bits."""
-    v = phi.states if isinstance(phi, RisConfig) else np.asarray(phi).ravel()
     if n_t is None:
         n_t = bundle_t.singular_values.size
-    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = _stream_vectors(bundle_r, bundle_t, nmin)
-    z = cols.T @ v
-    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
-    return float(np.sum(np.log1p((snr / n_t) * w * np.abs(z) ** 2)) / _LN2)
+    cols, w = stream_columns(bundle_r, bundle_t)
+    return surrogate_bits(cols.T @ _phase_vector(phi), w, snr / n_t)
 
 
 def water_level_solve(gains, weights, budget: float) -> float:
@@ -129,6 +134,20 @@ def water_level_solve(gains, weights, budget: float) -> float:
             s = cand
             break
     return 1.0 / s
+
+
+def water_level_bisect(gains, weights, budget: float) -> float:
+    """Reference for water_level_solve on gain and weight arrays: bisection
+    on the level s = 1/eta of the increasing budget residual, independent
+    of its active-set logic."""
+    lo, hi = 0.0, 1e9
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(weights * np.clip(mid / weights - 1.0 / gains, 0.0, None))) > budget:
+            hi = mid
+        else:
+            lo = mid
+    return 1.0 / lo
 
 
 def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
@@ -283,8 +302,7 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     n_ris = bundle_r.right.shape[0]
     states = np.ones(n_ris)
     cont = np.ones(n_ris, dtype=complex) if continuous else None
-    nmin = len(plan.index_sets)
-    cols = _stream_vectors(bundle_r, bundle_t, nmin)
+    cols, _ = stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(plan.index_sets):
         if idx.size == 0:
             continue
@@ -332,18 +350,32 @@ def offdiag_ratio(h_eff: np.ndarray) -> float:
     return (total - diag) / total
 
 
+def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float,
+                  n_t: int, *, arrangement: str = "contiguous",
+                  rng: np.random.Generator | None = None,
+                  spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None,
+                  continuous: bool = False) -> tuple[RisConfig, AllocationPlan]:
+    """W-SA configuration from the two channel SVDs: allocate fractions
+    (from the asymptotic spectra when given, else from the singular
+    values), round them to element counts, and align each stream."""
+    if spectra is not None:
+        sv_r, sv_t = (np.sqrt(side.predicted_sq_singular_values) for side in spectra)
+    else:
+        sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
+    plan = allocate_sca(sv_r, sv_t, snr, n_t)
+    plan = round_allocation(plan, bundle_t.left.shape[0], arrangement, rng)
+    return configure_capacity(bundle_r, bundle_t, plan, continuous=continuous), plan
+
+
 def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float,
-            n_t: int | None = None, *, epsilon: float = 1e-6,
-            max_iters: int = 200, arrangement: str = "contiguous",
+            n_t: int | None = None, *, arrangement: str = "contiguous",
             rng: np.random.Generator | None = None,
             spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None,
             continuous: bool = False) -> tuple[CapacityReport, AllocationPlan]:
     """Full waterfilling-SA pipeline on one channel pair.
 
-    SVD both channels, allocate fractions (from the asymptotic spectra
-    when given, else from the instantaneous singular values), round to
-    element counts, align each stream, and score the configuration.
-    Returns the report plus the completed plan.
+    SVD both channels, configure them with configure_wsa, and score the
+    configuration.  Returns the report plus the completed plan.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
@@ -351,18 +383,10 @@ def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float,
         n_t = h_t.shape[1]
     bundle_r = svd_bundle(h_r_herm)
     bundle_t = svd_bundle(h_t)
-    if spectra is not None:
-        side_r, side_t = spectra
-        sv_r = np.sqrt(side_r.predicted_sq_singular_values)
-        sv_t = np.sqrt(side_t.predicted_sq_singular_values)
-    else:
-        side_r, side_t = bundle_r, bundle_t
-        sv_r = bundle_r.singular_values
-        sv_t = bundle_t.singular_values
-    plan = allocate_sca(sv_r, sv_t, snr, n_t, epsilon=epsilon,
-                        max_iters=max_iters)
-    plan = round_allocation(plan, h_t.shape[0], arrangement, rng)
-    phi = configure_capacity(bundle_r, bundle_t, plan, continuous=continuous)
+    phi, plan = configure_wsa(bundle_r, bundle_t, snr, n_t,
+                              arrangement=arrangement, rng=rng,
+                              spectra=spectra, continuous=continuous)
+    side_r, side_t = spectra if spectra is not None else (bundle_r, bundle_t)
     cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr, n_t)
     cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr, n_t)
     cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr, n_t)

@@ -17,15 +17,43 @@ import sys
 
 import numpy as np
 
-from .harness import (ALL_METHODS, FIGURE_PRESETS, RUNTIME_PRESETS,
-                      ExperimentSpec, bench_runtime, preset_spec,
+from .harness import (ALL_METHODS, bench_runtime, preset_names, preset_spec,
                       run_experiment)
 
 _CONFIG_SECTION = "risopt"
 
 
+class _ConfigFile(argparse.Action):
+    """--config PATH: the [risopt] values of an INI file, keyed by flag
+    name (--n-ris as n_ris, --workers as workers) and typed and split
+    like the arguments of that flag on this subcommand."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        if not os.path.exists(path):
+            raise ValueError(f"config file not found: {path}")
+        cp = configparser.ConfigParser()
+        cp.read(path)
+        if _CONFIG_SECTION not in cp:
+            raise ValueError(f"config file missing [{_CONFIG_SECTION}] section")
+        sec = cp[_CONFIG_SECTION]
+        values = {}
+        for action in parser._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            key = action.option_strings[-1].lstrip("-").replace("-", "_")
+            if key not in sec:
+                continue
+            convert = action.type or str
+            if action.nargs == "+":
+                values[action.dest] = [convert(tok) for tok in sec[key].split()]
+            else:
+                values[action.dest] = convert(sec[key])
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="INI file with a [risopt] section")
+    parser.add_argument("--config", action=_ConfigFile,
+                        help="INI file with a [risopt] section")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out", default=None,
@@ -38,10 +66,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-ris", type=int, nargs="+", default=None,
-                        help="RIS element counts")
-    parser.add_argument("--nt", type=int, default=None)
-    parser.add_argument("--nr", type=int, default=None)
+    parser.add_argument("--n-ris", dest="n_ris_list", type=int, nargs="+",
+                        default=None, help="RIS element counts")
+    parser.add_argument("--nt", dest="n_t", type=int, default=None)
+    parser.add_argument("--nr", dest="n_r", type=int, default=None)
     parser.add_argument("--k-db", type=float, nargs="+", default=None,
                         help="K-factor in dB: one value for both sides "
                              "or transmit then receive")
@@ -50,7 +78,8 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         choices=list(ALL_METHODS))
     parser.add_argument("--arrangement", default=None,
                         choices=["contiguous", "interleaved", "random"])
-    parser.add_argument("--rmo-iters", type=int, default=None)
+    parser.add_argument("--rmo-iters", dest="rmo_max_iters", type=int,
+                        default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,32 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="risopt",
         description="1-bit RIS gain/capacity experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig = sub.add_parser("figure", help="run a named figure preset")
-    p_fig.add_argument("preset", choices=list(FIGURE_PRESETS) + ["fig2b-full"])
-    p_fig.add_argument("--scale", type=float, default=1.0,
-                       help="multiplier on the element-count grid")
-    _add_common(p_fig)
-    _add_grid(p_fig)
-
-    p_spec = sub.add_parser("spectrum",
-                            help="empirical vs predicted singular spectrum")
-    _add_common(p_spec)
-    _add_grid(p_spec)
-
-    p_gain = sub.add_parser("gain", help="channel-gain methods vs the bound")
-    _add_common(p_gain)
-    _add_grid(p_gain)
-
-    p_cap = sub.add_parser("capacity", help="capacity methods comparison")
-    _add_common(p_cap)
-    _add_grid(p_cap)
-
-    p_rt = sub.add_parser("bench-runtime", help="wall-clock benchmarks")
-    p_rt.add_argument("preset", choices=list(RUNTIME_PRESETS))
-    p_rt.add_argument("--scale", type=float, default=1.0)
-    _add_common(p_rt)
-    _add_grid(p_rt)
+    for command, help_text, presets in (
+            ("figure", "run a named figure preset", preset_names("fig")),
+            ("spectrum", "empirical vs predicted singular spectrum", None),
+            ("gain", "channel-gain methods vs the bound", None),
+            ("capacity", "capacity methods comparison", None),
+            ("bench-runtime", "wall-clock benchmarks",
+             preset_names("runtime-"))):
+        p = sub.add_parser(command, help=help_text)
+        if presets:
+            p.add_argument("preset", choices=presets)
+            p.add_argument("--scale", type=float, default=None,
+                           help="multiplier on the element-count grid")
+        _add_common(p)
+        _add_grid(p)
 
     p_val = sub.add_parser("validate",
                            help="fast numerical self-checks (no files)")
@@ -91,103 +108,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ValueError(f"config file not found: {path}")
-    cp = configparser.ConfigParser()
-    cp.read(path)
-    if _CONFIG_SECTION not in cp:
-        raise ValueError(f"config file missing [{_CONFIG_SECTION}] section")
-    sec = cp[_CONFIG_SECTION]
-    out: dict = {}
-    for key in ("seed", "trials", "workers", "nt", "nr", "rmo_iters"):
-        if key in sec:
-            out[key] = sec.getint(key)
-    for key in ("snr_db", "scale"):
-        if key in sec:
-            out[key] = sec.getfloat(key)
-    for key in ("out", "arrangement", "out_stem"):
-        if key in sec:
-            out[key] = sec.get(key)
-    if "n_ris" in sec:
-        out["n_ris"] = [int(tok) for tok in sec.get("n_ris").split()]
-    if "k_db" in sec:
-        out["k_db"] = [float(tok) for tok in sec.get("k_db").split()]
-    if "methods" in sec:
-        out["methods"] = sec.get("methods").split()
-    return out
-
-
-def _merged(args: argparse.Namespace) -> dict:
-    """Config-file values with explicit CLI flags layered on top."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config))
+def _spec_and_out(args: argparse.Namespace):
+    """The preset's spec with config-file values, then explicit flags, on
+    top; and the output directory."""
+    opts = dict(args.config or {})
     for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _split_k(k_db) -> tuple[float, float]:
-    if k_db is None:
-        return 0.0, 0.0
-    if len(k_db) == 1:
-        return float(k_db[0]), float(k_db[0])
-    if len(k_db) == 2:
-        return float(k_db[0]), float(k_db[1])
-    raise ValueError("--k-db takes one or two values")
-
-
-def _custom_spec(preset: str, opts: dict,
-                 default_methods: tuple) -> ExperimentSpec:
-    if not opts.get("n_ris"):
-        raise ValueError("--n-ris is required (or set n_ris in the config)")
-    k_t, k_r = _split_k(opts.get("k_db"))
-    return ExperimentSpec(
-        preset=preset,
-        n_ris_list=tuple(opts["n_ris"]),
-        n_t=opts.get("nt", 8),
-        n_r=opts.get("nr", 8),
-        k_t_db=k_t, k_r_db=k_r,
-        snr_db=opts.get("snr_db", 10.0),
-        trials=opts.get("trials", 50),
-        seed=opts.get("seed", 0),
-        methods=tuple(opts.get("methods", default_methods)),
-        arrangement=opts.get("arrangement", "contiguous"),
-        workers=opts.get("workers"),
-        rmo_max_iters=opts.get("rmo_iters", 200),
-        out_stem=opts.get("out_stem"))
-
-
-def _preset_overrides(opts: dict) -> dict:
-    """Translate CLI option names onto ExperimentSpec field overrides."""
-    over: dict = {}
-    mapping = {"seed": "seed", "trials": "trials", "workers": "workers",
-               "nt": "n_t", "nr": "n_r", "snr_db": "snr_db",
-               "arrangement": "arrangement", "rmo_iters": "rmo_max_iters",
-               "out_stem": "out_stem"}
-    for src, dst in mapping.items():
-        if src in opts:
-            over[dst] = opts[src]
-    if "n_ris" in opts:
-        over["n_ris_list"] = tuple(opts["n_ris"])
-    if "k_db" in opts:
-        k_t, k_r = _split_k(opts["k_db"])
-        over["k_t_db"], over["k_r_db"] = k_t, k_r
-    if "methods" in opts:
-        over["methods"] = tuple(opts["methods"])
-    return over
-
-
-def _run_and_write(spec: ExperimentSpec, out_dir: str, runtime: bool) -> int:
-    result = bench_runtime(spec) if runtime else run_experiment(spec)
-    paths = result.write(out_dir)
-    for label in ("csv", "aggregate_csv", "json"):
-        print(f"{label}: {paths[label]}")
-    return 0
+        if val is not None and key not in ("command", "config", "preset"):
+            opts[key] = val
+    out_dir = opts.pop("out", "results")
+    if "k_db" in opts:             # one value for both sides, or t then r
+        k_db = opts.pop("k_db")
+        if not 1 <= len(k_db) <= 2:
+            raise ValueError("--k-db takes one or two values")
+        opts["k_t_db"], opts["k_r_db"] = k_db[0], k_db[-1]
+    preset = getattr(args, "preset", None) or f"custom-{args.command}"
+    return preset_spec(preset, **opts), out_dir
 
 
 def _cmd_validate(seed: int) -> int:
@@ -195,7 +130,7 @@ def _cmd_validate(seed: int) -> int:
     from itertools import product
 
     from .alignment import sign_align
-    from .capacity import allocate_sca, water_level_solve
+    from .capacity import allocate_sca, water_level_bisect, water_level_solve
     from .manifold import (euclidean_gradient, finite_difference_error,
                            riemannian_gradient)
     from .spectral import laguerre_top_roots
@@ -231,18 +166,9 @@ def _cmd_validate(seed: int) -> int:
     weights = rng.uniform(0.1, 1.0, size=6)
     budget = 2.0
     eta = water_level_solve(gains, weights, budget)
-
-    def spent(level):
-        per = np.clip(level / weights - 1.0 / gains, 0.0, None)
-        return float(np.sum(weights * per))
-    lo, hi = 0.0, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spent(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
-    check("water level matches bisection", abs(1.0 / eta - lo) < 1e-6)
+    reference = water_level_bisect(gains, weights, budget)
+    check("water level matches bisection",
+          abs(1.0 / eta - 1.0 / reference) < 1e-6)
 
     # sqrt-allocation fixed point keeps the budget feasible
     plan = allocate_sca(np.array([3.0, 2.0, 1.0]),
@@ -269,35 +195,22 @@ def _cmd_validate(seed: int) -> int:
 
 
 def parse_and_dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args.seed)
-    opts = _merged(args)
-    out_dir = opts.get("out", "results")
-    if args.command == "figure":
-        over = _preset_overrides(opts)
-        spec = preset_spec(args.preset, scale=opts.get("scale", 1.0), **over)
-        return _run_and_write(spec, out_dir, runtime=False)
-    if args.command == "bench-runtime":
-        over = _preset_overrides(opts)
-        spec = preset_spec(args.preset, scale=opts.get("scale", 1.0), **over)
-        return _run_and_write(spec, out_dir, runtime=True)
-    defaults = {"spectrum": ("custom-spectrum", ()),
-                "gain": ("custom-gain", ("sa", "lb")),
-                "capacity": ("custom-capacity", ("wsa", "lb"))}
-    preset, methods = defaults[args.command]
-    spec = _custom_spec(preset, opts, methods)
-    return _run_and_write(spec, out_dir, runtime=False)
+    spec, out_dir = _spec_and_out(args)
+    runtime = args.command == "bench-runtime"
+    result = bench_runtime(spec) if runtime else run_experiment(spec)
+    paths = result.write(out_dir)
+    for label in ("csv", "aggregate_csv", "json"):
+        print(f"{label}: {paths[label]}")
+    return 0
 
 
 def main(argv=None) -> int:
     try:
         return parse_and_dispatch(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,24 +10,12 @@ conj(a_ris_rx) * a_ris_tx configures the RIS with statistical CSI only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .alignment import sign_align
-from .channels import LosSpec, RisConfig, cascaded_channel
+from .channels import LosSpec, RisConfig, _phase_vector
 from .spectral import SvdBundle
-
-
-@dataclass(frozen=True)
-class GainReport:
-    """One configured instance: the RIS states, the achieved gain, and
-    the asymptotic lower bound it is compared against."""
-
-    phi: RisConfig
-    gain: float
-    lower_bound: float
-    ratio_db: float
 
 
 def channel_gain(h_tilde: np.ndarray) -> float:
@@ -42,7 +30,7 @@ def gain_expansion(bundle_r: SvdBundle, bundle_t: SvdBundle, phi) -> float:
     Equals channel_gain of the cascade (same phi) up to roundoff; kept as
     an independent oracle, not used on the production path.
     """
-    v = phi.states if isinstance(phi, RisConfig) else np.asarray(phi).ravel()
+    v = _phase_vector(phi)
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
     # columns: v_R,i in bundle_r.right, u_T,j in bundle_t.left
@@ -66,16 +54,6 @@ def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:
     return RisConfig(sign_align(b).phi)
 
 
-def configure_gain_svd(bundle_r: SvdBundle, bundle_t: SvdBundle) -> RisConfig:
-    """Instantaneous-CSI variant: align on the principal singular vectors.
-
-    A/B diagnostic against configure_gain_los; needs the full SVDs, so it
-    is not the CSI-light production path.
-    """
-    b = bundle_r.right[:, 0].conj() * bundle_t.left[:, 0]
-    return RisConfig(sign_align(b).phi)
-
-
 def gain_lower_bound(n_ris: int, n_t: int, n_r: int,
                      k_t: float, k_r: float) -> float:
     """Asymptotic lower bound 0.25 * K-weights * n_ris^2 * n_t * n_r.
@@ -91,14 +69,3 @@ def gain_lower_bound(n_ris: int, n_t: int, n_r: int,
         return k / (1.0 + k)
 
     return 0.25 * w(k_t) * w(k_r) * float(n_ris) ** 2 * n_t * n_r
-
-
-def evaluate_gain(h_r_herm: np.ndarray, h_t: np.ndarray, phi: RisConfig,
-                  lower_bound: float) -> GainReport:
-    """Assemble a GainReport for a configured instance."""
-    g = channel_gain(cascaded_channel(h_r_herm, phi, h_t))
-    if lower_bound > 0 and g > 0:
-        ratio_db = 10.0 * math.log10(g / lower_bound)
-    else:
-        ratio_db = math.inf
-    return GainReport(phi, g, lower_bound, ratio_db)

@@ -16,13 +16,15 @@ import os
 import statistics
 import tempfile
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
 from .alignment import sign_align
-from .capacity import run_wsa, capacity_exact
+from .capacity import capacity_exact, configure_wsa, run_wsa
 from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
@@ -30,12 +32,6 @@ from .manifold import RmoSettings, quantize_1bit, rmo_optimize
 from .spectral import asymptotic_spectrum, svd_bundle
 
 WORKERS_ENV = "RISOPT_WORKERS"
-
-ALL_METHODS = ("sa", "wsa", "rmo", "rmo-surrogate", "lb")
-
-FIGURE_PRESETS = ("fig1a", "fig1b", "fig1c", "fig2a", "fig2b", "fig2c")
-RUNTIME_PRESETS = ("runtime-gain", "runtime-capacity")
-CUSTOM_PRESETS = ("custom-spectrum", "custom-gain", "custom-capacity")
 
 
 def db2lin(x_db: float) -> float:
@@ -80,7 +76,6 @@ class ExperimentSpec:
     scale: float = 1.0
     workers: int | None = None
     rmo_max_iters: int = 200
-    rmo_initial_step: float = 1.0
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
@@ -221,8 +216,7 @@ def _sample_side(rng: np.random.Generator, n_ris: int, n_array: int,
     return sample_ricean(n_ris, n_array, db2lin(k_db), los, rng)
 
 
-def _flag_hardening(n_ris: int, sides) -> int:
-    del n_ris
+def _flag_hardening(sides) -> int:
     return int(all(k >= 10.0 / n for k, n in sides))
 
 
@@ -236,64 +230,74 @@ def _flag_diag(n_ris: int, n_t: int, n_r: int) -> int:
 _K_SWEEP_FIG1C = tuple(10.0 * math.log10(k) for k in
                        (0.05, 0.2, 0.5, 1.0, 10.0 ** 0.5, 10.0))
 
+# name -> ExperimentSpec fields plus the family of trial it runs.  "fig*"
+# presets reproduce the paper's figures, "runtime-*" ones are timed by
+# bench_runtime, and the "custom-*" ones behind the CLI's free grids take
+# n_ris_list from the caller.
 _PRESET_TABLE = {
     # empirical vs predicted spectrum, one size
-    "fig1a": dict(n_ris_list=(2000,), n_t=20, n_r=20, k_t_db=10.0,
-                  k_r_db=10.0, trials=100, methods=()),
+    "fig1a": dict(family="spectrum", n_ris_list=(2000,), n_t=20, n_r=20,
+                  k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
     # aggregate spectrum error across sizes
-    "fig1b": dict(n_ris_list=(500, 1000, 2000), n_t=20, n_r=20, k_t_db=10.0,
-                  k_r_db=10.0, trials=100, methods=()),
+    "fig1b": dict(family="spectrum", n_ris_list=(500, 1000, 2000), n_t=20,
+                  n_r=20, k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
     # principal-eigenvalue error across the K sweep
-    "fig1c": dict(n_ris_list=(2000,), n_t=20, n_r=20,
+    "fig1c": dict(family="hardening", n_ris_list=(2000,), n_t=20, n_r=20,
                   k_sweep_db=_K_SWEEP_FIG1C, trials=50, methods=()),
     # capacity vs its diagonal surrogate across sizes
-    "fig2a": dict(n_ris_list=(512, 2048, 8192), n_t=8, n_r=8, k_t_db=0.0,
-                  k_r_db=0.0, snr_db=10.0, trials=50, methods=("wsa", "lb")),
+    "fig2a": dict(family="capacity", n_ris_list=(512, 2048, 8192), n_t=8,
+                  n_r=8, k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=50,
+                  methods=("wsa", "lb")),
     # gain methods vs the asymptotic bound
-    "fig2b": dict(n_ris_list=(1024, 4096), n_t=16, n_r=16, k_t_db=0.0,
-                  k_r_db=0.0, trials=50, methods=("sa", "rmo", "lb")),
+    "fig2b": dict(family="gain", n_ris_list=(1024, 4096), n_t=16, n_r=16,
+                  k_t_db=0.0, k_r_db=0.0, trials=50, methods=("sa", "rmo", "lb")),
     # full-array gain comparison at headline dimensions (manual runs)
-    "fig2b-full": dict(n_ris_list=(2000, 4000, 7000, 10000), n_t=100,
-                       n_r=100, k_t_db=0.0, k_r_db=0.0, trials=200,
+    "fig2b-full": dict(family="gain", n_ris_list=(2000, 4000, 7000, 10000),
+                       n_t=100, n_r=100, k_t_db=0.0, k_r_db=0.0, trials=200,
                        methods=("sa", "rmo", "lb")),
     # capacity method ordering at large element counts
-    "fig2c": dict(n_ris_list=(5000, 20000), n_t=10, n_r=10, k_t_db=0.0,
-                  k_r_db=0.0, snr_db=10.0, trials=10,
+    "fig2c": dict(family="capacity", n_ris_list=(5000, 20000), n_t=10, n_r=10,
+                  k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=10,
                   methods=("wsa", "rmo", "rmo-surrogate", "lb")),
-    "runtime-gain": dict(n_ris_list=(2000, 4000, 8000), n_t=16, n_r=16,
-                         k_t_db=0.0, k_r_db=0.0, trials=1,
+    "runtime-gain": dict(family="gain", n_ris_list=(2000, 4000, 8000), n_t=16,
+                         n_r=16, k_t_db=0.0, k_r_db=0.0, trials=1,
                          methods=("sa", "rmo"), rmo_max_iters=500),
-    "runtime-capacity": dict(n_ris_list=(5000,), n_t=10, n_r=10, k_t_db=0.0,
-                             k_r_db=0.0, snr_db=10.0, trials=1,
-                             methods=("wsa", "rmo", "rmo-surrogate"),
+    "runtime-capacity": dict(family="capacity", n_ris_list=(5000,), n_t=10,
+                             n_r=10, k_t_db=0.0, k_r_db=0.0, snr_db=10.0,
+                             trials=1, methods=("wsa", "rmo", "rmo-surrogate"),
                              rmo_max_iters=200),
+    "custom-spectrum": dict(family="spectrum", n_t=8, n_r=8, methods=()),
+    "custom-gain": dict(family="gain", n_t=8, n_r=8, methods=("sa", "lb")),
+    "custom-capacity": dict(family="capacity", n_t=8, n_r=8,
+                            methods=("wsa", "lb")),
 }
 
-PRESETS = tuple(_PRESET_TABLE) + CUSTOM_PRESETS
+
+def preset_names(prefix: str) -> tuple:
+    """Names of the presets starting with prefix: "fig", "runtime-" or "custom-"."""
+    return tuple(name for name in _PRESET_TABLE if name.startswith(prefix))
+
+
+def _preset(name: str) -> dict:
+    if name not in _PRESET_TABLE:
+        raise ValueError(f"unknown preset {name!r}; known: {sorted(_PRESET_TABLE)}")
+    return _PRESET_TABLE[name]
 
 
 def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
     """Materialize a named preset, scaling the element-count grid.
 
     scale multiplies every entry of the RIS size grid (rounded, floor 2);
-    other fields can be overridden by keyword.
+    other fields can be overridden by keyword.  The custom-* presets have
+    no size grid of their own, so they need n_ris_list.
     """
-    if name not in _PRESET_TABLE:
-        raise ValueError(f"unknown preset {name!r}; known: {sorted(_PRESET_TABLE)}")
-    params = dict(_PRESET_TABLE[name])
-    params.update(overrides)
+    params = {**_preset(name), **overrides}
+    del params["family"]
+    if "n_ris_list" not in params:
+        raise ValueError(f"preset {name!r} needs n_ris_list (--n-ris)")
     n_list = tuple(max(2, int(round(n * scale))) for n in params["n_ris_list"])
     params["n_ris_list"] = n_list
     return ExperimentSpec(preset=name, scale=scale, **params)
-
-
-_FAMILY = {
-    "fig1a": "spectrum", "fig1b": "spectrum", "fig1c": "hardening",
-    "fig2a": "capacity", "fig2b": "gain", "fig2b-full": "gain",
-    "fig2c": "capacity",
-    "custom-spectrum": "spectrum", "custom-gain": "gain",
-    "custom-capacity": "capacity",
-}
 
 
 def _grid(spec: ExperimentSpec) -> list:
@@ -309,6 +313,131 @@ def _grid(spec: ExperimentSpec) -> list:
     return points
 
 
+# --- gain and capacity methods -------------------------------------------
+# Library functions are called through this module's globals at call
+# time, so that a wrapper installed on them sees every call.
+
+class _Link:
+    """One sampled channel pair with what its methods read: a is the
+    receive side as it enters the cascade (n_r x n_ris), t the transmit
+    side (n_ris x n_t), snr the linear SNR."""
+
+    def __init__(self, spec: ExperimentSpec, n_ris: int, k_t_db: float,
+                 k_r_db: float, rng: np.random.Generator):
+        self.spec = spec
+        self.rng = rng
+        self.ch_t = _sample_side(rng, n_ris, spec.n_t, k_t_db)
+        self.ch_r = _sample_side(rng, n_ris, spec.n_r, k_r_db)
+        self.a = self.ch_r.hermitian
+        self.t = self.ch_t.matrix
+        self.snr = db2lin(spec.snr_db)
+
+    def gain_bound(self) -> float:
+        return gain_lower_bound(self.t.shape[0], self.spec.n_t, self.spec.n_r,
+                                self.ch_t.k_factor, self.ch_r.k_factor)
+
+
+@dataclass(frozen=True)
+class _Method:
+    """A trial times configure(link) and writes score(link, configured);
+    bench_runtime times bench(link)() with repeats = (warmups, samples)."""
+
+    configure: Callable
+    score: Callable
+    bench: Callable
+    repeats: tuple = (1, 3)
+
+
+def _score_sa(link: _Link, cfg) -> dict:
+    gain = channel_gain(cascaded_channel(link.a, cfg, link.t))
+    lb = link.gain_bound()
+    return {"gain_sa": gain, "alpha_sa": gain / (lb / 0.25)} if lb > 0 else {"gain_sa": gain}
+
+
+def _bench_sa(link: _Link):
+    # the alignment alone: steering vectors are CSI, common to all methods
+    a_t = link.ch_t.los.ris_steering()
+    a_r = link.ch_r.los.ris_steering()
+    return lambda: sign_align(a_r.conj() * a_t)
+
+
+def _score_wsa(link: _Link, configured) -> dict:
+    report, plan = configured
+    values = {"cap_wsa": report.capacity_exact,
+              "cap_diag": report.capacity_diag,
+              "offdiag_ratio": report.offdiag_ratio,
+              "iterations_used": plan.iterations_used}
+    if "lb" in link.spec.methods:
+        values["cap_lb"] = report.capacity_lb
+    return values
+
+
+def _bench_wsa(link: _Link):
+    # the configuration alone: the SVDs are CSI, common to all methods
+    bundle_r, bundle_t = svd_bundle(link.a), svd_bundle(link.t)
+    return lambda: configure_wsa(bundle_r, bundle_t, link.snr, link.spec.n_t,
+                                 arrangement=link.spec.arrangement)
+
+
+def _rmo(objective: str, column: str) -> _Method:
+    """RMO on objective, quantized; column holds the gain or capacity."""
+    def configure(link: _Link):
+        settings = RmoSettings(objective=objective,
+                               max_iters=link.spec.rmo_max_iters)
+        res = rmo_optimize(link.a, link.t, settings, snr=link.snr,
+                           n_t=link.spec.n_t)
+        return quantize_1bit(res.phi)
+
+    def score(link: _Link, cfg) -> dict:
+        h = cascaded_channel(link.a, cfg, link.t)
+        if objective == "gain":
+            return {column: channel_gain(h)}
+        return {column: capacity_exact(h, link.snr, link.spec.n_t)}
+    return _Method(configure, score, lambda link: partial(configure, link))
+
+
+# family -> method -> _Method, in the order a trial runs them
+_METHODS = {
+    "gain": {
+        "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
+                      _score_sa, _bench_sa, (3, 5)),
+        "rmo": _rmo("gain", "gain_rmo"),
+    },
+    "capacity": {
+        "wsa": _Method(lambda link: run_wsa(link.a, link.t, link.snr, link.spec.n_t,
+                                            arrangement=link.spec.arrangement,
+                                            rng=link.rng),
+                       _score_wsa, _bench_wsa, (3, 5)),
+        "rmo": _rmo("capacity_exact", "cap_rmo"),
+        "rmo-surrogate": _rmo("capacity_surrogate", "cap_rmo_surrogate"),
+    },
+}
+
+# "lb" adds the asymptotic bound to the rows; it has no configuration
+ALL_METHODS = tuple(dict.fromkeys(
+    name for methods in _METHODS.values() for name in methods)) + ("lb",)
+
+# Row columns of each family after point, trial, n_ris and n_t
+_COLUMNS = {
+    "spectrum": ("k_t_db", "flag_hardening"),
+    "hardening": ("k_t_db", "flag_hardening", "lambda_1", "predicted_1"),
+    "gain": ("n_r", "k_t_db", "k_r_db", "flag_hardening"),
+    "capacity": ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
+                 "flag_diag"),
+}
+# Method columns in CSV order, each with the methods a spec must run for
+# it to be written; the error column follows them.
+_METHOD_COLUMNS = {
+    "gain": (("gain_sa", {"sa"}), ("gain_rmo", {"rmo"}),
+             ("lower_bound", {"lb"}), ("alpha_sa", {"sa", "lb"})),
+    "capacity": (("cap_wsa", {"wsa"}), ("cap_diag", {"wsa"}),
+                 ("cap_rmo", {"rmo"}),
+                 ("cap_rmo_surrogate", {"rmo-surrogate"}),
+                 ("cap_lb", {"wsa", "lb"}), ("offdiag_ratio", {"wsa"}),
+                 ("iterations_used", {"wsa"})),
+}
+
+
 # --- per-trial work ----------------------------------------------------
 
 def _trial_spectrum(spec, point, trial, rng):
@@ -317,7 +446,7 @@ def _trial_spectrum(spec, point, trial, rng):
     gram = ch.matrix.conj().T @ ch.matrix
     eig = np.linalg.eigvalsh(gram)[::-1]
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
-           "flag_hardening": _flag_hardening(n_ris, [(db2lin(k_db), spec.n_t)])}
+           "flag_hardening": _flag_hardening([(db2lin(k_db), spec.n_t)])}
     for i, val in enumerate(eig, start=1):
         row[f"eig_{i:02d}"] = float(val)
     return row, {}
@@ -331,139 +460,57 @@ def _trial_hardening(spec, point, trial, rng):
     lam1 = float(np.linalg.eigvalsh(gram)[-1])
     pred = k_lin / (k_lin + 1.0) * n_ris * spec.n_t
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
-           "flag_hardening": _flag_hardening(n_ris, [(k_lin, spec.n_t)]),
+           "flag_hardening": _flag_hardening([(k_lin, spec.n_t)]),
            "lambda_1": lam1, "predicted_1": pred}
     return row, {}
 
 
-def _trial_gain(spec, point, trial, rng):
+def _trial_methods(spec, point, trial, rng):
+    """A gain or capacity trial: run, time and score each requested method.
+
+    A method that raises leaves its columns empty and its message in the
+    row's error column.
+    """
+    family = _preset(spec.preset)["family"]
     n_ris = point["n_ris"]
-    k_t, k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
-    ch_t = _sample_side(rng, n_ris, spec.n_t, point["k_t_db"])
-    ch_r = _sample_side(rng, n_ris, spec.n_r, point["k_r_db"])
-    a, t = ch_r.hermitian, ch_t.matrix
+    link = _Link(spec, n_ris, point["k_t_db"], point["k_r_db"], rng)
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "n_r": spec.n_r,
            "k_t_db": point["k_t_db"], "k_r_db": point["k_r_db"],
            "flag_hardening": _flag_hardening(
-               n_ris, [(k_t, spec.n_t), (k_r, spec.n_r)]),
+               [(link.ch_t.k_factor, spec.n_t), (link.ch_r.k_factor, spec.n_r)]),
            "error": ""}
+    if family == "capacity":
+        row["snr_db"] = spec.snr_db
+        row["flag_diag"] = _flag_diag(n_ris, spec.n_t, spec.n_r)
+    elif "lb" in spec.methods:
+        row["lower_bound"] = link.gain_bound()
     timings = {}
-    lb = gain_lower_bound(n_ris, spec.n_t, spec.n_r, k_t, k_r)
-    if "lb" in spec.methods:
-        row["lower_bound"] = lb
-    if "sa" in spec.methods:
-        try:
-            t0 = time.perf_counter()
-            cfg = configure_gain_los(ch_t.los, ch_r.los)
-            timings["sa"] = time.perf_counter() - t0
-            row["gain_sa"] = channel_gain(cascaded_channel(a, cfg, t))
-            if lb > 0:
-                row["alpha_sa"] = row["gain_sa"] / (lb / 0.25)
-        except Exception as exc:  # recorded, not fatal
-            row["error"] += f"sa: {exc}; "
-    if "rmo" in spec.methods:
-        try:
-            settings = RmoSettings(objective="gain",
-                                   max_iters=spec.rmo_max_iters,
-                                   initial_step=spec.rmo_initial_step)
-            t0 = time.perf_counter()
-            res = rmo_optimize(a, t, settings)
-            cfg = quantize_1bit(res.phi)
-            timings["rmo"] = time.perf_counter() - t0
-            row["gain_rmo"] = channel_gain(cascaded_channel(a, cfg, t))
-        except Exception as exc:
-            row["error"] += f"rmo: {exc}; "
-    return row, timings
-
-
-def _trial_capacity(spec, point, trial, rng):
-    n_ris = point["n_ris"]
-    k_t, k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
-    snr = db2lin(spec.snr_db)
-    ch_t = _sample_side(rng, n_ris, spec.n_t, point["k_t_db"])
-    ch_r = _sample_side(rng, n_ris, spec.n_r, point["k_r_db"])
-    a, t = ch_r.hermitian, ch_t.matrix
-    row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "n_r": spec.n_r,
-           "k_t_db": point["k_t_db"], "k_r_db": point["k_r_db"],
-           "snr_db": spec.snr_db,
-           "flag_hardening": _flag_hardening(
-               n_ris, [(k_t, spec.n_t), (k_r, spec.n_r)]),
-           "flag_diag": _flag_diag(n_ris, spec.n_t, spec.n_r),
-           "error": ""}
-    timings = {}
-    if "wsa" in spec.methods:
-        try:
-            t0 = time.perf_counter()
-            report, plan = run_wsa(a, t, snr, spec.n_t,
-                                   arrangement=spec.arrangement, rng=rng)
-            timings["wsa"] = time.perf_counter() - t0
-            row["cap_wsa"] = report.capacity_exact
-            row["cap_diag"] = report.capacity_diag
-            if "lb" in spec.methods:
-                row["cap_lb"] = report.capacity_lb
-            row["offdiag_ratio"] = report.offdiag_ratio
-            row["iterations_used"] = plan.iterations_used
-        except Exception as exc:
-            row["error"] += f"wsa: {exc}; "
-    for method, objective, col in (
-            ("rmo", "capacity_exact", "cap_rmo"),
-            ("rmo-surrogate", "capacity_surrogate", "cap_rmo_surrogate")):
-        if method not in spec.methods:
+    for name, method in _METHODS[family].items():
+        if name not in spec.methods:
             continue
         try:
-            settings = RmoSettings(objective=objective,
-                                   max_iters=spec.rmo_max_iters,
-                                   initial_step=spec.rmo_initial_step)
             t0 = time.perf_counter()
-            res = rmo_optimize(a, t, settings, snr=snr, n_t=spec.n_t)
-            cfg = quantize_1bit(res.phi)
-            timings[method] = time.perf_counter() - t0
-            row[col] = capacity_exact(cascaded_channel(a, cfg, t), snr, spec.n_t)
-        except Exception as exc:
-            row["error"] += f"{method}: {exc}; "
+            configured = method.configure(link)
+            timings[name] = time.perf_counter() - t0
+            row.update(method.score(link, configured))
+        except Exception as exc:  # recorded, not fatal
+            row["error"] += f"{name}: {exc}; "
     return row, timings
 
 
-_TRIAL_FNS = {
-    "spectrum": _trial_spectrum,
-    "hardening": _trial_hardening,
-    "gain": _trial_gain,
-    "capacity": _trial_capacity,
-}
+_TRIAL_FNS = {"spectrum": _trial_spectrum, "hardening": _trial_hardening,
+              **dict.fromkeys(_METHODS, _trial_methods)}
 
 
 def _columns(spec: ExperimentSpec, family: str) -> tuple:
-    base = ["point", "trial", "n_ris", "n_t"]
+    cols = ["point", "trial", "n_ris", "n_t", *_COLUMNS[family]]
     if family == "spectrum":
-        return tuple(base + ["k_t_db", "flag_hardening"]
-                     + [f"eig_{i:02d}" for i in range(1, spec.n_t + 1)])
-    if family == "hardening":
-        return tuple(base + ["k_t_db", "flag_hardening",
-                             "lambda_1", "predicted_1"])
-    if family == "gain":
-        cols = base + ["n_r", "k_t_db", "k_r_db", "flag_hardening"]
-        if "sa" in spec.methods:
-            cols.append("gain_sa")
-        if "rmo" in spec.methods:
-            cols.append("gain_rmo")
-        if "lb" in spec.methods:
-            cols.append("lower_bound")
-            if "sa" in spec.methods:
-                cols.append("alpha_sa")
-        return tuple(cols + ["error"])
-    cols = base + ["n_r", "k_t_db", "k_r_db", "snr_db",
-                   "flag_hardening", "flag_diag"]
-    if "wsa" in spec.methods:
-        cols += ["cap_wsa", "cap_diag"]
-    if "rmo" in spec.methods:
-        cols.append("cap_rmo")
-    if "rmo-surrogate" in spec.methods:
-        cols.append("cap_rmo_surrogate")
-    if "lb" in spec.methods and "wsa" in spec.methods:
-        cols.append("cap_lb")
-    if "wsa" in spec.methods:
-        cols += ["offdiag_ratio", "iterations_used"]
-    return tuple(cols + ["error"])
+        cols += [f"eig_{i:02d}" for i in range(1, spec.n_t + 1)]
+    if family in _METHOD_COLUMNS:
+        cols += [name for name, needs in _METHOD_COLUMNS[family]
+                 if needs <= set(spec.methods)]
+        cols.append("error")
+    return tuple(cols)
 
 
 # --- aggregation (recomputable from rows) -------------------------------
@@ -541,6 +588,10 @@ def _agg_gain(spec, points, rows):
     return cols, out
 
 
+_CAPACITY_MEANS = tuple(name for name, _ in _METHOD_COLUMNS["capacity"]
+                        if name != "iterations_used")
+
+
 def _agg_capacity(spec, points, rows):
     out = []
     for pi, pt in enumerate(points):
@@ -548,17 +599,15 @@ def _agg_capacity(spec, points, rows):
         entry = {"point": pi, "n_ris": pt["n_ris"],
                  "k_t_db": pt["k_t_db"], "k_r_db": pt["k_r_db"],
                  "snr_db": spec.snr_db}
-        for col in ("cap_wsa", "cap_diag", "cap_rmo", "cap_rmo_surrogate",
-                    "cap_lb", "offdiag_ratio"):
+        for col in _CAPACITY_MEANS:
             entry[f"mean_{col}"] = _mean_of(sub, col)
         exact = [r["cap_wsa"] for r in sub if r.get("cap_wsa") is not None]
         diag = [r["cap_diag"] for r in sub if r.get("cap_diag") is not None]
         entry["nmse_diag"] = (nmse(diag, exact)
                               if exact and len(exact) == len(diag) else None)
         out.append(entry)
-    cols = ("point", "n_ris", "k_t_db", "k_r_db", "snr_db", "mean_cap_wsa",
-            "mean_cap_diag", "mean_cap_rmo", "mean_cap_rmo_surrogate",
-            "mean_cap_lb", "mean_offdiag_ratio", "nmse_diag")
+    cols = ("point", "n_ris", "k_t_db", "k_r_db", "snr_db",
+            *(f"mean_{col}" for col in _CAPACITY_MEANS), "nmse_diag")
     return cols, out
 
 
@@ -583,11 +632,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     depend on scheduling.  Runtime presets are served by bench_runtime,
     not here (their output is wall-clock, which is not reproducible).
     """
-    if spec.preset in RUNTIME_PRESETS:
+    if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
-    family = _FAMILY.get(spec.preset)
-    if family is None:
-        raise ValueError(f"unknown preset {spec.preset!r}")
+    family = _preset(spec.preset)["family"]
     points = _grid(spec)
     trial_fn = _TRIAL_FNS[family]
     tasks = [(pi, t) for pi in range(len(points)) for t in range(spec.trials)]
@@ -637,77 +684,44 @@ def _time_callable(fn, warmups: int = 3, samples: int = 5,
     return statistics.median(vals), statistics.fmean(vals)
 
 
+# family -> the methods bench_runtime times, in column order; the first
+# is timed whatever the spec's methods
+_RUNTIME = {"gain": ("sa", "rmo"), "capacity": ("wsa", "rmo-surrogate", "rmo")}
+
+
 def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     """Wall-clock comparison of configuration methods over the size grid.
 
     One seeded instance per grid point; at least 3 warmups then the
-    median and mean of 5 timed samples per method.  Times exclude
-    channel synthesis and SVD bundling (CSI acquisition is common to all
-    methods); they cover exactly the configuration computation.
+    median and mean of 5 timed samples per one-shot method (1 and 3 for
+    RMO).  Times exclude channel synthesis and SVD bundling (CSI
+    acquisition is common to all methods); they cover exactly the
+    configuration computation.
     """
-    if spec.preset not in RUNTIME_PRESETS:
+    if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
-    snr = db2lin(spec.snr_db)
+    family = _preset(spec.preset)["family"]
+    timed = _RUNTIME[family]
     rows = []
     for pi, n_ris in enumerate(spec.n_ris_list):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, pi, 0)))
-        ch_t = _sample_side(rng, n_ris, spec.n_t, spec.k_t_db)
-        ch_r = _sample_side(rng, n_ris, spec.n_r, spec.k_r_db)
-        a, t = ch_r.hermitian, ch_t.matrix
+        link = _Link(spec, n_ris, spec.k_t_db, spec.k_r_db, rng)
         row = {"n_ris": n_ris, "n_t": spec.n_t, "n_r": spec.n_r}
-        if spec.preset == "runtime-gain":
-            a_t = ch_t.los.ris_steering()
-            a_r = ch_r.los.ris_steering()
-            med, mean = _time_callable(lambda: sign_align(a_r.conj() * a_t))
-            row["sa_median_s"], row["sa_mean_s"] = med, mean
-            if "rmo" in spec.methods:
-                settings = RmoSettings(objective="gain",
-                                       max_iters=spec.rmo_max_iters,
-                                       initial_step=spec.rmo_initial_step)
-                med, mean = _time_callable(
-                    lambda: quantize_1bit(rmo_optimize(a, t, settings).phi),
-                    warmups=1, samples=3)
-                row["rmo_median_s"], row["rmo_mean_s"] = med, mean
-                row["ratio_rmo_over_sa"] = row["rmo_median_s"] / row["sa_median_s"]
-        else:
-            bundle_r = svd_bundle(a)
-            bundle_t = svd_bundle(t)
-
-            def wsa_config():
-                from .capacity import (allocate_sca, configure_capacity,
-                                       round_allocation)
-                plan = allocate_sca(bundle_r.singular_values,
-                                    bundle_t.singular_values, snr, spec.n_t)
-                plan = round_allocation(plan, n_ris, spec.arrangement)
-                return configure_capacity(bundle_r, bundle_t, plan)
-
-            med, mean = _time_callable(wsa_config)
-            row["wsa_median_s"], row["wsa_mean_s"] = med, mean
-            for method, objective, col in (
-                    ("rmo-surrogate", "capacity_surrogate", "rmo_surrogate"),
-                    ("rmo", "capacity_exact", "rmo")):
-                if method not in spec.methods:
-                    continue
-                settings = RmoSettings(objective=objective,
-                                       max_iters=spec.rmo_max_iters,
-                                       initial_step=spec.rmo_initial_step)
-                med, mean = _time_callable(
-                    lambda: quantize_1bit(
-                        rmo_optimize(a, t, settings, snr=snr,
-                                     n_t=spec.n_t).phi),
-                    warmups=1, samples=3)
-                row[f"{col}_median_s"], row[f"{col}_mean_s"] = med, mean
-            if "rmo" in spec.methods:
-                row["ratio_rmo_over_wsa"] = row["rmo_median_s"] / row["wsa_median_s"]
-                if "rmo-surrogate" in spec.methods:
-                    row["ratio_rmo_over_surrogate"] = (
-                        row["rmo_median_s"] / row["rmo_surrogate_median_s"])
+        medians = {}
+        for name in timed:
+            if name != timed[0] and name not in spec.methods:
+                continue
+            method = _METHODS[family][name]
+            col = name.replace("-", "_")
+            med, mean = _time_callable(method.bench(link), *method.repeats)
+            row[f"{col}_median_s"], row[f"{col}_mean_s"] = med, mean
+            medians[name] = med
+        for name in medians:
+            if name != "rmo" and "rmo" in medians:
+                short = name.removeprefix("rmo-")
+                row[f"ratio_rmo_over_{short}"] = medians["rmo"] / medians[name]
         rows.append(row)
-    columns = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return ExperimentResult(spec=spec, columns=tuple(columns), rows=rows,
+    # every row times the same methods, so the rows share their keys
+    return ExperimentResult(spec=spec, columns=tuple(rows[0]), rows=rows,
                             agg_columns=(), aggregates=[], timings=[],
                             metadata=_metadata())

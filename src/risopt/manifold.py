@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .capacity import stream_columns, surrogate_bits
 from .channels import RisConfig
 from .spectral import svd_bundle
 
@@ -52,7 +53,7 @@ class RmoResult:
 
 
 def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
-               snr: float | None, n_t: int):
+               snr: float | None, n_t: int | None):
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
 
     The state is what the value computed on the way: the cascade
@@ -64,6 +65,8 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     """
     a = np.asarray(h_r_herm, dtype=complex)
     t = np.asarray(h_t, dtype=complex)
+    if n_t is None:
+        n_t = t.shape[1]
 
     def backproject(x):
         # rowsum((a^H @ x) * conj(t)) as conj(rowsum((a^T @ conj(x)) * t))
@@ -102,15 +105,11 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
         return evaluate, grad
 
     # capacity_surrogate: per-stream rank-1 quadratics through the SVDs
-    bundle_r = svd_bundle(a)
-    bundle_t = svd_bundle(t)
-    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
-    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+    cols, w = stream_columns(svd_bundle(a), svd_bundle(t))
 
     def evaluate(phi):
         z = cols.T @ phi
-        return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / _LN2), z
+        return surrogate_bits(z, w, rho), z
 
     def grad(phi, z):
         coef = (2.0 * rho / _LN2) * w / (1.0 + rho * w * np.abs(z) ** 2)
@@ -130,9 +129,6 @@ def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
                        n_t: int | None = None) -> np.ndarray:
     """Euclidean gradient g = 2 df/d(conj phi) of the chosen objective."""
     phi = np.asarray(phi, dtype=complex).ravel()
-    h_t = np.asarray(h_t)
-    if n_t is None:
-        n_t = h_t.shape[1]
     evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
     g = grad(phi, evaluate(phi)[1])
     _check_finite(g)
@@ -147,9 +143,6 @@ def finite_difference_error(objective: str, h_r_herm: np.ndarray,
     axes (combined as d/dRe + j d/dIm, the g = 2 df/d(conj phi)
     convention), relative to the largest gradient entry."""
     phi = np.asarray(phi, dtype=complex).ravel()
-    h_t = np.asarray(h_t)
-    if n_t is None:
-        n_t = h_t.shape[1]
     evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
     g = grad(phi, evaluate(phi)[1])
     fd = np.zeros(phi.size, dtype=complex)
@@ -197,8 +190,6 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
     n_s = h_t.shape[0]
-    if n_t is None:
-        n_t = h_t.shape[1]
     if init is None:
         phi = np.ones(n_s, dtype=complex)
     else:

@@ -7,25 +7,11 @@ from risopt.capacity import (AllocationPlan, allocate_sca,
                              capacity_diag_approx, capacity_exact,
                              capacity_lower_bound, configure_capacity,
                              effective_channel, offdiag_ratio,
-                             round_allocation, run_wsa, water_level_solve)
+                             round_allocation, run_wsa, water_level_bisect,
+                             water_level_solve)
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.spectral import asymptotic_spectrum, svd_bundle
 from tests.test_channels import make_los
-
-
-def bisect_water_level(gains, weights, budget):
-    """Independent solver for sum w_i [1/(eta w_i) - 1/g_i]^+ = budget."""
-    def spent(s):
-        per = np.clip(s / weights - 1.0 / gains, 0.0, None)
-        return float(np.sum(weights * per))
-    lo, hi = 0.0, 1e9
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if spent(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
-    return 1.0 / lo
 
 
 def test_water_level_matches_bisection():
@@ -36,7 +22,7 @@ def test_water_level_matches_bisection():
         weights = rng.uniform(0.05, 2.0, n)
         budget = float(rng.uniform(0.1, 5.0))
         eta = water_level_solve(gains, weights, budget)
-        assert eta == pytest.approx(bisect_water_level(gains, weights, budget),
+        assert eta == pytest.approx(water_level_bisect(gains, weights, budget),
                                     rel=1e-6)
         # residual of the budget equation at the returned level
         per = np.clip(1.0 / (eta * weights) - 1.0 / gains, 0.0, None)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -62,13 +63,38 @@ def test_spectrum_subcommand_k_pair(tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[risopt]\nn_ris = 48\nnt = 4\nnr = 4\ntrials = 3\n"
-                   "methods = wsa\nseed = 2\n")
+                   "methods = wsa\nseed = 2\nk_db = 3 -2\nsnr_db = 7.5\n"
+                   "rmo_iters = 7\nout_stem = from_ini\n")
     out = tmp_path / "results"
     code = run_main(["capacity", "--config", str(cfg), "--trials", "1",
                      "--out", str(out)])
     assert code == 0
-    lines = open(out / "custom-capacity.csv").read().strip().splitlines()
+    lines = open(out / "from_ini.csv").read().strip().splitlines()
     assert len(lines) == 2              # flag --trials 1 beat config's 3
+    spec = json.load(open(out / "from_ini.json"))["spec"]
+    assert (spec["k_t_db"], spec["k_r_db"], spec["snr_db"]) == (3.0, -2.0, 7.5)
+    assert (spec["rmo_max_iters"], spec["n_t"], spec["seed"]) == (7, 4, 2)
+    assert spec["n_ris_list"] == [48] and spec["methods"] == ["wsa"]
+
+
+def test_config_scale_applies_to_figure(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[risopt]\nscale = 0.02\ntrials = 1\n")
+    assert run_main(["figure", "fig2a", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    spec = json.load(open(tmp_path / "fig2a.json"))["spec"]
+    assert spec["scale"] == 0.02 and spec["n_ris_list"] == [10, 41, 164]
+
+
+def test_bench_runtime_header(tmp_path):
+    code = run_main(["bench-runtime", "runtime-capacity", "--scale", "0.02",
+                     "--rmo-iters", "5", "--out", str(tmp_path)])
+    assert code == 0
+    header = open(tmp_path / "runtime-capacity.csv").read().splitlines()[0]
+    assert header == ("n_ris,n_t,n_r,wsa_median_s,wsa_mean_s,"
+                      "rmo_surrogate_median_s,rmo_surrogate_mean_s,"
+                      "rmo_median_s,rmo_mean_s,ratio_rmo_over_wsa,"
+                      "ratio_rmo_over_surrogate")
 
 
 def test_config_missing_section(tmp_path):
@@ -81,6 +107,10 @@ def test_bad_k_db_count(tmp_path):
     code = run_main(["capacity", "--n-ris", "32", "--k-db", "1", "2", "3",
                      "--out", str(tmp_path)])
     assert code == 2
+    cfg = tmp_path / "empty_k.ini"
+    cfg.write_text("[risopt]\nk_db =\n")
+    assert run_main(["capacity", "--n-ris", "32", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
 
 
 def test_module_entry_point_runs():

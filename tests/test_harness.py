@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import risopt.harness as harness
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
@@ -164,6 +165,55 @@ def test_gain_family_rows_and_aggregate():
         10 * math.log10(agg["mean_gain_sa"] / lb))
     for r in res.rows:
         assert r["error"] == ""
+
+
+def test_method_columns_in_csv_order():
+    head = ("point", "trial", "n_ris", "n_t", "n_r", "k_t_db", "k_r_db")
+    gain = preset_spec("custom-gain", n_ris_list=(16,), trials=1,
+                       methods=("sa", "rmo", "lb"), rmo_max_iters=3)
+    assert run_experiment(gain).columns == head + (
+        "flag_hardening", "gain_sa", "gain_rmo", "lower_bound", "alpha_sa",
+        "error")
+    cap = preset_spec("custom-capacity", n_ris_list=(16,), trials=1,
+                      methods=("wsa", "rmo", "rmo-surrogate", "lb"),
+                      rmo_max_iters=3)
+    assert run_experiment(cap).columns == head + (
+        "snr_db", "flag_hardening", "flag_diag", "cap_wsa", "cap_diag",
+        "cap_rmo", "cap_rmo_surrogate", "cap_lb", "offdiag_ratio",
+        "iterations_used", "error")
+    surrogate = dataclasses.replace(cap, methods=("rmo-surrogate", "lb"))
+    assert run_experiment(surrogate).columns == head + (
+        "snr_db", "flag_hardening", "flag_diag", "cap_rmo_surrogate", "error")
+
+
+def test_each_requested_method_runs_once_per_trial(monkeypatch):
+    # the call counts a wrapper on the module's globals sees, and the
+    # RMO settings passed as the third positional argument
+    calls, objectives = {}, []
+
+    def count(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if name == "rmo_optimize":
+                objectives.append(args[2].objective)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, wrapper)
+
+    for name in ("configure_gain_los", "rmo_optimize", "run_wsa"):
+        count(name)
+    run_experiment(preset_spec("custom-gain", n_ris_list=(16, 20), trials=3,
+                               methods=("sa", "rmo", "lb"), rmo_max_iters=2))
+    assert calls == {"configure_gain_los": 6, "rmo_optimize": 6}
+    assert objectives == ["gain"] * 6
+    calls.clear()
+    objectives.clear()
+    run_experiment(preset_spec("custom-capacity", n_ris_list=(16,), trials=3,
+                               methods=("wsa", "rmo", "rmo-surrogate"),
+                               rmo_max_iters=2))
+    assert calls == {"run_wsa": 3, "rmo_optimize": 6}
+    assert sorted(objectives) == ["capacity_exact"] * 3 + ["capacity_surrogate"] * 3
 
 
 def test_errors_recorded_per_row_not_raised():
