@@ -29,7 +29,7 @@ ch_t = sample_side(rng, n_ris, N_T)
 ch_r = sample_side(rng, n_ris, N_R)
 snr = 10.0 ** (SNR_DB / 10.0)
 
-report, plan = run_wsa(ch_r.hermitian, ch_t.matrix, snr, N_T)
+report, plan = run_wsa(ch_r.hermitian, ch_t.matrix, snr)
 print(f"single instance, N_S = {n_ris}:")
 print("  element split over streams:", plan.counts.tolist())
 print("  SCA iterations:", plan.iterations_used, "converged:", plan.converged)
@@ -47,7 +47,7 @@ for n_ris in (640, 2000, 6400):
         rng = np.random.default_rng(np.random.SeedSequence((7, n_ris, trial)))
         ch_t = sample_side(rng, n_ris, N_T)
         ch_r = sample_side(rng, n_ris, N_R)
-        rep, _ = run_wsa(ch_r.hermitian, ch_t.matrix, snr, N_T)
+        rep, _ = run_wsa(ch_r.hermitian, ch_t.matrix, snr)
         ratios.append(rep.offdiag_ratio)
         caps.append(rep.capacity_exact)
         diags.append(rep.capacity_diag)

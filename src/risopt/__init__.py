@@ -10,7 +10,7 @@ and a seeded Monte Carlo harness with figure presets.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentResult, phase_align, sign_align
+from .alignment import AlignmentResult, sign_align
 from .capacity import (AllocationPlan, CapacityReport, allocate_sca,
                        capacity_diag_approx, capacity_exact,
                        capacity_lower_bound, configure_capacity,
@@ -30,7 +30,7 @@ from .spectral import (AsymptoticSpectrum, SvdBundle, asymptotic_spectrum,
 
 __all__ = [
     "__version__",
-    "AlignmentResult", "phase_align", "sign_align",
+    "AlignmentResult", "sign_align",
     "AllocationPlan", "CapacityReport", "allocate_sca",
     "capacity_diag_approx", "capacity_exact", "capacity_lower_bound",
     "configure_capacity", "effective_channel", "offdiag_ratio",

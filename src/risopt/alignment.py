@@ -10,6 +10,7 @@ continuous optimum once squared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -86,13 +87,9 @@ def sign_align(b, mask=None) -> AlignmentResult:
     return AlignmentResult(phi_im.real.copy(), float(val_im), "imaginary")
 
 
-def phase_align(b, mask=None) -> np.ndarray:
-    """Continuous alignment phi_n = exp(-1j*angle(b_n)) on the mask.
-
-    The aligned sum b^T phi equals sum(|b_n|) exactly, the unconstrained
-    optimum of |b^T phi| over unit-modulus phi.
-    """
-    bm = _masked(b, mask)
-    if not np.isfinite(bm).all():
-        raise ValueError("input must be finite")
-    return np.exp(-1j * np.angle(bm))
+def brute_force_value(b) -> float:
+    """Exhaustive 1-bit optimum max |b^T phi| over all 2^N sign patterns,
+    the reference sign_align is checked against (short vectors only)."""
+    b = np.asarray(b, dtype=complex).ravel()
+    return float(max(abs(b @ np.array(s))
+                     for s in product((1.0, -1.0), repeat=b.size)))

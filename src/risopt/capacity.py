@@ -19,11 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import phase_align, sign_align
+from .alignment import sign_align
 from .channels import RisConfig, _phase_vector, cascaded_channel
 from .spectral import AsymptoticSpectrum, SvdBundle, svd_bundle
 
 _LN2 = math.log(2.0)
+
+# how round_allocation lays the element counts out over the RIS
+ARRANGEMENTS = ("contiguous", "interleaved", "random")
 
 
 @dataclass(frozen=True)
@@ -58,17 +61,16 @@ class CapacityReport:
     offdiag_ratio: float
 
 
-def capacity_exact(h_tilde: np.ndarray, snr: float, n_t: int | None = None) -> float:
-    """log2 det(I + snr/n_t * H H^H) in bits, via singular values."""
+def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
+    """log2 det(I + snr/n_t * H H^H) in bits, via singular values; n_t is
+    the column count of the n_r x n_t cascade H."""
     h = np.asarray(h_tilde, dtype=complex)
     if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
         raise ValueError("non-finite channel")
     if not snr > 0:
         raise ValueError("snr must be positive (linear)")
-    if n_t is None:
-        n_t = h.shape[1]
     s = np.linalg.svd(h, compute_uv=False)
-    return float(np.sum(np.log1p((snr / n_t) * s ** 2)) / _LN2)
+    return float(np.sum(np.log1p((snr / h.shape[1]) * s ** 2)) / _LN2)
 
 
 def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarray:
@@ -102,12 +104,11 @@ def surrogate_bits(z: np.ndarray, w: np.ndarray, rho: float) -> float:
 
 
 def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
-                         snr: float, n_t: int | None = None) -> float:
+                         snr: float) -> float:
     """Diagonal surrogate: per-stream terms only, in bits."""
-    if n_t is None:
-        n_t = bundle_t.singular_values.size
     cols, w = stream_columns(bundle_r, bundle_t)
-    return surrogate_bits(cols.T @ _phase_vector(phi), w, snr / n_t)
+    return surrogate_bits(cols.T @ _phase_vector(phi), w,
+                          snr / bundle_t.right.shape[0])
 
 
 def water_level_solve(gains, weights, budget: float) -> float:
@@ -165,6 +166,10 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
     (the linearization is undefined at p = 0) and cannot re-enter.
     Each start stops when the objective moves by less than epsilon bits;
     converged=False means its iteration budget ran out first.
+
+    n_t is an argument because singular values do not fix it.  epsilon,
+    max_iters and init stay public: the fixed-point and non-convergence
+    checks of the allocation pin the iteration with them.
     """
     d_r = np.asarray(singvals_r, dtype=float)
     d_t = np.asarray(singvals_t, dtype=float)
@@ -250,10 +255,14 @@ def round_allocation(plan: AllocationPlan, n_ris: int,
 
     Counts come from largest-remainder rounding of sqrt(p_i) * n_ris
     (ties to the lower stream index); zero-fraction streams get zero
-    elements.  Arrangements: contiguous blocks, interleaved round-robin
-    deal, or seeded-random permutation blocks (pass the rng; a fixed
-    default_rng(0) is used otherwise so outputs stay reproducible).
+    elements.  Arrangements (ARRANGEMENTS): contiguous blocks,
+    interleaved round-robin deal, or random permutation blocks (pass the
+    rng; a fixed default_rng(0) is used otherwise so outputs stay
+    reproducible).
     """
+    if arrangement not in ARRANGEMENTS:
+        raise ValueError(f"unknown arrangement {arrangement!r}; "
+                         f"known: {ARRANGEMENTS}")
     w = np.sqrt(np.clip(plan.fractions, 0.0, None))
     targets = w * n_ris
     counts = np.floor(targets).astype(np.int64)
@@ -279,48 +288,37 @@ def round_allocation(plan: AllocationPlan, n_ris: int,
                     quotas[cand] -= 1
                     break
         sets = tuple(np.asarray(lst, dtype=np.int64) for lst in lists)
-    elif arrangement in ("random", "seeded-random"):
+    else:
         gen = rng if rng is not None else np.random.default_rng(0)
         perm = gen.permutation(n_ris)
         edges = np.concatenate(([0], np.cumsum(counts)))
         sets = tuple(np.sort(perm[edges[i]:edges[i + 1]]) for i in range(k))
-    else:
-        raise ValueError(f"unknown arrangement {arrangement!r}")
     return replace(plan, counts=counts, index_sets=sets)
 
 
 def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
-                       plan: AllocationPlan, continuous: bool = False) -> RisConfig:
+                       plan: AllocationPlan) -> RisConfig:
     """Per-stream sign alignment on the plan's index sets.
 
     Stream i's elements are aligned to conj(v_R,i) * u_T,i restricted to
-    its index set.  With continuous=True the unit-modulus phase-aligned
-    vector is built as well (states are its 1-bit quantization).
+    its index set.
     """
     if plan.counts is None or plan.index_sets is None:
         raise ValueError("plan has no counts/index sets; round it first")
-    n_ris = bundle_r.right.shape[0]
-    states = np.ones(n_ris)
-    cont = np.ones(n_ris, dtype=complex) if continuous else None
+    states = np.ones(bundle_r.right.shape[0])
     cols, _ = stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(plan.index_sets):
-        if idx.size == 0:
-            continue
-        b = cols[:, i]
-        states[idx] = sign_align(b, mask=idx).phi
-        if continuous:
-            cont[idx] = phase_align(b, mask=idx)
-            states[idx] = np.where(cont[idx].real >= 0.0, 1.0, -1.0)
-    return RisConfig(states, cont)
+        if idx.size:
+            states[idx] = sign_align(cols[:, i], mask=idx).phi
+    return RisConfig(states)
 
 
-def capacity_lower_bound(fractions, side_r, side_t, snr: float,
-                         n_t: int | None = None) -> float:
+def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
     """Deterministic bound sum_i log2(1 + 0.25*snr/n_t * d_R,i^2 d_T,i^2 p_i).
 
     side_r / side_t are either SvdBundle (instantaneous squared singular
     values) or AsymptoticSpectrum (statistical mode, no instantaneous
-    CSI needed).
+    CSI needed); n_t is the array size of side_t.
     """
     def squared(side):
         if isinstance(side, AsymptoticSpectrum):
@@ -331,9 +329,8 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float,
 
     sq_r = squared(side_r)
     sq_t = squared(side_t)
-    if n_t is None:
-        n_t = side_t.dims[1] if isinstance(side_t, AsymptoticSpectrum) \
-            else side_t.singular_values.size
+    n_t = side_t.dims[1] if isinstance(side_t, AsymptoticSpectrum) \
+        else side_t.right.shape[0]
     p = np.asarray(fractions, dtype=float)
     nmin = min(p.size, sq_r.size, sq_t.size)
     terms = 0.25 * (snr / n_t) * sq_r[:nmin] * sq_t[:nmin] * p[:nmin]
@@ -350,45 +347,50 @@ def offdiag_ratio(h_eff: np.ndarray) -> float:
     return (total - diag) / total
 
 
-def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float,
-                  n_t: int, *, arrangement: str = "contiguous",
+def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
+                  arrangement: str = "contiguous",
                   rng: np.random.Generator | None = None,
-                  spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None,
-                  continuous: bool = False) -> tuple[RisConfig, AllocationPlan]:
-    """W-SA configuration from the two channel SVDs: allocate fractions
-    (from the asymptotic spectra when given, else from the singular
-    values), round them to element counts, and align each stream."""
+                  spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
+                  ) -> tuple[RisConfig, AllocationPlan]:
+    """W-SA configuration from the two channel SVDs: allocate fractions,
+    round them to element counts, and align each stream.
+
+    The fractions come from the singular values, or, when spectra (the
+    receive and transmit AsymptoticSpectrum) are given, from the
+    predicted ones: the paper's statistical-CSI W-SA, whose allocation
+    needs only the K-factors and array sizes.
+    """
     if spectra is not None:
         sv_r, sv_t = (np.sqrt(side.predicted_sq_singular_values) for side in spectra)
     else:
         sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
-    plan = allocate_sca(sv_r, sv_t, snr, n_t)
+    plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right.shape[0])
     plan = round_allocation(plan, bundle_t.left.shape[0], arrangement, rng)
-    return configure_capacity(bundle_r, bundle_t, plan, continuous=continuous), plan
+    return configure_capacity(bundle_r, bundle_t, plan), plan
 
 
-def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float,
-            n_t: int | None = None, *, arrangement: str = "contiguous",
+def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
+            arrangement: str = "contiguous",
             rng: np.random.Generator | None = None,
-            spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None,
-            continuous: bool = False) -> tuple[CapacityReport, AllocationPlan]:
+            spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
+            ) -> tuple[CapacityReport, AllocationPlan]:
     """Full waterfilling-SA pipeline on one channel pair.
 
     SVD both channels, configure them with configure_wsa, and score the
-    configuration.  Returns the report plus the completed plan.
+    configuration; n_t is the column count of h_t (n_ris x n_t).  With
+    spectra the allocation and the lower bound use the asymptotic
+    spectra (statistical CSI).  Returns the report plus the completed
+    plan.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
-    if n_t is None:
-        n_t = h_t.shape[1]
     bundle_r = svd_bundle(h_r_herm)
     bundle_t = svd_bundle(h_t)
-    phi, plan = configure_wsa(bundle_r, bundle_t, snr, n_t,
-                              arrangement=arrangement, rng=rng,
-                              spectra=spectra, continuous=continuous)
+    phi, plan = configure_wsa(bundle_r, bundle_t, snr, arrangement=arrangement,
+                              rng=rng, spectra=spectra)
     side_r, side_t = spectra if spectra is not None else (bundle_r, bundle_t)
-    cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr, n_t)
-    cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr, n_t)
-    cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr, n_t)
+    cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr)
+    cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr)
+    cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr)
     ratio = offdiag_ratio(effective_channel(bundle_r, phi, bundle_t))
     return CapacityReport(phi, cap, cap_diag, cap_lb, ratio), plan

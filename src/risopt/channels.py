@@ -69,15 +69,10 @@ class RiceanChannel:
 
 @dataclass(frozen=True)
 class RisConfig:
-    """Per-element RIS reflection states.
-
-    states holds the 1-bit configuration over {+1, -1}; continuous
-    optionally carries the unit-modulus vector it was derived from
-    (phase alignment or manifold iterates before quantization).
-    """
+    """Per-element RIS reflection states: the 1-bit configuration over
+    {+1, -1}."""
 
     states: np.ndarray
-    continuous: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         s = np.asarray(self.states, dtype=float).ravel()
@@ -86,13 +81,6 @@ class RisConfig:
         if not np.all(np.abs(np.abs(s) - 1.0) == 0.0):
             raise ValueError("discrete states must be exactly +1 or -1")
         object.__setattr__(self, "states", s)
-        if self.continuous is not None:
-            c = np.asarray(self.continuous, dtype=complex).ravel()
-            if c.size != s.size:
-                raise ValueError("continuous variant has wrong length")
-            if np.max(np.abs(np.abs(c) - 1.0)) > 1e-12:
-                raise ValueError("continuous states must be unit modulus")
-            object.__setattr__(self, "continuous", c)
 
     @property
     def n_elements(self) -> int:

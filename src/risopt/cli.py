@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from .capacity import ARRANGEMENTS
 from .harness import (ALL_METHODS, bench_runtime, preset_names, preset_spec,
                       run_experiment)
 
@@ -77,7 +78,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--methods", nargs="+", default=None,
                         choices=list(ALL_METHODS))
     parser.add_argument("--arrangement", default=None,
-                        choices=["contiguous", "interleaved", "random"])
+                        choices=list(ARRANGEMENTS))
     parser.add_argument("--rmo-iters", dest="rmo_max_iters", type=int,
                         default=None)
 
@@ -127,9 +128,7 @@ def _spec_and_out(args: argparse.Namespace):
 
 def _cmd_validate(seed: int) -> int:
     """Small oracle suite; prints one line per check."""
-    from itertools import product
-
-    from .alignment import sign_align
+    from .alignment import brute_force_value, sign_align
     from .capacity import allocate_sca, water_level_bisect, water_level_solve
     from .manifold import (euclidean_gradient, finite_difference_error,
                            riemannian_gradient)
@@ -148,8 +147,7 @@ def _cmd_validate(seed: int) -> int:
     for _ in range(20):
         n = int(rng.integers(2, 9))
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        best = max(abs(np.dot(np.array(s), b))
-                   for s in product((1.0, -1.0), repeat=n))
+        best = brute_force_value(b)
         got = sign_align(b).achieved_value
         ok &= got <= best + 1e-9 and got >= 0.5 * np.sum(np.abs(b)) - 1e-9
     check("sign alignment within brute-force envelope", ok)
@@ -183,9 +181,9 @@ def _cmd_validate(seed: int) -> int:
     theta = rng.uniform(-np.pi, np.pi, size=n_s)
     phi = np.exp(1j * theta)
     for objective in ("gain", "capacity_exact", "capacity_surrogate"):
-        rel = finite_difference_error(objective, a, t, phi, snr=5.0, n_t=n_t)
+        rel = finite_difference_error(objective, a, t, phi, snr=5.0)
         check(f"{objective} gradient matches finite differences", rel < 1e-5)
-        g = euclidean_gradient(objective, a, t, phi, snr=5.0, n_t=n_t)
+        g = euclidean_gradient(objective, a, t, phi, snr=5.0)
         xi = riemannian_gradient(g, phi)
         tangency = float(np.max(np.abs((xi * phi.conj()).real)))
         check(f"{objective} projected gradient is tangent", tangency < 1e-9)

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .alignment import sign_align
-from .capacity import capacity_exact, configure_wsa, run_wsa
+from .capacity import ARRANGEMENTS, capacity_exact, configure_wsa, run_wsa
 from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
@@ -85,9 +85,14 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if not self.n_ris_list:
             raise ValueError("n_ris_list must be nonempty")
+        if self.k_sweep_db is not None and not self.k_sweep_db:
+            raise ValueError("k_sweep_db must be nonempty when given")
         bad = set(self.methods) - set(ALL_METHODS)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
+        if self.arrangement not in ARRANGEMENTS:
+            raise ValueError(f"unknown arrangement {self.arrangement!r}; "
+                             f"known: {ARRANGEMENTS}")
         object.__setattr__(self, "n_ris_list",
                            tuple(int(n) for n in self.n_ris_list))
         if self.k_sweep_db is not None:
@@ -375,7 +380,7 @@ def _score_wsa(link: _Link, configured) -> dict:
 def _bench_wsa(link: _Link):
     # the configuration alone: the SVDs are CSI, common to all methods
     bundle_r, bundle_t = svd_bundle(link.a), svd_bundle(link.t)
-    return lambda: configure_wsa(bundle_r, bundle_t, link.snr, link.spec.n_t,
+    return lambda: configure_wsa(bundle_r, bundle_t, link.snr,
                                  arrangement=link.spec.arrangement)
 
 
@@ -384,15 +389,14 @@ def _rmo(objective: str, column: str) -> _Method:
     def configure(link: _Link):
         settings = RmoSettings(objective=objective,
                                max_iters=link.spec.rmo_max_iters)
-        res = rmo_optimize(link.a, link.t, settings, snr=link.snr,
-                           n_t=link.spec.n_t)
+        res = rmo_optimize(link.a, link.t, settings, snr=link.snr)
         return quantize_1bit(res.phi)
 
     def score(link: _Link, cfg) -> dict:
         h = cascaded_channel(link.a, cfg, link.t)
         if objective == "gain":
             return {column: channel_gain(h)}
-        return {column: capacity_exact(h, link.snr, link.spec.n_t)}
+        return {column: capacity_exact(h, link.snr)}
     return _Method(configure, score, lambda link: partial(configure, link))
 
 
@@ -404,7 +408,7 @@ _METHODS = {
         "rmo": _rmo("gain", "gain_rmo"),
     },
     "capacity": {
-        "wsa": _Method(lambda link: run_wsa(link.a, link.t, link.snr, link.spec.n_t,
+        "wsa": _Method(lambda link: run_wsa(link.a, link.t, link.snr,
                                             arrangement=link.spec.arrangement,
                                             rng=link.rng),
                        _score_wsa, _bench_wsa, (3, 5)),
@@ -514,6 +518,8 @@ def _columns(spec: ExperimentSpec, family: str) -> tuple:
 
 
 # --- aggregation (recomputable from rows) -------------------------------
+# Each _agg_* returns one entry per point (per point and index for the
+# spectrum); every entry has the same keys, in aggregate-CSV column order.
 
 def _point_rows(rows, point_index):
     return [r for r in rows if r["point"] == point_index]
@@ -525,24 +531,21 @@ def _agg_spectrum(spec, points, rows):
         sub = _point_rows(rows, pi)
         pred = asymptotic_spectrum(pt["n_ris"], spec.n_t,
                                    db2lin(pt["k_t_db"]))
-        per_index = []
-        for i in range(1, spec.n_t + 1):
-            emp = np.array([r[f"eig_{i:02d}"] for r in sub])
-            p_i = float(pred.predicted_sq_singular_values[i - 1])
-            per_index.append(nmse(emp, np.full(emp.size, p_i)))
+        index = range(1, spec.n_t + 1)
+        emps = [np.array([r[f"eig_{i:02d}"] for r in sub]) for i in index]
+        preds = [float(pred.predicted_sq_singular_values[i - 1]) for i in index]
+        per_index = [nmse(emp, np.full(emp.size, p_i))
+                     for emp, p_i in zip(emps, preds)]
         agg = float(np.mean(per_index))
-        for i in range(1, spec.n_t + 1):
-            emp = np.array([r[f"eig_{i:02d}"] for r in sub])
+        for i, emp, p_i, err in zip(index, emps, preds, per_index):
             out.append({"point": pi, "n_ris": pt["n_ris"],
                         "k_t_db": pt["k_t_db"], "index": i,
-                        "predicted": float(pred.predicted_sq_singular_values[i - 1]),
+                        "predicted": p_i,
                         "empirical_mean": float(np.mean(emp)),
-                        "nmse": per_index[i - 1],
+                        "nmse": err,
                         "aggregate_nmse": agg,
                         "bulk_regime": int(pred.bulk_regime)})
-    cols = ("point", "n_ris", "k_t_db", "index", "predicted",
-            "empirical_mean", "nmse", "aggregate_nmse", "bulk_regime")
-    return cols, out
+    return out
 
 
 def _agg_hardening(spec, points, rows):
@@ -555,8 +558,7 @@ def _agg_hardening(spec, points, rows):
                     "predicted_1": pred,
                     "mean_lambda_1": float(np.mean(lam)),
                     "nmse": nmse(lam, np.full(lam.size, pred))})
-    cols = ("point", "n_ris", "k_t_db", "predicted_1", "mean_lambda_1", "nmse")
-    return cols, out
+    return out
 
 
 def _mean_of(rows, key):
@@ -583,9 +585,7 @@ def _agg_gain(spec, points, rows):
             10.0 * math.log10(mean_sa / mean_rmo)
             if mean_sa and mean_rmo else None)
         out.append(entry)
-    cols = ("point", "n_ris", "k_t_db", "k_r_db", "mean_gain_sa",
-            "mean_gain_rmo", "lower_bound", "ratio_db_sa_lb", "gap_db_sa_rmo")
-    return cols, out
+    return out
 
 
 _CAPACITY_MEANS = tuple(name for name, _ in _METHOD_COLUMNS["capacity"]
@@ -606,9 +606,7 @@ def _agg_capacity(spec, points, rows):
         entry["nmse_diag"] = (nmse(diag, exact)
                               if exact and len(exact) == len(diag) else None)
         out.append(entry)
-    cols = ("point", "n_ris", "k_t_db", "k_r_db", "snr_db",
-            *(f"mean_{col}" for col in _CAPACITY_MEANS), "nmse_diag")
-    return cols, out
+    return out
 
 
 _AGG_FNS = {
@@ -657,9 +655,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     done.sort(key=lambda item: item[0])
     rows = [row for _, row, _ in done]
     timings = [timing for _, _, timing in done]
-    agg_cols, aggregates = _AGG_FNS[family](spec, points, rows)
+    aggregates = _AGG_FNS[family](spec, points, rows)
     return ExperimentResult(spec=spec, columns=_columns(spec, family),
-                            rows=rows, agg_columns=agg_cols,
+                            rows=rows, agg_columns=tuple(aggregates[0]),
                             aggregates=aggregates, timings=timings,
                             metadata=_metadata())
 

@@ -26,17 +26,16 @@ OBJECTIVES = ("gain", "capacity_exact", "capacity_surrogate")
 
 @dataclass(frozen=True)
 class RmoSettings:
-    """Optimizer knobs; iteration and step limits define the benchmark cost."""
+    """Optimizer knobs; the iteration limit defines the benchmark cost."""
 
     objective: str = "gain"
     max_iters: int = 500
-    initial_step: float = 1.0
     gradient_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.max_iters < 1 or self.initial_step <= 0 or self.gradient_tolerance <= 0:
+        if self.max_iters < 1 or self.gradient_tolerance <= 0:
             raise ValueError("numeric settings must be positive")
 
 
@@ -53,8 +52,11 @@ class RmoResult:
 
 
 def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
-               snr: float | None, n_t: int | None):
+               snr: float | None):
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
+
+    The capacity objectives scale by snr / n_t, n_t the column count of
+    h_t (n_ris x n_t).
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or the stream projections cols.T @ phi for the
@@ -65,8 +67,6 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     """
     a = np.asarray(h_r_herm, dtype=complex)
     t = np.asarray(h_t, dtype=complex)
-    if n_t is None:
-        n_t = t.shape[1]
 
     def backproject(x):
         # rowsum((a^H @ x) * conj(t)) as conj(rowsum((a^T @ conj(x)) * t))
@@ -85,9 +85,9 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
         return evaluate, grad
 
-    if snr is None or snr <= 0:
+    if snr is None or not snr > 0:
         raise ValueError("capacity objectives need a positive linear snr")
-    rho = snr / n_t
+    rho = snr / t.shape[1]
 
     if objective == "capacity_exact":
         eye = np.eye(a.shape[0])
@@ -125,11 +125,10 @@ def _check_finite(g: np.ndarray, where: str = "") -> None:
 
 
 def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
-                       phi, snr: float | None = None,
-                       n_t: int | None = None) -> np.ndarray:
+                       phi, snr: float | None = None) -> np.ndarray:
     """Euclidean gradient g = 2 df/d(conj phi) of the chosen objective."""
     phi = np.asarray(phi, dtype=complex).ravel()
-    evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
+    evaluate, grad = _objective(objective, h_r_herm, h_t, snr)
     g = grad(phi, evaluate(phi)[1])
     _check_finite(g)
     return g
@@ -137,13 +136,13 @@ def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
 def finite_difference_error(objective: str, h_r_herm: np.ndarray,
                             h_t: np.ndarray, phi, snr: float | None = None,
-                            n_t: int | None = None, eps: float = 1e-6) -> float:
+                            eps: float = 1e-6) -> float:
     """Gradient oracle: largest entrywise gap between the Euclidean gradient
     and central differences of the value along the real and imaginary
     axes (combined as d/dRe + j d/dIm, the g = 2 df/d(conj phi)
     convention), relative to the largest gradient entry."""
     phi = np.asarray(phi, dtype=complex).ravel()
-    evaluate, grad = _objective(objective, h_r_herm, h_t, snr, n_t)
+    evaluate, grad = _objective(objective, h_r_herm, h_t, snr)
     g = grad(phi, evaluate(phi)[1])
     fd = np.zeros(phi.size, dtype=complex)
     for i in range(phi.size):
@@ -167,16 +166,16 @@ def _retract(z: np.ndarray) -> np.ndarray:
 
 
 def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
-                 init=None, snr: float | None = None,
-                 n_t: int | None = None) -> RmoResult:
+                 snr: float | None = None) -> RmoResult:
     """Gradient ascent on the circle manifold with Armijo backtracking.
 
-    Starts from all-ones unless init (unit modulus) is given.  Backtracking
-    uses factor 0.5 and sufficient increase 1e-4 (the directional
-    derivative along xi is ||xi||^2), and a trial must also raise the
-    objective strictly, so every accepted step raises it.  The first
-    trial step is sized so the largest element moves by initial_step
-    radians, later ones start at twice the last accepted step.  Stops on
+    snr is linear and needed by the capacity objectives, which scale it
+    by 1/n_t with n_t the column count of h_t.  Starts from all-ones.
+    Backtracking uses factor 0.5 and sufficient increase 1e-4 (the
+    directional derivative along xi is ||xi||^2), and a trial must also
+    raise the objective strictly, so every accepted step raises it.  The
+    first trial step is sized so the largest element moves by one
+    radian, later ones start at twice the last accepted step.  Stops on
     gradient norm below tolerance, on max_iters, or with stop_reason
     "line_search" when 60 halvings fail or a trial fails once the target
     f + 1e-4*mu*||xi||^2 rounds to f itself: the required increase is
@@ -189,14 +188,8 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
-    n_s = h_t.shape[0]
-    if init is None:
-        phi = np.ones(n_s, dtype=complex)
-    else:
-        phi = np.asarray(init, dtype=complex).ravel().copy()
-        if phi.size != n_s or np.max(np.abs(np.abs(phi) - 1.0)) > 1e-9:
-            raise ValueError("init must be unit modulus of matching length")
-    evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr, n_t)
+    phi = np.ones(h_t.shape[0], dtype=complex)
+    evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr)
 
     f, state = evaluate(phi)
     trace = [f]
@@ -216,7 +209,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             stop_reason = "gradient_tolerance"
             break
         if last_step is None:
-            mu = settings.initial_step / max(float(np.max(np.abs(xi))), 1e-300)
+            mu = 1.0 / max(float(np.max(np.abs(xi))), 1e-300)
         else:
             mu = 2.0 * last_step
         accepted = False
@@ -246,8 +239,6 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
 def quantize_1bit(phi_continuous) -> RisConfig:
     """Nearest point of {+1, -1} per element: +1 iff Re >= 0 (ties to +1)."""
     phi = np.asarray(phi_continuous, dtype=complex).ravel()
-    mags = np.abs(phi)
-    if phi.size == 0 or np.max(np.abs(mags - 1.0)) > 1e-6:
+    if phi.size == 0 or np.max(np.abs(np.abs(phi) - 1.0)) > 1e-6:
         raise ValueError("input must be unit modulus")
-    states = np.where(phi.real >= 0.0, 1.0, -1.0)
-    return RisConfig(states, phi / mags)
+    return RisConfig(np.where(phi.real >= 0.0, 1.0, -1.0))

@@ -97,6 +97,18 @@ def test_bench_runtime_header(tmp_path):
                       "ratio_rmo_over_surrogate")
 
 
+def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
+    # an INI value is not checked against the flag's choices, so the spec
+    # must refuse it before any trial runs
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[risopt]\nn_ris = 32\ntrials = 2\narrangement = diagonal\n")
+    code = run_main(["capacity", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "diagonal" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_config_missing_section(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[other]\nn_ris = 8\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import risopt.harness as harness
+from risopt.capacity import ARRANGEMENTS
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
@@ -40,9 +41,20 @@ def test_spec_validation():
         tiny_capacity_spec(n_ris_list=())
     with pytest.raises(ValueError):
         tiny_capacity_spec(methods=("gradient-descent",))
+    with pytest.raises(ValueError):
+        tiny_capacity_spec(k_sweep_db=())
     # n_r defaults to n_t
     spec = ExperimentSpec(preset="custom-spectrum", n_ris_list=(32,), n_t=5)
     assert spec.n_r == 5
+
+
+def test_spec_refuses_unknown_arrangement():
+    with pytest.raises(ValueError, match="arrangement"):
+        preset_spec("custom-capacity", n_ris_list=(32,), trials=2,
+                    arrangement="diagonal")
+    for name in ARRANGEMENTS:
+        assert preset_spec("custom-capacity", n_ris_list=(32,),
+                           arrangement=name).arrangement == name
 
 
 def test_preset_spec_scaling_and_floor():

@@ -54,7 +54,7 @@ def textbook_gradient(objective, a, t, phi, snr):
 def test_gradient_is_bit_identical_to_textbook_form(objective, n_r, n_s, n_t):
     for seed in range(3):
         a, t, phi = random_instance(seed, n_r=n_r, n_s=n_s, n_t=n_t)
-        evaluate, grad = manifold._objective(objective, a, t, 5.0, n_t)
+        evaluate, grad = manifold._objective(objective, a, t, 5.0)
         g = grad(phi, evaluate(phi)[1])
         assert np.array_equal(g, textbook_gradient(objective, a, t, phi, 5.0))
 
@@ -137,6 +137,14 @@ def test_capacity_objectives_require_snr():
         euclidean_gradient("capacity_exact", a, t, phi)
 
 
+@pytest.mark.parametrize("objective", ["capacity_exact", "capacity_surrogate"])
+@pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0])
+def test_capacity_objectives_refuse_a_non_positive_or_nan_snr(objective, snr):
+    a, t, phi = random_instance(0)
+    with pytest.raises(ValueError, match="positive linear snr"):
+        euclidean_gradient(objective, a, t, phi, snr=snr)
+
+
 def test_riemannian_projection_is_tangent_and_idempotent():
     a, t, phi = random_instance(1)
     g = euclidean_gradient("gain", a, t, phi)
@@ -190,29 +198,17 @@ def test_gradient_tolerance_stop_sets_converged():
         assert res.stop_reason == "line_search" and not res.converged
 
 
-def test_init_validation():
-    a, t, _ = random_instance(6, n_r=3, n_s=8, n_t=3)
-    with pytest.raises(ValueError):
-        rmo_optimize(a, t, RmoSettings(), init=np.ones(7, dtype=complex))
-    with pytest.raises(ValueError):
-        rmo_optimize(a, t, RmoSettings(),
-                     init=np.full(8, 0.5 + 0.0j))
-
-
 def test_settings_validation():
     with pytest.raises(ValueError):
         RmoSettings(objective="throughput")
     with pytest.raises(ValueError):
         RmoSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        RmoSettings(initial_step=0.0)
 
 
 def test_quantize_1bit():
     phi = np.exp(1j * np.array([0.1, 3.0, -3.0, 1.5707963]))
     cfg = quantize_1bit(phi)
     assert cfg.states.tolist() == [1.0, -1.0, -1.0, 1.0]
-    assert np.allclose(cfg.continuous, phi)
     with pytest.raises(ValueError):
         quantize_1bit(np.array([0.5 + 0.0j]))
     # boundary: Re == 0 quantizes to +1

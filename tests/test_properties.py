@@ -1,0 +1,76 @@
+"""Property tests: rounding, the sign-alignment guarantee, the water
+level and RisConfig validation, on inputs drawn by hypothesis."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from risopt.alignment import brute_force_value, sign_align
+from risopt.capacity import (ARRANGEMENTS, AllocationPlan, round_allocation,
+                             water_level_solve)
+from risopt.channels import RisConfig
+
+_SETTINGS = settings(max_examples=200, deadline=None)
+
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                    min_size=1, max_size=8).filter(lambda w: sum(w) > 0)
+_finite = st.floats(-1e6, 1e6, allow_subnormal=False)
+
+
+@_SETTINGS
+@given(weights=_weights, n_ris=st.integers(1, 400),
+       arrangement=st.sampled_from(ARRANGEMENTS), seed=st.integers(0, 2 ** 32 - 1))
+def test_rounding_is_a_disjoint_partition_with_exact_counts(weights, n_ris,
+                                                            arrangement, seed):
+    w = np.asarray(weights) / np.sum(weights)        # sum(sqrt(p_i)) = 1
+    plan = AllocationPlan(fractions=w ** 2, counts=None, index_sets=None,
+                          water_level=1.0, iterations_used=0,
+                          objective_trace=np.zeros(1), converged=True)
+    out = round_allocation(plan, n_ris, arrangement, np.random.default_rng(seed))
+    assert out.counts.sum() == n_ris
+    # largest remainder: each count is the floor or the ceiling of its target
+    assert np.all(np.abs(out.counts - w * n_ris) < 1.0)
+    assert np.all(out.counts[w == 0.0] == 0)
+    for idx, count in zip(out.index_sets, out.counts):
+        assert idx.size == count
+    every = np.concatenate(out.index_sets)
+    assert np.array_equal(np.sort(every), np.arange(n_ris))
+
+
+@_SETTINGS
+@given(re=st.lists(_finite, min_size=1, max_size=40), data=st.data())
+def test_sign_alignment_reaches_half_the_absolute_sum(re, data):
+    im = data.draw(st.lists(_finite, min_size=len(re), max_size=len(re)))
+    b = np.asarray(re) + 1j * np.asarray(im)
+    res = sign_align(b)
+    total = float(np.sum(np.abs(b)))
+    assert res.achieved_value >= 0.5 * total * (1.0 - 1e-12)
+    assert res.achieved_value <= total * (1.0 + 1e-12)
+    assert set(res.phi.tolist()) <= {1.0, -1.0}
+    assert res.achieved_value == pytest.approx(abs(b @ res.phi), rel=1e-12, abs=1e-300)
+    if b.size <= 10:
+        assert res.achieved_value <= brute_force_value(b) * (1.0 + 1e-12)
+
+
+@_SETTINGS
+@given(pairs=st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+                      min_size=1, max_size=8),
+       budget=st.floats(1e-3, 1e3))
+def test_water_level_spends_exactly_its_budget(pairs, budget):
+    gains, weights = (np.array(x) for x in zip(*pairs))
+    eta = water_level_solve(gains, weights, budget)
+    spent = np.sum(weights * np.clip(1.0 / (eta * weights) - 1.0 / gains, 0.0, None))
+    # rounding grows with the level 1/eta, at most budget + sum(weights/gains)
+    scale = budget + np.sum(weights / gains)
+    assert abs(spent - budget) <= 1e-12 * gains.size * scale
+
+
+@_SETTINGS
+@given(st.lists(st.one_of(st.sampled_from([1.0, -1.0]), st.floats()), max_size=12))
+def test_ris_config_accepts_exactly_nonempty_plus_minus_one_states(states):
+    if states and all(s in (1.0, -1.0) for s in states):
+        assert RisConfig(np.asarray(states)).states.tolist() == states
+    else:
+        with pytest.raises(ValueError):
+            RisConfig(np.asarray(states))
