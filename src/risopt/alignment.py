@@ -30,7 +30,12 @@ class AlignmentResult:
 
 
 def _masked(b, mask) -> np.ndarray:
-    b = np.asarray(b, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex)
+    # a masked 1-D b (often a strided column) is gathered straight away,
+    # not first copied whole; the dot products below then see a
+    # contiguous vector either way
+    if mask is None or b.ndim != 1:
+        b = b.ravel()
     if mask is not None:
         idx = np.asarray(mask, dtype=np.intp).ravel()
         if idx.size and (idx.min() < 0 or idx.max() >= b.size):

@@ -65,7 +65,7 @@ def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     """log2 det(I + snr/n_t * H H^H) in bits, via singular values; n_t is
     the column count of the n_r x n_t cascade H."""
     h = np.asarray(h_tilde, dtype=complex)
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.isfinite(h).all():
         raise ValueError("non-finite channel")
     if not snr > 0:
         raise ValueError("snr must be positive (linear)")

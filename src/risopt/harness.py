@@ -19,7 +19,7 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -188,16 +188,44 @@ def _spec_echo(spec: ExperimentSpec) -> dict:
     return echo
 
 
-def _metadata() -> dict:
+# the thread settings a run reports in its sidecar, as the process sees them
+_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", WORKERS_ENV)
+
+
+@cache
+def _static_environment() -> dict:
+    """Facts that do not change while the process runs."""
     import platform
     import scipy
 
     from . import __version__
+    try:
+        affinity = len(os.sched_getaffinity(0))
+    except AttributeError:         # not every platform has CPU affinity
+        affinity = None
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {}
     return {
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": affinity,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+    }
+
+
+def _metadata(workers: int) -> dict:
+    """Sidecar metadata: versions, CPUs and BLAS, the thread variables
+    as this process sees them, and the pool size the run used."""
+    return {
+        **_static_environment(),
+        "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
+        "workers": workers,
         "rng_scheme": "SeedSequence((seed, point_index, trial_index))",
         "regime_flags": {
             "flag_hardening": "k_lin >= 10/n_array on every sampled side",
@@ -659,7 +687,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(spec=spec, columns=_columns(spec, family),
                             rows=rows, agg_columns=tuple(aggregates[0]),
                             aggregates=aggregates, timings=timings,
-                            metadata=_metadata())
+                            metadata=_metadata(workers))
 
 
 # --- runtime benchmarking ----------------------------------------------
@@ -722,4 +750,4 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     # every row times the same methods, so the rows share their keys
     return ExperimentResult(spec=spec, columns=tuple(rows[0]), rows=rows,
                             agg_columns=(), aggregates=[], timings=[],
-                            metadata=_metadata())
+                            metadata=_metadata(1))

@@ -120,7 +120,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
 
 def _check_finite(g: np.ndarray, where: str = "") -> None:
-    if not np.all(np.isfinite(g.real)) or not np.all(np.isfinite(g.imag)):
+    if not np.isfinite(g).all():
         raise FloatingPointError(f"non-finite gradient{where}")
 
 

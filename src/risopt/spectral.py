@@ -50,7 +50,7 @@ class AsymptoticSpectrum:
 def svd_bundle(h: np.ndarray) -> SvdBundle:
     """Dense SVD with descending singular values."""
     h = np.asarray(h, dtype=complex)
-    if not np.all(np.isfinite(h.real)) or not np.all(np.isfinite(h.imag)):
+    if not np.isfinite(h).all():
         raise ValueError("non-finite entries")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
     return SvdBundle(u, s, vh.conj().T)

@@ -62,6 +62,21 @@ def test_masked_alignment_returns_only_masked_entries():
     assert np.isclose(res.achieved_value, full.achieved_value)
 
 
+def test_masked_strided_column_matches_a_contiguous_copy():
+    # configure_capacity aligns columns of a C-ordered matrix, which are
+    # strided views
+    rng = np.random.default_rng(3)
+    cols = rng.normal(size=(500, 6)) + 1j * rng.normal(size=(500, 6))
+    for i in range(cols.shape[1]):
+        mask = np.sort(rng.choice(500, size=80, replace=False))
+        strided = sign_align(cols[:, i], mask=mask)
+        contiguous = sign_align(np.ascontiguousarray(cols[:, i]), mask=mask)
+        assert np.array_equal(strided.phi, contiguous.phi)
+        assert strided.phi.flags.c_contiguous
+        assert strided.achieved_value == contiguous.achieved_value
+        assert strided.branch == contiguous.branch
+
+
 def test_mask_validation():
     b = np.ones(4, dtype=complex)
     with pytest.raises(ValueError):

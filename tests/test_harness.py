@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 
@@ -254,3 +255,25 @@ def test_metadata_documents_rng_scheme():
     res = run_experiment(tiny_capacity_spec())
     assert "SeedSequence" in res.metadata["rng_scheme"]
     assert "numpy_version" in res.metadata
+
+
+def test_metadata_records_the_environment(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+    res = run_experiment(tiny_capacity_spec(workers=2))
+    meta = res.metadata
+    for key in ("cpu_count", "cpu_affinity"):
+        assert meta[key] is None or (isinstance(meta[key], int) and meta[key] >= 1)
+    for key in ("blas_name", "blas_version"):
+        assert meta[key] is None or isinstance(meta[key], str)
+    assert set(meta["thread_env"]) == {"OPENBLAS_NUM_THREADS",
+                                       "OMP_NUM_THREADS", harness.WORKERS_ENV}
+    assert meta["thread_env"]["OMP_NUM_THREADS"] == "3"
+    assert meta["thread_env"][harness.WORKERS_ENV] is None
+    assert meta["workers"] == _resolve_workers(2, 3, os.cpu_count())
+    assert run_experiment(tiny_capacity_spec(trials=1, workers=2)).metadata["workers"] == 1
+    # the sidecar carries them, and the CSVs do not
+    sidecar = json.loads(res.to_json())["metadata"]
+    assert sidecar["workers"] == meta["workers"]
+    assert sidecar["thread_env"]["OMP_NUM_THREADS"] == "3"
+    assert res.to_csv() == run_experiment(tiny_capacity_spec(workers=1)).to_csv()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from risopt.capacity import capacity_exact
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.gain import channel_gain
 from risopt import manifold
@@ -143,6 +144,20 @@ def test_capacity_objectives_refuse_a_non_positive_or_nan_snr(objective, snr):
     a, t, phi = random_instance(0)
     with pytest.raises(ValueError, match="positive linear snr"):
         euclidean_gradient(objective, a, t, phi, snr=snr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_finiteness_checks_see_either_part(bad, part):
+    h = np.ones((3, 2), dtype=complex)
+    h[1, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
+    with pytest.raises(ValueError, match="^non-finite entries$"):
+        svd_bundle(h)
+    with pytest.raises(ValueError, match="^non-finite channel$"):
+        capacity_exact(h, 1.0)
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite gradient at iteration 3$"):
+        manifold._check_finite(h, " at iteration 3")
 
 
 def test_riemannian_projection_is_tangent_and_idempotent():
