@@ -87,34 +87,12 @@ class RisConfig:
         return self.states.size
 
 
-# Dividing a complex array by the real d promotes d to d + 0j, and numpy
-# divides by (d + 0j) by multiplying both parts with 1/d.  So scaling the
-# real and imaginary draws by this constant gives the bits of
-# (re + 1j*im) / np.sqrt(2.0).
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def _scaled_normal_pair(rng: np.random.Generator, shape) -> np.ndarray:
-    """Real and imaginary parts, stacked on a leading axis of 2, of
-    i.i.d. CN(0, 1) entries: one draw, the stream of a real-part call
-    followed by an imaginary-part call."""
-    shape = tuple(shape) if np.iterable(shape) else (shape,)
-    draw = rng.standard_normal((2, *shape))
-    draw *= _INV_SQRT2
-    return draw
-
-
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """I.i.d. circular complex Gaussian entries, zero mean, unit variance.
+    """I.i.d. circular complex Gaussian entries, zero mean, unit variance."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
-    Bit for bit (re + 1j*im) / sqrt(2) with re and im drawn one after
-    the other, and the generator ends in the same state.
-    """
-    draw = _scaled_normal_pair(rng, shape)
-    z = np.empty(draw.shape[1:], dtype=complex)
-    z.real = draw[0]
-    z.imag = draw[1]
-    return z
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
@@ -132,14 +110,18 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
     los_mat = los.los_matrix()
     if math.isinf(k_factor):
         return RiceanChannel(los_mat, k_factor, los)
-    # The textbook w_los * los + w_sc * B, built in the LoS buffer that
-    # np.outer allocated, with the draw as the only temporary array.  numpy
-    # multiplies a complex array by a real w as by w + 0j, which gives
-    # w times each part (the zero adds only a signed zero), so scaling
-    # the real draw and adding its two parts into the LoS matrix gives
-    # the bits of the complex expression.
+    # The textbook w_los * los + w_sc * complex_gaussian(rng, shape),
+    # built in the LoS buffer that np.outer allocated, with one draw as
+    # the only temporary array.  The draw is the stream of the real-part
+    # call followed by the imaginary-part call.  numpy divides a complex
+    # array by d as by d + 0j, multiplying both parts with 1/d, and
+    # multiplies it by a real w as by w + 0j, which gives w times each
+    # part (the zero adds only a signed zero); so scaling the real draw
+    # by the same constants, in the same order, and adding its two parts
+    # into the LoS matrix gives the bits of the complex expression.
     los_mat *= math.sqrt(k_factor / (k_factor + 1.0))
-    draw = _scaled_normal_pair(rng, (n_ris, n_array))
+    draw = rng.standard_normal((2, n_ris, n_array))
+    draw *= _INV_SQRT2
     draw *= math.sqrt(1.0 / (k_factor + 1.0))
     los_mat.real += draw[0]
     los_mat.imag += draw[1]

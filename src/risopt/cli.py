@@ -5,9 +5,9 @@ grids), bench-runtime, and validate (fast self-checks).  Options can
 come from an INI config file; explicit flags override it.  All angles
 of randomness flow from --seed, so a command line is a reproducible
 artifact.  Errors print a single machine-parsable line `error: <msg>`
-on stderr and exit with status 2.  With --strict, a run whose rows
-record a trial error writes its files, prints one such line and exits
-with status 1.
+on stderr and exit with status 2.  A run whose rows record a trial
+error writes its files, then prints one such line and exits with
+status 1.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class _ConfigFile(argparse.Action):
                 continue
             key = action.option_strings[-1].lstrip("-").replace("-", "_")
             if key not in sec:
-                continue
-            if action.nargs == 0:   # a switch: "false" must not turn it on
-                values[action.dest] = sec.getboolean(key)
                 continue
             convert = action.type or str
             if action.nargs == "+":
@@ -107,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="multiplier on the element-count grid")
         _add_common(p)
         _add_grid(p)
-        if command != "bench-runtime":
-            p.add_argument("--strict", action="store_true", default=None,
-                           help="exit 1 if any trial recorded an error")
 
     p_val = sub.add_parser("validate",
                            help="fast numerical self-checks (no files)")
@@ -119,20 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _spec_and_out(args: argparse.Namespace):
     """The preset's spec with config-file values, then explicit flags, on
-    top; the output directory; and whether the run is strict."""
+    top; and the output directory."""
     opts = dict(args.config or {})
     for key, val in vars(args).items():
         if val is not None and key not in ("command", "config", "preset"):
             opts[key] = val
     out_dir = opts.pop("out", "results")
-    strict = bool(opts.pop("strict", False))
     if "k_db" in opts:             # one value for both sides, or t then r
         k_db = opts.pop("k_db")
         if not 1 <= len(k_db) <= 2:
             raise ValueError("--k-db takes one or two values")
         opts["k_t_db"], opts["k_r_db"] = k_db[0], k_db[-1]
     preset = getattr(args, "preset", None) or f"custom-{args.command}"
-    return preset_spec(preset, **opts), out_dir, strict
+    return preset_spec(preset, **opts), out_dir
 
 
 def _cmd_validate(seed: int) -> int:
@@ -205,14 +198,14 @@ def parse_and_dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args.seed)
-    spec, out_dir, strict = _spec_and_out(args)
+    spec, out_dir = _spec_and_out(args)
     runtime = args.command == "bench-runtime"
     result = bench_runtime(spec) if runtime else run_experiment(spec)
     paths = result.write(out_dir)
     for label in ("csv", "aggregate_csv", "json"):
         print(f"{label}: {paths[label]}")
     errors = [row["error"] for row in result.rows if row.get("error")]
-    if strict and errors:
+    if errors:
         print(f"error: {len(errors)} of {len(result.rows)} trials recorded "
               f"an error; first: {errors[0].rstrip('; ')}", file=sys.stderr)
         return 1

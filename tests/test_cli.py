@@ -109,35 +109,18 @@ def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
-_NAN_SNR_RUN = ["capacity", "--n-ris", "16", "--trials", "1", "--snr-db", "nan",
-                "--methods", "rmo"]
-
-
-def test_strict_exits_1_on_a_trial_error_and_still_writes(tmp_path, capsys):
-    assert run_main(_NAN_SNR_RUN + ["--out", str(tmp_path / "loose")]) == 0
-    assert capsys.readouterr().err == ""
-    code = run_main(_NAN_SNR_RUN + ["--strict", "--out", str(tmp_path / "strict")])
+def test_a_trial_error_exits_1_after_writing_the_files(tmp_path, capsys):
+    code = run_main(["capacity", "--n-ris", "16", "--trials", "1", "--snr-db",
+                     "nan", "--methods", "rmo", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: 1 of 1 trials recorded an error; first: rmo: ")
     assert not err[0].endswith(";")
-    loose = (tmp_path / "loose" / "custom-capacity.csv").read_text()
-    assert (tmp_path / "strict" / "custom-capacity.csv").read_text() == loose
-    assert "rmo: " in loose.splitlines()[1]
-
-
-@pytest.mark.parametrize("value,expected", [("false", 0), ("no", 0), ("true", 1)])
-def test_config_strict_is_read_as_a_boolean(tmp_path, value, expected):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[risopt]\nstrict = {value}\n")
-    assert run_main(_NAN_SNR_RUN + ["--config", str(cfg),
-                                    "--out", str(tmp_path)]) == expected
-
-
-def test_strict_passes_a_run_without_errors(tmp_path):
-    assert run_main(["figure", "fig2a", "--scale", "0.02", "--trials", "1",
-                     "--strict", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "custom-capacity.csv").read_text().splitlines()
+    assert len(rows) == 2 and "rmo: " in rows[1]
+    assert (tmp_path / "custom-capacity_aggregate.csv").exists()
+    assert (tmp_path / "custom-capacity.json").exists()
 
 
 def test_config_missing_section(tmp_path):
