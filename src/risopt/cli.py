@@ -47,10 +47,13 @@ class _ConfigFile(argparse.Action):
             if key not in sec:
                 continue
             convert = action.type or str
-            if action.nargs == "+":
-                values[action.dest] = [convert(tok) for tok in sec[key].split()]
-            else:
-                values[action.dest] = convert(sec[key])
+            many = action.nargs == "+"
+            try:
+                vals = [convert(tok) for tok in
+                        (sec[key].split() if many else [sec[key]])]
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            values[action.dest] = vals if many else vals[0]
         setattr(namespace, self.dest, values)
 
 

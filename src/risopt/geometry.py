@@ -79,11 +79,11 @@ def upa_steering(geometry: UpaGeometry, angles: AnglePair) -> np.ndarray:
     return np.exp(1j * phase).ravel()
 
 
-def near_square_geometry(n: int, spacing: float = 0.5) -> UpaGeometry:
+def near_square_geometry(n: int) -> UpaGeometry:
     """Most-square factorization of n elements, n_horizontal <= n_vertical."""
     if n < 1:
         raise ValueError("element count must be positive")
     n_h = int(math.isqrt(n))
     while n % n_h:
         n_h -= 1
-    return UpaGeometry(n_h, n // n_h, spacing)
+    return UpaGeometry(n_h, n // n_h)

@@ -468,6 +468,9 @@ _METHOD_COLUMNS = {
                  ("cap_lb", {"wsa", "lb"}), ("offdiag_ratio", {"wsa"}),
                  ("iterations_used", {"wsa"})),
 }
+# Method columns the aggregate does not average; each other one gets a
+# mean_<col> column whatever the spec's methods
+_NOT_AVERAGED = {"lower_bound", "alpha_sa", "iterations_used"}
 
 
 # --- per-trial work ----------------------------------------------------
@@ -546,8 +549,9 @@ def _columns(spec: ExperimentSpec, family: str) -> tuple:
 
 
 # --- aggregation (recomputable from rows) -------------------------------
-# Each _agg_* returns one entry per point (per point and index for the
-# spectrum); every entry has the same keys, in aggregate-CSV column order.
+# Each family's function returns one entry per point (per point and index
+# for the spectrum); every entry has the same keys, in aggregate-CSV
+# column order.
 
 def _point_rows(rows, point_index):
     return [r for r in rows if r["point"] == point_index]
@@ -576,72 +580,59 @@ def _agg_spectrum(spec, points, rows):
     return out
 
 
-def _agg_hardening(spec, points, rows):
+def _present(rows, key):
+    return [r[key] for r in rows if r.get(key) is not None]
+
+
+def _agg_points(spec, points, rows, *, head, means, derive):
+    """Per point: the head columns of its first row, mean_<col> over the
+    rows that hold col, then the columns derive(rows, entry) adds."""
     out = []
-    for pi, pt in enumerate(points):
+    for pi in range(len(points)):
         sub = _point_rows(rows, pi)
-        lam = np.array([r["lambda_1"] for r in sub])
-        pred = sub[0]["predicted_1"]
-        out.append({"point": pi, "n_ris": pt["n_ris"], "k_t_db": pt["k_t_db"],
-                    "predicted_1": pred,
-                    "mean_lambda_1": float(np.mean(lam)),
-                    "nmse": nmse(lam, np.full(lam.size, pred))})
-    return out
-
-
-def _mean_of(rows, key):
-    vals = [r[key] for r in rows if r.get(key) is not None]
-    return float(np.mean(vals)) if vals else None
-
-
-def _agg_gain(spec, points, rows):
-    out = []
-    for pi, pt in enumerate(points):
-        sub = _point_rows(rows, pi)
-        entry = {"point": pi, "n_ris": pt["n_ris"],
-                 "k_t_db": pt["k_t_db"], "k_r_db": pt["k_r_db"]}
-        mean_sa = _mean_of(sub, "gain_sa")
-        mean_rmo = _mean_of(sub, "gain_rmo")
-        entry["mean_gain_sa"] = mean_sa
-        entry["mean_gain_rmo"] = mean_rmo
-        lb = sub[0].get("lower_bound") if sub else None
-        entry["lower_bound"] = lb
-        entry["ratio_db_sa_lb"] = (
-            10.0 * math.log10(mean_sa / lb)
-            if mean_sa and lb and lb > 0 else None)
-        entry["gap_db_sa_rmo"] = (
-            10.0 * math.log10(mean_sa / mean_rmo)
-            if mean_sa and mean_rmo else None)
+        entry = {"point": pi, **{col: sub[0][col] for col in head}}
+        for col in means:
+            vals = _present(sub, col)
+            entry[f"mean_{col}"] = float(np.mean(vals)) if vals else None
+        entry.update(derive(sub, entry))
         out.append(entry)
     return out
 
 
-_CAPACITY_MEANS = tuple(name for name, _ in _METHOD_COLUMNS["capacity"]
-                        if name != "iterations_used")
+def _derive_hardening(sub, entry):
+    lam = _present(sub, "lambda_1")
+    return {"nmse": nmse(lam, np.full(len(lam), entry["predicted_1"]))}
 
 
-def _agg_capacity(spec, points, rows):
-    out = []
-    for pi, pt in enumerate(points):
-        sub = _point_rows(rows, pi)
-        entry = {"point": pi, "n_ris": pt["n_ris"],
-                 "k_t_db": pt["k_t_db"], "k_r_db": pt["k_r_db"],
-                 "snr_db": spec.snr_db}
-        for col in _CAPACITY_MEANS:
-            entry[f"mean_{col}"] = _mean_of(sub, col)
-        exact = [r["cap_wsa"] for r in sub if r.get("cap_wsa") is not None]
-        diag = [r["cap_diag"] for r in sub if r.get("cap_diag") is not None]
-        entry["nmse_diag"] = (nmse(diag, exact)
-                              if exact and len(exact) == len(diag) else None)
-        out.append(entry)
-    return out
+def _derive_gain(sub, entry):
+    sa, rmo = entry["mean_gain_sa"], entry["mean_gain_rmo"]
+    lb = sub[0].get("lower_bound")
+    return {"lower_bound": lb,
+            "ratio_db_sa_lb": (10.0 * math.log10(sa / lb)
+                               if sa and lb and lb > 0 else None),
+            "gap_db_sa_rmo": 10.0 * math.log10(sa / rmo) if sa and rmo else None}
+
+
+def _derive_capacity(sub, entry):
+    exact, diag = _present(sub, "cap_wsa"), _present(sub, "cap_diag")
+    return {"nmse_diag": (nmse(diag, exact)
+                          if exact and len(exact) == len(diag) else None)}
+
+
+def _averaged(family: str) -> tuple:
+    return tuple(name for name, _ in _METHOD_COLUMNS[family]
+                 if name not in _NOT_AVERAGED)
 
 
 _AGG_FNS = {
     "spectrum": _agg_spectrum,
-    "hardening": _agg_hardening,
-    "gain": _agg_gain,
-    "capacity": _agg_capacity,
+    "hardening": partial(_agg_points, head=("n_ris", "k_t_db", "predicted_1"),
+                         means=("lambda_1",), derive=_derive_hardening),
+    "gain": partial(_agg_points, head=("n_ris", "k_t_db", "k_r_db"),
+                    means=_averaged("gain"), derive=_derive_gain),
+    "capacity": partial(_agg_points,
+                        head=("n_ris", "k_t_db", "k_r_db", "snr_db"),
+                        means=_averaged("capacity"), derive=_derive_capacity),
 }
 
 

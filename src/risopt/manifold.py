@@ -23,6 +23,9 @@ _LN2 = math.log(2.0)
 
 OBJECTIVES = ("gain", "capacity_exact", "capacity_surrogate")
 
+# rmo_optimize stops as converged below this Riemannian gradient norm
+_GRADIENT_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class RmoSettings:
@@ -30,13 +33,12 @@ class RmoSettings:
 
     objective: str = "gain"
     max_iters: int = 500
-    gradient_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.max_iters < 1 or self.gradient_tolerance <= 0:
-            raise ValueError("numeric settings must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,12 +137,13 @@ def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
 
 def finite_difference_error(objective: str, h_r_herm: np.ndarray,
-                            h_t: np.ndarray, phi, snr: float | None = None,
-                            eps: float = 1e-6) -> float:
+                            h_t: np.ndarray, phi,
+                            snr: float | None = None) -> float:
     """Gradient oracle: largest entrywise gap between the Euclidean gradient
     and central differences of the value along the real and imaginary
     axes (combined as d/dRe + j d/dIm, the g = 2 df/d(conj phi)
     convention), relative to the largest gradient entry."""
+    eps = 1e-6
     phi = np.asarray(phi, dtype=complex).ravel()
     evaluate, grad = _objective(objective, h_r_herm, h_t, snr)
     g = grad(phi, evaluate(phi)[1])
@@ -176,11 +179,11 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     raise the objective strictly, so every accepted step raises it.  The
     first trial step is sized so the largest element moves by one
     radian, later ones start at twice the last accepted step.  Stops on
-    gradient norm below tolerance, on max_iters, or with stop_reason
-    "line_search" when 60 halvings fail or a trial fails once the target
-    f + 1e-4*mu*||xi||^2 rounds to f itself: the required increase is
-    then below the resolution of f, and shorter steps cannot be told
-    apart from rounding.
+    gradient norm below _GRADIENT_TOLERANCE (converged), on max_iters, or
+    with stop_reason "line_search" when 60 halvings fail or a trial fails
+    once the target f + 1e-4*mu*||xi||^2 rounds to f itself: the
+    required increase is then below the resolution of f, and shorter
+    steps cannot be told apart from rounding.
 
     Cost: one cascade product (or stream projection for the surrogate)
     per line-search trial; the gradient reuses the accepted trial's
@@ -204,7 +207,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
         xi = riemannian_gradient(g, phi)
         sq_norm = float(np.sum(xi.real ** 2 + xi.imag ** 2))
         grad_norm = math.sqrt(sq_norm)
-        if grad_norm < settings.gradient_tolerance:
+        if grad_norm < _GRADIENT_TOLERANCE:
             converged = True
             stop_reason = "gradient_tolerance"
             break

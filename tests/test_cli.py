@@ -109,6 +109,23 @@ def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("line, key, value", [
+    ("trials = x", "trials", "'x'"),
+    ("n_ris = 32 4o", "n_ris", "'4o'"),
+])
+def test_config_bad_value_names_its_key(tmp_path, capsys, line, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[risopt]\n{line}\n")
+    code = run_main(["capacity", "--n-ris", "32", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: config key '{key}': ")
+    assert err[0].endswith(value)
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_a_trial_error_exits_1_after_writing_the_files(tmp_path, capsys):
     code = run_main(["capacity", "--n-ris", "16", "--trials", "1", "--snr-db",
                      "nan", "--methods", "rmo", "--out", str(tmp_path)])

@@ -180,6 +180,38 @@ def test_gain_family_rows_and_aggregate():
         assert r["error"] == ""
 
 
+def test_capacity_aggregate_recomputable_from_rows():
+    spec = tiny_capacity_spec(n_ris_list=(32, 64),
+                              methods=("wsa", "rmo", "rmo-surrogate", "lb"),
+                              rmo_max_iters=5)
+    res = run_experiment(spec)
+    assert res.agg_columns == (
+        "point", "n_ris", "k_t_db", "k_r_db", "snr_db", "mean_cap_wsa",
+        "mean_cap_diag", "mean_cap_rmo", "mean_cap_rmo_surrogate",
+        "mean_cap_lb", "mean_offdiag_ratio", "nmse_diag")
+    for agg in res.aggregates:
+        sub = [r for r in res.rows if r["point"] == agg["point"]]
+        assert all(r["error"] == "" for r in sub)
+        for key in agg:
+            if key.startswith("mean_"):
+                vals = [r[key[5:]] for r in sub if r.get(key[5:]) is not None]
+                assert len(vals) == spec.trials
+                assert agg[key] == pytest.approx(np.mean(vals), rel=1e-12)
+        assert agg["nmse_diag"] == pytest.approx(
+            nmse([r["cap_diag"] for r in sub], [r["cap_wsa"] for r in sub]),
+            rel=1e-12)
+        assert (agg["n_ris"], agg["snr_db"]) == (sub[0]["n_ris"], spec.snr_db)
+
+    # every trial fails at a nan snr: no mean and no nmse, written empty
+    failed = run_experiment(tiny_capacity_spec(snr_db=float("nan")))
+    agg = failed.aggregates[0]
+    assert agg["mean_cap_wsa"] is None and agg["nmse_diag"] is None
+    assert all(agg[c] is None for c in failed.agg_columns if c.startswith("mean_"))
+    last = failed.to_aggregate_csv().splitlines()[1].split(",")
+    assert last[failed.agg_columns.index("mean_cap_wsa")] == ""
+    assert last[-1] == ""
+
+
 def test_method_columns_in_csv_order():
     head = ("point", "trial", "n_ris", "n_t", "n_r", "k_t_db", "k_r_db")
     gain = preset_spec("custom-gain", n_ris_list=(16,), trials=1,
