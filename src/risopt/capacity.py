@@ -124,10 +124,18 @@ def water_level_solve(gains, weights, budget: float) -> float:
         raise ValueError("budget must be positive")
     if np.any(c <= 0) or np.any(a <= 0):
         raise ValueError("gains and weights must be positive")
-    cut = c / a
-    cut_sorted = np.sort(cut)
-    prefix = np.cumsum(cut_sorted)
-    n = cut_sorted.size
+    return _water_level(a, c, budget)
+
+
+def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
+    """water_level_solve without its checks, for the SCA step, whose
+    gains, weights and budget are positive by construction.  The segment
+    search walks Python floats; cumsum adds in order, so every value is
+    the one numpy scalars would give."""
+    cut = np.sort(c / a)
+    prefix = cut.cumsum().tolist()
+    cut_sorted = cut.tolist()
+    n = len(cut_sorted)
     s = (budget + prefix[-1]) / n
     for m in range(1, n):
         cand = (budget + prefix[m - 1]) / m
@@ -161,9 +169,17 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
     constraint sum(sqrt(p_i)) = 1 is non-convex and both single-stream
     corners of a two-stream instance are local maxima, so with init=None
     the iteration is run from the uniform point, every single-stream
-    corner, and a gain-proportional point, and the best endpoint wins.
-    Pass init to force one start.  Streams driven to zero are frozen
-    (the linearization is undefined at p = 0) and cannot re-enter.
+    corner, and a gain-proportional point, in that order, and the best
+    endpoint wins; a later start replaces the best so far only with a
+    strictly larger final objective.  A corner e_i is skipped when the
+    best final objective so far already exceeds
+    log2(1 + a_i * (1 + 1e-9)): from e_i only stream i stays active and
+    its fraction stays 1 to within a few ulps, so that start cannot win
+    and the returned plan is bit for bit the one of running every start.
+    At the presets' 10 dB every corner is skipped; at low SNR, where a
+    corner can win, corners run.  Pass init (finite, non-negative) to
+    force one start.  Streams driven to zero are frozen (the
+    linearization is undefined at p = 0) and cannot re-enter.
     Each start stops when the objective moves by less than epsilon bits;
     converged=False means its iteration budget ran out first.
 
@@ -182,22 +198,27 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
     if not np.any(a > 0):
         raise ValueError("no stream has positive gain")
 
+    # each start with the value its endpoint cannot exceed (inf: no bound)
     if init is not None:
         p0 = np.array(init, dtype=float)
-        if p0.size != nmin or np.any(p0 < 0) or not p0.any():
+        if (p0.size != nmin or not np.isfinite(p0).all() or np.any(p0 < 0)
+                or not p0.any()):
             raise ValueError("init must be nmin non-negative fractions")
-        starts = [p0]
+        starts = [(p0, math.inf)]
     else:
-        starts = [np.full(nmin, 1.0 / nmin ** 2)]
+        starts = [(np.full(nmin, 1.0 / nmin ** 2), math.inf)]
         for i in np.flatnonzero(a > 0):
             corner = np.zeros(nmin)
             corner[i] = 1.0
-            starts.append(corner)
+            starts.append((corner, _corner_ceiling(a[i])))
         if nmin > 1:
             w = np.clip(a, 0.0, None)
-            starts.append((w / w.sum()) ** 2)
+            starts.append(((w / w.sum()) ** 2, math.inf))
     best = None
-    for p0 in starts:
+    for p0, ceiling in starts:
+        # a NaN incumbent or an inf ceiling compares False: the start runs
+        if best is not None and best.objective_trace[-1] > ceiling:
+            continue
         plan = _sca_from(a, p0, epsilon, max_iters)
         if plan is None:
             continue
@@ -208,18 +229,27 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
     return best
 
 
+def _corner_ceiling(gain: float) -> float:
+    """Bound on every objective value of the SCA run from a single-stream
+    corner with stream gain `gain`.  Only that stream stays active, and
+    each step renormalizes its fraction as x / sqrt(x)**2, which is 1 to
+    within a few ulps; the 1e-9 margin covers them."""
+    return math.log1p(gain * (1.0 + 1e-9)) / _LN2
+
+
 def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
               max_iters: int) -> AllocationPlan | None:
     """One SCA run from p0; None when masking dead streams empties it."""
     p = p0.copy()
     p[a <= 0] = 0.0                       # dead streams never get elements
-    root_sum = np.sum(np.sqrt(p))
+    root_sum = np.sqrt(p).sum()
     if root_sum == 0.0:
         return None
     p = p / root_sum ** 2
 
+    # ndarray.sum is np.sum's reduction without its dispatch cost
     def objective(q):
-        return float(np.sum(np.log1p(a * q)) / _LN2)
+        return float(np.log1p(a * q).sum() / _LN2)
 
     trace = [objective(p)]
     eta = math.nan
@@ -227,14 +257,15 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
     iters = 0
     for _ in range(max_iters):
         active = p > 0
-        sq = np.sqrt(p[active])
+        p_act, a_act = p[active], a[active]
+        sq = np.sqrt(p_act)
         c = 0.5 / sq
-        gamma = 1.0 - float(np.sum(sq - p[active] * c))   # = 1 - sum(sq)/2
-        eta = water_level_solve(a[active], c, gamma)
+        gamma = 1.0 - float((sq - p_act * c).sum())   # = 1 - sum(sq)/2
+        eta = _water_level(a_act, c, gamma)
         s_level = 1.0 / eta
         p_next = np.zeros_like(p)
-        p_next[active] = np.maximum(s_level - c / a[active], 0.0) / c
-        root_sum = np.sum(np.sqrt(p_next))
+        p_next[active] = np.maximum(s_level - c / a_act, 0.0) / c
+        root_sum = np.sqrt(p_next).sum()
         p_next /= root_sum ** 2
         iters += 1
         trace.append(objective(p_next))

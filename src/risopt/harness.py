@@ -413,7 +413,9 @@ def _bench_wsa(link: _Link):
 
 
 def _rmo(objective: str, column: str) -> _Method:
-    """RMO on objective, quantized; column holds the gain or capacity."""
+    """RMO on objective, quantized; column holds the gain or capacity.
+    The configure step is also the timed callable, so for the surrogate
+    objective it includes the SVD bundling of both sides."""
     def configure(link: _Link):
         settings = RmoSettings(objective=objective,
                                max_iters=link.spec.rmo_max_iters)
@@ -428,7 +430,11 @@ def _rmo(objective: str, column: str) -> _Method:
     return _Method(configure, score, lambda link: partial(configure, link))
 
 
-# family -> method -> _Method, in the order a trial runs them
+# family -> method -> _Method, in the order a trial runs them.  What
+# bench_runtime times: sa aligns the LoS target alone, wsa configures from
+# SVDs made outside its timer, rmo and rmo-surrogate run rmo_optimize (the
+# surrogate SVD-bundles both sides inside it).  A trial's wsa timer covers
+# all of run_wsa, SVDs included.
 _METHODS = {
     "gain": {
         "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
@@ -711,9 +717,12 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
 
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
-    RMO).  Times exclude channel synthesis and SVD bundling (CSI
-    acquisition is common to all methods); they cover exactly the
-    configuration computation.
+    RMO).  Times exclude channel synthesis and cover the configuration
+    computation.  The sa and wsa callables also exclude the SVD bundling
+    of the channels (CSI acquisition, common to all methods); the
+    rmo-surrogate callable includes it, because its objective SVD-bundles
+    both sides before the first iteration, and exact-capacity rmo takes
+    the singular values of the n_r x n_t cascade at every evaluation.
     """
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")

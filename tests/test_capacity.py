@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from risopt import capacity
 from risopt.capacity import (AllocationPlan, allocate_sca,
                              capacity_diag_approx, capacity_exact,
                              capacity_lower_bound, configure_capacity,
@@ -153,6 +154,85 @@ def test_allocation_validation():
     with pytest.raises(ValueError):
         allocate_sca(np.array([1.0, 2.0]), np.array([1.0, 2.0]), snr=1.0,
                      n_t=2, init=np.array([0.5]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="init must be nmin non-negative"):
+            allocate_sca(np.array([1.0, 2.0]), np.array([1.0, 2.0]), snr=1.0,
+                         n_t=2, init=[bad, 1.0])
+
+
+def best_single_start(d_r, d_t, snr, n_t):
+    """Oracle for allocate_sca's multi-start: one allocate_sca(init=p0) run
+    per documented start (uniform, each live single-stream corner, then
+    gain-proportional), the incumbent replaced only on a strictly larger
+    final objective.  Returns the winning plan and its kind of start."""
+    nmin = min(len(d_r), len(d_t))
+    a = 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
+    starts = [("uniform", np.full(nmin, 1.0 / nmin ** 2))]
+    for i in np.flatnonzero(a > 0):
+        corner = np.zeros(nmin)
+        corner[i] = 1.0
+        starts.append(("corner", corner))
+    if nmin > 1:
+        w = np.clip(a, 0.0, None)
+        starts.append(("proportional", (w / w.sum()) ** 2))
+    best = kind = None
+    for name, p0 in starts:
+        plan = allocate_sca(d_r, d_t, snr, n_t, init=p0)
+        if best is None or plan.objective_trace[-1] > best.objective_trace[-1]:
+            best, kind = plan, name
+    return best, kind
+
+
+def assert_same_plan(got, want):
+    for field in ("fractions", "objective_trace"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.water_level == want.water_level
+    assert got.iterations_used == want.iterations_used
+    assert got.converged == want.converged
+    assert got.counts is None and got.index_sets is None
+
+
+def test_skipped_corners_leave_the_plan_bit_identical():
+    # gains from 2e-12 up: far above the ~1e-16 where a single-stream run
+    # loses its fraction to cancellation and cannot be an oracle
+    rng = np.random.default_rng(2024)
+    wins = {"uniform": 0, "corner": 0, "proportional": 0}
+    dead = 0
+    for _ in range(2000):
+        len_r, len_t = (int(x) for x in rng.integers(1, 9, 2))
+        d_r, d_t = (np.sort(np.exp(rng.uniform(math.log(0.05), math.log(5.0), m)))[::-1]
+                    for m in (len_r, len_t))
+        if rng.random() < 0.15:
+            d_r[:] = d_r[0]                        # equal gains: ties
+        if rng.random() < 0.25 and len_r > 1:
+            d_r[int(rng.integers(1, len_r)):] = 0.0  # dead streams
+            dead += 1
+        snr = float(np.exp(rng.uniform(math.log(1e-5), math.log(1e3))))
+        want, kind = best_single_start(d_r, d_t, snr, len_t)
+        assert_same_plan(allocate_sca(d_r, d_t, snr, len_t), want)
+        wins[kind] += 1
+    assert min(wins.values()) >= 20 and dead >= 200, (wins, dead)
+
+
+def test_corners_that_cannot_win_are_not_run(monkeypatch):
+    runs = []
+    real = capacity._sca_from
+
+    def counted(a, p0, *args):
+        runs.append(p0)
+        return real(a, p0, *args)
+    monkeypatch.setattr(capacity, "_sca_from", counted)
+    # equal strong streams: the uniform split beats every corner's bound
+    allocate_sca(np.full(4, 30.0), np.full(4, 30.0), snr=10.0, n_t=4)
+    assert len(runs) == 2                          # uniform, proportional
+    # weak streams at low SNR: the first corner runs and wins, and then
+    # beats the weaker corners' bounds
+    runs.clear()
+    plan = allocate_sca(np.array([3.0, 1.0, 0.5, 0.2]),
+                        np.array([3.0, 1.0, 0.5, 0.2]), snr=1e-3, n_t=4)
+    assert [p0.tolist() for p0 in runs[:2]] == [[0.0625] * 4, [1.0, 0.0, 0.0, 0.0]]
+    assert len(runs) == 3                          # then proportional
+    assert np.array_equal(plan.fractions, [1.0, 0.0, 0.0, 0.0])
 
 
 def make_plan(fractions):

@@ -1,15 +1,17 @@
 """Property tests: rounding, the sign-alignment guarantee, the water
-level and RisConfig validation, on inputs drawn by hypothesis."""
+level, the SCA multi-start and RisConfig validation, on inputs drawn by
+hypothesis."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risopt.alignment import brute_force_value, sign_align
-from risopt.capacity import (ARRANGEMENTS, AllocationPlan, round_allocation,
-                             water_level_solve)
+from risopt.capacity import (ARRANGEMENTS, AllocationPlan, _water_level,
+                             allocate_sca, round_allocation, water_level_solve)
 from risopt.channels import RisConfig
+from tests.test_capacity import assert_same_plan, best_single_start
 
 _SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -64,6 +66,47 @@ def test_water_level_spends_exactly_its_budget(pairs, budget):
     # rounding grows with the level 1/eta, at most budget + sum(weights/gains)
     scale = budget + np.sum(weights / gains)
     assert abs(spent - budget) <= 1e-12 * gains.size * scale
+
+
+def water_level_numpy(a, c, budget):
+    """The segment search on numpy scalars, as water_level_solve ran it
+    before its Python-float form."""
+    cut_sorted = np.sort(c / a)
+    prefix = np.cumsum(cut_sorted)
+    n = cut_sorted.size
+    s = (budget + prefix[-1]) / n
+    for m in range(1, n):
+        cand = (budget + prefix[m - 1]) / m
+        if cut_sorted[m - 1] <= cand <= cut_sorted[m]:
+            s = cand
+            break
+    return 1.0 / s
+
+
+@_SETTINGS
+@given(pairs=st.lists(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)),
+                      min_size=1, max_size=12),
+       budget=st.floats(1e-300, 1e300))
+def test_water_level_python_floats_are_the_numpy_bits(pairs, budget):
+    gains, weights = (np.array(x) for x in zip(*pairs))
+    with np.errstate(all="ignore"):                 # c / a may overflow
+        want = water_level_numpy(gains, weights, budget)
+        got = _water_level(gains, weights, budget)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+_singvals = st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 1e2)),
+                     min_size=1, max_size=8).map(lambda d: np.sort(d)[::-1])
+
+
+@settings(max_examples=500, deadline=None)
+@given(d_r=_singvals, d_t=_singvals, snr=st.floats(1e-3, 1e4))
+def test_allocation_is_the_best_single_start(d_r, d_t, snr):
+    # gains stay above 3e-13, where a single-stream run keeps its fraction
+    nmin = min(d_r.size, d_t.size)
+    assume(np.any(d_r[:nmin] * d_t[:nmin] > 0))
+    want, _ = best_single_start(d_r, d_t, snr, d_t.size)
+    assert_same_plan(allocate_sca(d_r, d_t, snr, d_t.size), want)
 
 
 @_SETTINGS
