@@ -225,7 +225,7 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
         if best is None or plan.objective_trace[-1] > best.objective_trace[-1]:
             best = plan
     if best is None:
-        raise ValueError("no feasible start: every active stream has zero gain")
+        raise ValueError("no feasible start: every active gain is zero or too small")
     return best
 
 
@@ -239,7 +239,7 @@ def _corner_ceiling(gain: float) -> float:
 
 def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
               max_iters: int) -> AllocationPlan | None:
-    """One SCA run from p0; None when masking dead streams empties it."""
+    """One SCA run from p0; None when it is left with no active stream."""
     p = p0.copy()
     p[a <= 0] = 0.0                       # dead streams never get elements
     root_sum = np.sqrt(p).sum()
@@ -266,6 +266,8 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
         p_next = np.zeros_like(p)
         p_next[active] = np.maximum(s_level - c / a_act, 0.0) / c
         root_sum = np.sqrt(p_next).sum()
+        if not 0.0 < root_sum < math.inf:   # every level rounded to c / a
+            return None
         p_next /= root_sum ** 2
         iters += 1
         trace.append(objective(p_next))
@@ -400,6 +402,19 @@ def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
     return configure_capacity(bundle_r, bundle_t, plan), plan
 
 
+def wsa_report(h_r_herm: np.ndarray, h_t: np.ndarray, bundle_r: SvdBundle,
+               bundle_t: SvdBundle, phi: RisConfig, plan: AllocationPlan,
+               snr: float, *, spectra: tuple | None = None) -> CapacityReport:
+    """The capacity metrics of W-SA's phi and plan on the channel pair with
+    SVDs bundle_r and bundle_t; the lower bound reads spectra when given."""
+    side_r, side_t = spectra if spectra is not None else (bundle_r, bundle_t)
+    cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr)
+    cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr)
+    cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr)
+    ratio = offdiag_ratio(effective_channel(bundle_r, phi, bundle_t))
+    return CapacityReport(phi, cap, cap_diag, cap_lb, ratio)
+
+
 def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
             arrangement: str = "contiguous",
             rng: np.random.Generator | None = None,
@@ -408,10 +423,10 @@ def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
     """Full waterfilling-SA pipeline on one channel pair.
 
     SVD both channels, configure them with configure_wsa, and score the
-    configuration; n_t is the column count of h_t (n_ris x n_t).  With
-    spectra the allocation and the lower bound use the asymptotic
-    spectra (statistical CSI).  Returns the report plus the completed
-    plan.
+    configuration with wsa_report; n_t is the column count of h_t
+    (n_ris x n_t).  With spectra the allocation and the lower bound use
+    the asymptotic spectra (statistical CSI).  Returns the report plus
+    the completed plan.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
@@ -419,9 +434,5 @@ def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
     bundle_t = svd_bundle(h_t)
     phi, plan = configure_wsa(bundle_r, bundle_t, snr, arrangement=arrangement,
                               rng=rng, spectra=spectra)
-    side_r, side_t = spectra if spectra is not None else (bundle_r, bundle_t)
-    cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr)
-    cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr)
-    cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr)
-    ratio = offdiag_ratio(effective_channel(bundle_r, phi, bundle_t))
-    return CapacityReport(phi, cap, cap_diag, cap_lb, ratio), plan
+    return wsa_report(h_r_herm, h_t, bundle_r, bundle_t, phi, plan, snr,
+                      spectra=spectra), plan

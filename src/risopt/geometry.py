@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_HALF_WAVELENGTH = 0.5    # element pitch of every panel, in wavelengths
+
 
 @dataclass(frozen=True)
 class UpaGeometry:
@@ -18,19 +20,14 @@ class UpaGeometry:
         Element count along the first (horizontal) axis.
     n_vertical : int
         Element count along the second (vertical) axis.
-    spacing : float
-        Element pitch in wavelengths, default half-wavelength.
     """
 
     n_horizontal: int
     n_vertical: int
-    spacing: float = 0.5
 
     def __post_init__(self) -> None:
         if self.n_horizontal < 1 or self.n_vertical < 1:
             raise ValueError("element counts must be positive")
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ValueError("spacing must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -61,19 +58,20 @@ def upa_steering(geometry: UpaGeometry, angles: AnglePair) -> np.ndarray:
 
     Element (m, n) of the panel carries the phase
 
-        2*pi*spacing*(m*sin(el)*cos(az) + n*sin(el)*sin(az)),
+        2*pi*d*(m*sin(el)*cos(az) + n*sin(el)*sin(az)),
 
-    with m in [0, n_horizontal) and n in [0, n_vertical).  Element (0, 0)
-    is the zero-phase reference.  The panel is flattened with the
-    horizontal index m running fastest, i.e. entry n*n_horizontal + m,
-    and the same order is assumed everywhere a steering vector meets a
-    channel matrix.  Every entry has unit modulus, so ||a||^2 = N.
+    with the pitch d = 1/2 wavelength, m in [0, n_horizontal) and n in
+    [0, n_vertical).  Element (0, 0) is the zero-phase reference.  The
+    panel is flattened with the horizontal index m running fastest, i.e.
+    entry n*n_horizontal + m, and the same order is assumed everywhere a
+    steering vector meets a channel matrix.  Every entry has unit
+    modulus, so ||a||^2 = N.
     """
     m = np.arange(geometry.n_horizontal)
     n = np.arange(geometry.n_vertical)
     sin_el = math.sin(angles.elevation)
-    phase_h = 2.0 * math.pi * geometry.spacing * sin_el * math.cos(angles.azimuth) * m
-    phase_v = 2.0 * math.pi * geometry.spacing * sin_el * math.sin(angles.azimuth) * n
+    phase_h = 2.0 * math.pi * _HALF_WAVELENGTH * sin_el * math.cos(angles.azimuth) * m
+    phase_v = 2.0 * math.pi * _HALF_WAVELENGTH * sin_el * math.sin(angles.azimuth) * n
     # shape (n_vertical, n_horizontal); C-order ravel keeps m fastest
     phase = phase_v[:, None] + phase_h[None, :]
     return np.exp(1j * phase).ravel()

@@ -19,12 +19,12 @@ import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .alignment import sign_align
-from .capacity import ARRANGEMENTS, capacity_exact, configure_wsa, run_wsa
+from .capacity import ARRANGEMENTS, capacity_exact, configure_wsa, wsa_report
 from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
@@ -266,43 +266,42 @@ _K_SWEEP_FIG1C = tuple(10.0 * math.log10(k) for k in
 # name -> ExperimentSpec fields plus the family of trial it runs.  "fig*"
 # presets reproduce the paper's figures, "runtime-*" ones are timed by
 # bench_runtime, and the "custom-*" ones behind the CLI's free grids take
-# n_ris_list from the caller.
+# n_ris_list from the caller; n_r follows n_t unless the caller sets it.
 _PRESET_TABLE = {
     # empirical vs predicted spectrum, one size
-    "fig1a": dict(family="spectrum", n_ris_list=(2000,), n_t=20, n_r=20,
+    "fig1a": dict(family="spectrum", n_ris_list=(2000,), n_t=20,
                   k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
     # aggregate spectrum error across sizes
     "fig1b": dict(family="spectrum", n_ris_list=(500, 1000, 2000), n_t=20,
-                  n_r=20, k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
+                  k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
     # principal-eigenvalue error across the K sweep
-    "fig1c": dict(family="hardening", n_ris_list=(2000,), n_t=20, n_r=20,
+    "fig1c": dict(family="hardening", n_ris_list=(2000,), n_t=20,
                   k_sweep_db=_K_SWEEP_FIG1C, trials=50, methods=()),
     # capacity vs its diagonal surrogate across sizes
     "fig2a": dict(family="capacity", n_ris_list=(512, 2048, 8192), n_t=8,
-                  n_r=8, k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=50,
+                  k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=50,
                   methods=("wsa", "lb")),
     # gain methods vs the asymptotic bound
-    "fig2b": dict(family="gain", n_ris_list=(1024, 4096), n_t=16, n_r=16,
+    "fig2b": dict(family="gain", n_ris_list=(1024, 4096), n_t=16,
                   k_t_db=0.0, k_r_db=0.0, trials=50, methods=("sa", "rmo", "lb")),
     # full-array gain comparison at headline dimensions (manual runs)
     "fig2b-full": dict(family="gain", n_ris_list=(2000, 4000, 7000, 10000),
-                       n_t=100, n_r=100, k_t_db=0.0, k_r_db=0.0, trials=200,
+                       n_t=100, k_t_db=0.0, k_r_db=0.0, trials=200,
                        methods=("sa", "rmo", "lb")),
     # capacity method ordering at large element counts
-    "fig2c": dict(family="capacity", n_ris_list=(5000, 20000), n_t=10, n_r=10,
+    "fig2c": dict(family="capacity", n_ris_list=(5000, 20000), n_t=10,
                   k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=10,
                   methods=("wsa", "rmo", "rmo-surrogate", "lb")),
     "runtime-gain": dict(family="gain", n_ris_list=(2000, 4000, 8000), n_t=16,
-                         n_r=16, k_t_db=0.0, k_r_db=0.0, trials=1,
+                         k_t_db=0.0, k_r_db=0.0, trials=1,
                          methods=("sa", "rmo"), rmo_max_iters=500),
     "runtime-capacity": dict(family="capacity", n_ris_list=(5000,), n_t=10,
-                             n_r=10, k_t_db=0.0, k_r_db=0.0, snr_db=10.0,
-                             trials=1, methods=("wsa", "rmo", "rmo-surrogate"),
+                             k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=1,
+                             methods=("wsa", "rmo", "rmo-surrogate"),
                              rmo_max_iters=200),
-    "custom-spectrum": dict(family="spectrum", n_t=8, n_r=8, methods=()),
-    "custom-gain": dict(family="gain", n_t=8, n_r=8, methods=("sa", "lb")),
-    "custom-capacity": dict(family="capacity", n_t=8, n_r=8,
-                            methods=("wsa", "lb")),
+    "custom-spectrum": dict(family="spectrum", n_t=8, methods=()),
+    "custom-gain": dict(family="gain", n_t=8, methods=("sa", "lb")),
+    "custom-capacity": dict(family="capacity", n_t=8, methods=("wsa", "lb")),
 }
 
 
@@ -353,7 +352,7 @@ def _grid(spec: ExperimentSpec) -> list:
 class _Link:
     """One sampled channel pair with what its methods read: a is the
     receive side as it enters the cascade (n_r x n_ris), t the transmit
-    side (n_ris x n_t), snr the linear SNR."""
+    side (n_ris x n_t), snr the linear SNR and bundles the SVDs of a, t."""
 
     def __init__(self, spec: ExperimentSpec, n_ris: int, k_t_db: float,
                  k_r_db: float, rng: np.random.Generator):
@@ -365,6 +364,10 @@ class _Link:
         self.t = self.ch_t.matrix
         self.snr = db2lin(spec.snr_db)
 
+    @cached_property
+    def bundles(self) -> tuple:
+        return svd_bundle(self.a), svd_bundle(self.t)
+
     def gain_bound(self) -> float:
         return gain_lower_bound(self.t.shape[0], self.spec.n_t, self.spec.n_r,
                                 self.ch_t.k_factor, self.ch_r.k_factor)
@@ -373,11 +376,12 @@ class _Link:
 @dataclass(frozen=True)
 class _Method:
     """A trial times configure(link) and writes score(link, configured);
-    bench_runtime times bench(link)() with repeats = (warmups, samples)."""
+    bench_runtime times bench(link)() if a method names it, else the same
+    configure(link), with repeats = (warmups, samples)."""
 
     configure: Callable
     score: Callable
-    bench: Callable
+    bench: Callable | None = None
     repeats: tuple = (1, 3)
 
 
@@ -395,7 +399,8 @@ def _bench_sa(link: _Link):
 
 
 def _score_wsa(link: _Link, configured) -> dict:
-    report, plan = configured
+    phi, plan = configured
+    report = wsa_report(link.a, link.t, *link.bundles, phi, plan, link.snr)
     values = {"cap_wsa": report.capacity_exact,
               "cap_diag": report.capacity_diag,
               "offdiag_ratio": report.offdiag_ratio,
@@ -405,17 +410,10 @@ def _score_wsa(link: _Link, configured) -> dict:
     return values
 
 
-def _bench_wsa(link: _Link):
-    # the configuration alone: the SVDs are CSI, common to all methods
-    bundle_r, bundle_t = svd_bundle(link.a), svd_bundle(link.t)
-    return lambda: configure_wsa(bundle_r, bundle_t, link.snr,
-                                 arrangement=link.spec.arrangement)
-
-
 def _rmo(objective: str, column: str) -> _Method:
     """RMO on objective, quantized; column holds the gain or capacity.
-    The configure step is also the timed callable, so for the surrogate
-    objective it includes the SVD bundling of both sides."""
+    For the surrogate objective the configure step includes the SVD
+    bundling of both sides, which rmo_optimize makes itself."""
     def configure(link: _Link):
         settings = RmoSettings(objective=objective,
                                max_iters=link.spec.rmo_max_iters)
@@ -427,14 +425,13 @@ def _rmo(objective: str, column: str) -> _Method:
         if objective == "gain":
             return {column: channel_gain(h)}
         return {column: capacity_exact(h, link.snr)}
-    return _Method(configure, score, lambda link: partial(configure, link))
+    return _Method(configure, score)
 
 
-# family -> method -> _Method, in the order a trial runs them.  What
-# bench_runtime times: sa aligns the LoS target alone, wsa configures from
-# SVDs made outside its timer, rmo and rmo-surrogate run rmo_optimize (the
-# surrogate SVD-bundles both sides inside it).  A trial's wsa timer covers
-# all of run_wsa, SVDs included.
+# family -> method -> _Method, in the order a trial runs them.  A trial
+# times configure(link); bench_runtime times it once the link's SVDs exist
+# (wsa's trial timer covers making them: it runs first).  Only sa names a
+# bench, its LoS alignment alone; rmo-surrogate SVDs inside rmo_optimize.
 _METHODS = {
     "gain": {
         "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
@@ -442,10 +439,10 @@ _METHODS = {
         "rmo": _rmo("gain", "gain_rmo"),
     },
     "capacity": {
-        "wsa": _Method(lambda link: run_wsa(link.a, link.t, link.snr,
-                                            arrangement=link.spec.arrangement,
-                                            rng=link.rng),
-                       _score_wsa, _bench_wsa, (3, 5)),
+        "wsa": _Method(lambda link: configure_wsa(
+                           *link.bundles, link.snr,
+                           arrangement=link.spec.arrangement, rng=link.rng),
+                       _score_wsa, repeats=(3, 5)),
         "rmo": _rmo("capacity_exact", "cap_rmo"),
         "rmo-surrogate": _rmo("capacity_surrogate", "cap_rmo_surrogate"),
     },
@@ -536,6 +533,9 @@ def _trial_methods(spec, point, trial, rng):
             row.update(method.score(link, configured))
         except Exception as exc:  # recorded, not fatal
             row["error"] += f"{name}: {exc}; "
+    # free the SVDs before the channels: the other order leaves glibc a free
+    # top to trim, and fig2a's next 8192 x 8 trial faults 780 pages back in
+    vars(link).pop("bundles", None)
     return row, timings
 
 
@@ -717,12 +717,12 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
 
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
-    RMO).  Times exclude channel synthesis and cover the configuration
-    computation.  The sa and wsa callables also exclude the SVD bundling
-    of the channels (CSI acquisition, common to all methods); the
-    rmo-surrogate callable includes it, because its objective SVD-bundles
-    both sides before the first iteration, and exact-capacity rmo takes
-    the singular values of the n_r x n_t cascade at every evaluation.
+    RMO).  A sample times configure(link), as a trial does (sa names its
+    own callable: the alignment without the steering vectors).  The
+    warmups make the link's SVDs, so wsa's samples exclude them (CSI
+    acquisition, common to all methods); rmo-surrogate's include them, as
+    its objective SVD-bundles both sides before the first iteration, and
+    exact-capacity rmo takes the cascade's singular values per evaluation.
     """
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
@@ -739,7 +739,8 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
                 continue
             method = _METHODS[family][name]
             col = name.replace("-", "_")
-            med, mean = _time_callable(method.bench(link), *method.repeats)
+            fn = method.bench(link) if method.bench else partial(method.configure, link)
+            med, mean = _time_callable(fn, *method.repeats)
             row[f"{col}_median_s"], row[f"{col}_mean_s"] = med, mean
             medians[name] = med
         for name in medians:

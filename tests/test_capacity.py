@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_allocation_validation():
         with pytest.raises(ValueError, match="init must be nmin non-negative"):
             allocate_sca(np.array([1.0, 2.0]), np.array([1.0, 2.0]), snr=1.0,
                          n_t=2, init=[bad, 1.0])
+
+
+def test_gains_too_small_for_a_step_are_a_value_error():
+    # below a gain of about 1e-16 the water level rounds every fraction
+    # of the step to 0; no start is feasible, and nothing divides 0 by 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no feasible start"):
+            allocate_sca([1.0, 1.0], [1.0, 1.0], 1e-30, 2)
+        with pytest.raises(ValueError, match="no feasible start"):
+            allocate_sca([1.0, 1e-9], [1.0, 1e-9], 1.0, 2, init=[0.0, 1.0])
 
 
 def best_single_start(d_r, d_t, snr, n_t):

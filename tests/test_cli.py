@@ -43,6 +43,17 @@ def test_custom_capacity_with_flags(tmp_path):
     assert len(lines) == 1 + 2 * 2      # two sizes, two trials
 
 
+def test_nr_follows_nt_unless_given(tmp_path):
+    for extra, n_r in (([], 4), (["--nr", "2"], 2)):
+        out = tmp_path / f"nr{n_r}"
+        code = run_main(["gain", "--n-ris", "64", "--nt", "4", "--trials", "1",
+                         *extra, "--out", str(out)])
+        assert code == 0
+        assert json.load(open(out / "custom-gain.json"))["spec"]["n_r"] == n_r
+        header, row = open(out / "custom-gain.csv").read().splitlines()
+        assert row.split(",")[header.split(",").index("n_r")] == str(n_r)
+
+
 def test_gain_subcommand(tmp_path):
     code = run_main(["gain", "--n-ris", "64", "--nt", "2", "--nr", "2",
                      "--k-db", "20", "--trials", "2", "--out", str(tmp_path)])

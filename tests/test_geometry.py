@@ -10,13 +10,13 @@ from risopt.geometry import (AnglePair, UpaGeometry, near_square_geometry,
 def test_steering_two_element_broadside():
     # half-wavelength pair along the horizontal axis, endfire incidence:
     # phases {0, pi} so the vector is exactly [1, -1]
-    geo = UpaGeometry(n_horizontal=2, n_vertical=1, spacing=0.5)
+    geo = UpaGeometry(n_horizontal=2, n_vertical=1)
     a = upa_steering(geo, AnglePair(azimuth=0.0, elevation=math.pi / 2))
     assert np.allclose(a, [1.0, -1.0])
 
 
 def test_steering_unit_modulus_and_reference_element():
-    geo = UpaGeometry(3, 4, spacing=0.37)
+    geo = UpaGeometry(3, 4)
     a = upa_steering(geo, AnglePair(1.1, 2.0))
     assert a.shape == (12,)
     assert np.allclose(np.abs(a), 1.0)
@@ -25,10 +25,10 @@ def test_steering_unit_modulus_and_reference_element():
 
 
 def test_steering_flattening_order_horizontal_fastest():
-    geo = UpaGeometry(n_horizontal=3, n_vertical=2, spacing=0.5)
+    geo = UpaGeometry(n_horizontal=3, n_vertical=2)
     ang = AnglePair(0.7, 1.3)
     a = upa_steering(geo, ang)
-    s = 2.0 * math.pi * geo.spacing * math.sin(ang.elevation)
+    s = math.pi * math.sin(ang.elevation)       # 2*pi times the half-wavelength pitch
     for n in range(2):
         for m in range(3):
             expect = np.exp(1j * s * (m * math.cos(ang.azimuth)
@@ -54,7 +54,7 @@ def test_zenith_gives_flat_vector():
 def test_azimuth_negation_conjugates_vertical_column():
     # a 1 x N column sees azimuth only through sin(az), so negating the
     # azimuth conjugates every entry
-    geo = UpaGeometry(n_horizontal=1, n_vertical=6, spacing=0.5)
+    geo = UpaGeometry(n_horizontal=1, n_vertical=6)
     a_pos = upa_steering(geo, AnglePair(0.8, 1.1))
     a_neg = upa_steering(geo, AnglePair(-0.8, 1.1))
     assert np.allclose(a_neg, a_pos.conj())
@@ -75,10 +75,6 @@ def test_angle_validation():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         UpaGeometry(0, 4)
-    with pytest.raises(ValueError):
-        UpaGeometry(2, 2, spacing=0.0)
-    with pytest.raises(ValueError):
-        UpaGeometry(2, 2, spacing=math.inf)
 
 
 @pytest.mark.parametrize("n,expect", [

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import risopt.harness as harness
-from risopt.capacity import ARRANGEMENTS
+import risopt.spectral as spectral
+from risopt.capacity import ARRANGEMENTS, run_wsa
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
@@ -246,7 +248,7 @@ def test_each_requested_method_runs_once_per_trial(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(harness, name, wrapper)
 
-    for name in ("configure_gain_los", "rmo_optimize", "run_wsa"):
+    for name in ("configure_gain_los", "rmo_optimize", "configure_wsa"):
         count(name)
     run_experiment(preset_spec("custom-gain", n_ris_list=(16, 20), trials=3,
                                methods=("sa", "rmo", "lb"), rmo_max_iters=2))
@@ -257,8 +259,60 @@ def test_each_requested_method_runs_once_per_trial(monkeypatch):
     run_experiment(preset_spec("custom-capacity", n_ris_list=(16,), trials=3,
                                methods=("wsa", "rmo", "rmo-surrogate"),
                                rmo_max_iters=2))
-    assert calls == {"run_wsa": 3, "rmo_optimize": 6}
+    assert calls == {"configure_wsa": 3, "rmo_optimize": 6}
     assert sorted(objectives) == ["capacity_exact"] * 3 + ["capacity_surrogate"] * 3
+
+
+@pytest.mark.parametrize("arrangement", ["contiguous", "random"])
+def test_wsa_columns_are_run_wsa_bit_for_bit(arrangement):
+    # a trial configures from its link's SVDs and scores outside the
+    # timer; run_wsa on the same channels, with the link's generator in
+    # its post-sampling state, must give the same values
+    spec = tiny_capacity_spec(n_ris_list=(64, 48), arrangement=arrangement)
+    res = run_experiment(spec)
+    for row in res.rows:
+        rng = np.random.default_rng(
+            np.random.SeedSequence((spec.seed, row["point"], row["trial"])))
+        link = harness._Link(spec, row["n_ris"], spec.k_t_db, spec.k_r_db, rng)
+        report, plan = run_wsa(link.a, link.t, link.snr,
+                               arrangement=arrangement, rng=link.rng)
+        got = tuple(row[c] for c in ("cap_wsa", "cap_diag", "cap_lb",
+                                     "offdiag_ratio", "iterations_used"))
+        assert got == (report.capacity_exact, report.capacity_diag,
+                       report.capacity_lb, report.offdiag_ratio,
+                       plan.iterations_used)
+
+
+def count_svd_bundle(monkeypatch) -> list:
+    """Wrap svd_bundle in every risopt module that holds it; the list
+    gets one entry per call."""
+    original = spectral.svd_bundle
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "risopt"
+                and getattr(module, "svd_bundle", None) is original):
+            monkeypatch.setattr(module, "svd_bundle", wrapper)
+    return calls
+
+
+def test_a_wsa_trial_decomposes_each_side_once(monkeypatch):
+    calls = count_svd_bundle(monkeypatch)
+    run_experiment(preset_spec("custom-capacity", n_ris_list=(32,), n_t=4,
+                               n_r=4, trials=1, methods=("wsa", "lb")))
+    assert sorted(calls) == [(4, 32), (32, 4)]
+
+
+def test_bench_runtime_decomposes_each_side_once_per_point(monkeypatch):
+    calls = count_svd_bundle(monkeypatch)
+    spec = preset_spec("runtime-capacity", n_ris_list=(60, 100),
+                       methods=("wsa",))
+    res = bench_runtime(spec)
+    assert len(res.rows) == 2 and all(r["wsa_median_s"] > 0 for r in res.rows)
+    assert sorted(calls) == [(10, 60), (10, 100), (60, 10), (100, 10)]
 
 
 def test_errors_recorded_per_row_not_raised():
