@@ -219,12 +219,55 @@ def _static_environment() -> dict:
     }
 
 
+# glibc's mallopt parameters (M_MMAP_THRESHOLD, M_TRIM_THRESHOLD) and the
+# values the heap hold sets: the cap of glibc's own dynamic mmap threshold
+# on 64-bit hosts, and twice that cap
+_HEAP_HOLD = {"mmap_threshold": (-3, 32 << 20), "trim_threshold": (-1, 64 << 20)}
+# the environment through which a user already tunes glibc's allocator
+_ALLOCATOR_ENV_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+@cache
+def _hold_heap() -> dict | None:
+    """Keep the trial working set resident, once per process.
+
+    By default glibc trims the free top of the heap between trials and
+    serves large buffers with fresh mappings, so every N_S = 8192 trial
+    faults its SVD workspace back in (about 1,000 minor faults, a fifth
+    of its W-SA time).  Fixed thresholds keep that memory in the heap for
+    reuse; no arithmetic changes.  Returns the settings applied, in
+    bytes, or None on another libc or when the environment already tunes
+    glibc's allocator.
+    """
+    if (any(var in os.environ for var in _ALLOCATOR_ENV_VARS)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return None
+    try:
+        # not find_library or platform.libc_ver: they start programs or
+        # read the interpreter binary
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    applied = {name: value for name, (param, value) in _HEAP_HOLD.items()
+               if mallopt(param, value) == 1}
+    return applied or None
+
+
 def _metadata(workers: int) -> dict:
     """Sidecar metadata: versions, CPUs and BLAS, the thread variables
-    as this process sees them, and the pool size the run used."""
+    as this process sees them, the pool size the run used and the
+    allocator thresholds the heap hold set (None if it set none)."""
+    hold = _hold_heap()
     return {
         **_static_environment(),
         "thread_env": {var: os.environ.get(var) for var in _THREAD_ENV_VARS},
+        "heap_hold": dict(hold) if hold else None,
         "workers": workers,
         "rng_scheme": "SeedSequence((seed, point_index, trial_index))",
         "regime_flags": {
@@ -412,12 +455,14 @@ def _score_wsa(link: _Link, configured) -> dict:
 
 def _rmo(objective: str, column: str) -> _Method:
     """RMO on objective, quantized; column holds the gain or capacity.
-    For the surrogate objective the configure step includes the SVD
-    bundling of both sides, which rmo_optimize makes itself."""
+    The surrogate objective reads the link's SVDs, so its configure step
+    makes them only if no earlier method of the trial did."""
     def configure(link: _Link):
         settings = RmoSettings(objective=objective,
                                max_iters=link.spec.rmo_max_iters)
-        res = rmo_optimize(link.a, link.t, settings, snr=link.snr)
+        bundles = link.bundles if objective == "capacity_surrogate" else None
+        res = rmo_optimize(link.a, link.t, settings, snr=link.snr,
+                           bundles=bundles)
         return quantize_1bit(res.phi)
 
     def score(link: _Link, cfg) -> dict:
@@ -430,8 +475,8 @@ def _rmo(objective: str, column: str) -> _Method:
 
 # family -> method -> _Method, in the order a trial runs them.  A trial
 # times configure(link); bench_runtime times it once the link's SVDs exist
-# (wsa's trial timer covers making them: it runs first).  Only sa names a
-# bench, its LoS alignment alone; rmo-surrogate SVDs inside rmo_optimize.
+# (the trial timer of the first of wsa and rmo-surrogate covers making
+# them).  Only sa names a bench, its LoS alignment alone.
 _METHODS = {
     "gain": {
         "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
@@ -533,9 +578,6 @@ def _trial_methods(spec, point, trial, rng):
             row.update(method.score(link, configured))
         except Exception as exc:  # recorded, not fatal
             row["error"] += f"{name}: {exc}; "
-    # free the SVDs before the channels: the other order leaves glibc a free
-    # top to trim, and fig2a's next 8192 x 8 trial faults 780 pages back in
-    vars(link).pop("bundles", None)
     return row, timings
 
 
@@ -655,6 +697,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     depend on scheduling.  Runtime presets are served by bench_runtime,
     not here (their output is wall-clock, which is not reproducible).
     """
+    _hold_heap()
     if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
     family = _preset(spec.preset)["family"]
@@ -718,12 +761,12 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
     RMO).  A sample times configure(link), as a trial does (sa names its
-    own callable: the alignment without the steering vectors).  The
-    warmups make the link's SVDs, so wsa's samples exclude them (CSI
-    acquisition, common to all methods); rmo-surrogate's include them, as
-    its objective SVD-bundles both sides before the first iteration, and
+    own callable: the alignment without the steering vectors).  wsa's
+    warmups make the link's SVDs, so the samples of wsa and rmo-surrogate
+    both exclude them (CSI acquisition, common to all methods);
     exact-capacity rmo takes the cascade's singular values per evaluation.
     """
+    _hold_heap()
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
     family = _preset(spec.preset)["family"]

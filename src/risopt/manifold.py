@@ -54,11 +54,12 @@ class RmoResult:
 
 
 def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
-               snr: float | None):
+               snr: float | None, bundles: tuple | None = None):
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
 
     The capacity objectives scale by snr / n_t, n_t the column count of
-    h_t (n_ris x n_t).
+    h_t (n_ris x n_t).  The surrogate reads its stream columns from
+    bundles, the SVDs of (h_r_herm, h_t), and makes them itself if None.
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or the stream projections cols.T @ phi for the
@@ -107,7 +108,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
         return evaluate, grad
 
     # capacity_surrogate: per-stream rank-1 quadratics through the SVDs
-    cols, w = stream_columns(svd_bundle(a), svd_bundle(t))
+    cols, w = stream_columns(*(bundles or (svd_bundle(a), svd_bundle(t))))
 
     def evaluate(phi):
         z = cols.T @ phi
@@ -169,11 +170,15 @@ def _retract(z: np.ndarray) -> np.ndarray:
 
 
 def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
-                 snr: float | None = None) -> RmoResult:
+                 snr: float | None = None,
+                 bundles: tuple | None = None) -> RmoResult:
     """Gradient ascent on the circle manifold with Armijo backtracking.
 
     snr is linear and needed by the capacity objectives, which scale it
-    by 1/n_t with n_t the column count of h_t.  Starts from all-ones.
+    by 1/n_t with n_t the column count of h_t.  bundles, if given, is
+    (svd_bundle(h_r_herm), svd_bundle(h_t)): the surrogate objective
+    reads it in place of decomposing both sides, the others ignore it.
+    Starts from all-ones.
     Backtracking uses factor 0.5 and sufficient increase 1e-4 (the
     directional derivative along xi is ||xi||^2), and a trial must also
     raise the objective strictly, so every accepted step raises it.  The
@@ -192,7 +197,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
     phi = np.ones(h_t.shape[0], dtype=complex)
-    evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr)
+    evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr, bundles)
 
     f, state = evaluate(phi)
     trace = [f]

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -363,3 +364,107 @@ def test_metadata_records_the_environment(monkeypatch):
     assert sidecar["workers"] == meta["workers"]
     assert sidecar["thread_env"]["OMP_NUM_THREADS"] == "3"
     assert res.to_csv() == run_experiment(tiny_capacity_spec(workers=1)).to_csv()
+
+
+@pytest.fixture
+def fresh_heap_hold():
+    """_hold_heap applies once per process; forget that around a test so a
+    faked outcome never outlives it."""
+    harness._hold_heap.cache_clear()
+    yield
+    harness._hold_heap.cache_clear()
+
+
+def fake_glibc(monkeypatch) -> list:
+    """Report glibc and replace the loader; the list records each load and
+    each mallopt call."""
+    import ctypes
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append(("mallopt", param, value))
+        return 1
+
+    def cdll(name):
+        calls.append(("load", name))
+        return types.SimpleNamespace(mallopt=mallopt)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(var, raising=False)
+    return calls
+
+
+def test_heap_hold_applies_once(monkeypatch, fresh_heap_hold):
+    calls = fake_glibc(monkeypatch)
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX512F")
+    res = run_experiment(tiny_capacity_spec(trials=1))
+    bench_runtime(preset_spec("runtime-capacity", n_ris_list=(40,), methods=()))
+    held = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
+    assert harness._hold_heap() == held
+    assert calls == [("load", None), ("mallopt", -3, 32 << 20),
+                     ("mallopt", -1, 64 << 20)]
+    assert res.metadata["heap_hold"] == held
+    assert json.loads(res.to_json())["metadata"]["heap_hold"] == held
+
+
+@pytest.mark.parametrize("var, value", [
+    ("MALLOC_MMAP_THRESHOLD_", "1048576"),
+    ("MALLOC_TRIM_THRESHOLD_", "0"),
+    ("GLIBC_TUNABLES", "glibc.cpu.x86_shstk=on:glibc.malloc.trim_threshold=0"),
+])
+def test_heap_hold_leaves_a_tuned_allocator_alone(monkeypatch, fresh_heap_hold,
+                                                  var, value):
+    calls = fake_glibc(monkeypatch)
+    monkeypatch.setenv(var, value)
+    res = run_experiment(tiny_capacity_spec(trials=1))
+    assert harness._hold_heap() is None and calls == []
+    assert res.metadata["heap_hold"] is None
+    assert json.loads(res.to_json())["metadata"]["heap_hold"] is None
+
+
+def test_heap_hold_needs_glibc(monkeypatch, fresh_heap_hold):
+    calls = fake_glibc(monkeypatch)
+
+    def no_such_name(name):
+        raise ValueError("unrecognized configuration name")
+    monkeypatch.setattr(os, "confstr", no_such_name, raising=False)
+    assert harness._hold_heap() is None and calls == []
+    monkeypatch.setattr(os, "confstr", lambda name: None, raising=False)
+    assert harness._hold_heap() is None and calls == []
+
+
+def _glibc_allocator_untuned() -> bool:
+    try:
+        glibc = (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+    return glibc and not (
+        {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & set(os.environ)
+        or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""))
+
+
+@pytest.mark.skipif(not _glibc_allocator_untuned(),
+                    reason="needs glibc with its allocator left untuned")
+def test_held_heap_takes_no_page_faults_per_trial():
+    # without the hold each 8192 x 8 W-SA trial faults about 1,000 pages of
+    # SVD workspace back in; with it the run's working set stays resident
+    resource = pytest.importorskip("resource")
+    spec = preset_spec("custom-capacity", n_ris_list=(8192,), trials=5,
+                       workers=1, methods=("wsa", "lb"))
+    run_experiment(spec)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_experiment(spec)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100
+
+
+def test_rmo_surrogate_reads_the_links_svds(monkeypatch):
+    calls = count_svd_bundle(monkeypatch)
+    for methods in (("wsa", "rmo-surrogate", "lb"), ("rmo-surrogate",)):
+        calls.clear()
+        run_experiment(preset_spec("custom-capacity", n_ris_list=(32,), n_t=4,
+                                   n_r=4, trials=1, methods=methods,
+                                   rmo_max_iters=2))
+        assert sorted(calls) == [(4, 32), (32, 4)]

@@ -231,3 +231,21 @@ def test_quantize_1bit():
         quantize_1bit(np.array([0.5 + 0.0j]))
     # boundary: Re == 0 quantizes to +1
     assert quantize_1bit(np.array([1j])).states[0] == 1.0
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_given_bundles_change_no_bit(monkeypatch, objective):
+    # the surrogate reads the given SVDs in place of making its own; the
+    # run must be the one that decomposes both sides itself
+    for seed, (n_r, n_s, n_t) in enumerate([(4, 64, 4), (3, 50, 6), (8, 256, 8)]):
+        a, t, _ = random_instance(seed, n_r=n_r, n_s=n_s, n_t=n_t)
+        settings = RmoSettings(objective=objective, max_iters=80)
+        plain = rmo_optimize(a, t, settings, snr=10.0)
+        bundles = (svd_bundle(a), svd_bundle(t))
+        with monkeypatch.context() as m:
+            m.setattr(manifold, "svd_bundle", None)  # any call would raise
+            given = rmo_optimize(a, t, settings, snr=10.0, bundles=bundles)
+        assert np.array_equal(given.phi, plain.phi)
+        assert np.array_equal(given.objective_trace, plain.objective_trace)
+        assert given.iterations == plain.iterations
+        assert given.final_grad_norm == plain.final_grad_norm
