@@ -56,9 +56,11 @@ class ExperimentSpec:
     """Declarative description of one Monte Carlo run.
 
     k_t_db/k_r_db set the per-side K-factors; when k_sweep_db is given
-    the grid sweeps that list (applied to both sides) instead.  workers
-    defaults to the RISOPT_WORKERS environment variable, then 1, and is
-    capped at the number of trials to run and at the CPU count.
+    the grid sweeps that list (applied to both sides) instead.  methods
+    are those of the preset's family in _METHODS, plus "lb"; spectrum and
+    hardening presets take none.  workers defaults to the RISOPT_WORKERS
+    environment variable, then 1, and is capped at the number of trials
+    to run and at the CPU count.
     """
 
     preset: str
@@ -71,7 +73,7 @@ class ExperimentSpec:
     snr_db: float = 10.0
     trials: int = 50
     seed: int = 0
-    methods: tuple = ("sa",)
+    methods: tuple = ()
     arrangement: str = "contiguous"
     scale: float = 1.0
     workers: int | None = None
@@ -87,9 +89,12 @@ class ExperimentSpec:
             raise ValueError("n_ris_list must be nonempty")
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
-        bad = set(self.methods) - set(ALL_METHODS)
+        family = _preset(self.preset)["family"]
+        known = (*_METHODS[family], "lb") if family in _METHODS else ()
+        bad = [name for name in self.methods if name not in known]
         if bad:
-            raise ValueError(f"unknown methods: {sorted(bad)}")
+            raise ValueError(f"methods {bad} are not {family} methods; "
+                             f"known: {list(known)}")
         if self.arrangement not in ARRANGEMENTS:
             raise ValueError(f"unknown arrangement {self.arrangement!r}; "
                              f"known: {ARRANGEMENTS}")
@@ -376,16 +381,11 @@ def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
 
 
 def _grid(spec: ExperimentSpec) -> list:
-    points = []
-    if spec.k_sweep_db is not None:
-        for n in spec.n_ris_list:
-            for k in spec.k_sweep_db:
-                points.append({"n_ris": n, "k_t_db": k, "k_r_db": k})
-    else:
-        for n in spec.n_ris_list:
-            points.append({"n_ris": n, "k_t_db": spec.k_t_db,
-                           "k_r_db": spec.k_r_db})
-    return points
+    """The grid points in run order, each holding every per-trial parameter."""
+    sides = ([(k, k) for k in spec.k_sweep_db] if spec.k_sweep_db is not None
+             else [(spec.k_t_db, spec.k_r_db)])
+    return [{"n_ris": n, "k_t_db": k_t, "k_r_db": k_r, "snr_db": spec.snr_db}
+            for n in spec.n_ris_list for k_t, k_r in sides]
 
 
 # --- gain and capacity methods -------------------------------------------
@@ -393,24 +393,26 @@ def _grid(spec: ExperimentSpec) -> list:
 # time, so that a wrapper installed on them sees every call.
 
 class _Link:
-    """One sampled channel pair with what its methods read: a is the
-    receive side as it enters the cascade (n_r x n_ris), t the transmit
-    side (n_ris x n_t), snr the linear SNR and bundles the SVDs of a, t."""
+    """One channel pair sampled at a grid point, with what its methods
+    read: a is the receive side as it enters the cascade (n_r x n_ris),
+    t the transmit side (n_ris x n_t), snr the point's linear SNR,
+    bundles the SVDs of a, t and gain_bound the asymptotic gain bound."""
 
-    def __init__(self, spec: ExperimentSpec, n_ris: int, k_t_db: float,
-                 k_r_db: float, rng: np.random.Generator):
+    def __init__(self, spec: ExperimentSpec, point: dict,
+                 rng: np.random.Generator):
         self.spec = spec
         self.rng = rng
-        self.ch_t = _sample_side(rng, n_ris, spec.n_t, k_t_db)
-        self.ch_r = _sample_side(rng, n_ris, spec.n_r, k_r_db)
+        self.ch_t = _sample_side(rng, point["n_ris"], spec.n_t, point["k_t_db"])
+        self.ch_r = _sample_side(rng, point["n_ris"], spec.n_r, point["k_r_db"])
         self.a = self.ch_r.hermitian
         self.t = self.ch_t.matrix
-        self.snr = db2lin(spec.snr_db)
+        self.snr = db2lin(point["snr_db"])
 
     @cached_property
     def bundles(self) -> tuple:
         return svd_bundle(self.a), svd_bundle(self.t)
 
+    @cached_property
     def gain_bound(self) -> float:
         return gain_lower_bound(self.t.shape[0], self.spec.n_t, self.spec.n_r,
                                 self.ch_t.k_factor, self.ch_r.k_factor)
@@ -430,7 +432,7 @@ class _Method:
 
 def _score_sa(link: _Link, cfg) -> dict:
     gain = channel_gain(cascaded_channel(link.a, cfg, link.t))
-    lb = link.gain_bound()
+    lb = link.gain_bound
     return {"gain_sa": gain, "alpha_sa": gain / (lb / 0.25)} if lb > 0 else {"gain_sa": gain}
 
 
@@ -444,13 +446,11 @@ def _bench_sa(link: _Link):
 def _score_wsa(link: _Link, configured) -> dict:
     phi, plan = configured
     report = wsa_report(link.a, link.t, *link.bundles, phi, plan, link.snr)
-    values = {"cap_wsa": report.capacity_exact,
-              "cap_diag": report.capacity_diag,
-              "offdiag_ratio": report.offdiag_ratio,
-              "iterations_used": plan.iterations_used}
-    if "lb" in link.spec.methods:
-        values["cap_lb"] = report.capacity_lb
-    return values
+    return {"cap_wsa": report.capacity_exact,
+            "cap_diag": report.capacity_diag,
+            "cap_lb": report.capacity_lb,
+            "offdiag_ratio": report.offdiag_ratio,
+            "iterations_used": plan.iterations_used}
 
 
 def _rmo(objective: str, column: str) -> _Method:
@@ -551,24 +551,19 @@ def _trial_hardening(spec, point, trial, rng):
 def _trial_methods(spec, point, trial, rng):
     """A gain or capacity trial: run, time and score each requested method.
 
-    A method that raises leaves its columns empty and its message in the
-    row's error column.
+    The row holds the point, the link's facts and every value its methods
+    score; _columns decides which of them the CSVs show.  A method that
+    raises leaves its columns empty and its message in the row's error
+    column.
     """
-    family = _preset(spec.preset)["family"]
-    n_ris = point["n_ris"]
-    link = _Link(spec, n_ris, point["k_t_db"], point["k_r_db"], rng)
-    row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "n_r": spec.n_r,
-           "k_t_db": point["k_t_db"], "k_r_db": point["k_r_db"],
+    link = _Link(spec, point, rng)
+    row = {"trial": trial, **point, "n_t": spec.n_t, "n_r": spec.n_r,
            "flag_hardening": _flag_hardening(
                [(link.ch_t.k_factor, spec.n_t), (link.ch_r.k_factor, spec.n_r)]),
-           "error": ""}
-    if family == "capacity":
-        row["snr_db"] = spec.snr_db
-        row["flag_diag"] = _flag_diag(n_ris, spec.n_t, spec.n_r)
-    elif "lb" in spec.methods:
-        row["lower_bound"] = link.gain_bound()
+           "flag_diag": _flag_diag(point["n_ris"], spec.n_t, spec.n_r),
+           "lower_bound": link.gain_bound, "error": ""}
     timings = {}
-    for name, method in _METHODS[family].items():
+    for name, method in _METHODS[_preset(spec.preset)["family"]].items():
         if name not in spec.methods:
             continue
         try:
@@ -710,21 +705,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, pi, t)))
         row, timing = trial_fn(spec, points[pi], t, rng)
         row["point"] = pi
-        return task, row, timing
+        return row, timing
 
     requested = (spec.workers if spec.workers is not None
                  else int(os.environ.get(WORKERS_ENV, "1")))
     workers = _resolve_workers(requested, len(tasks), os.cpu_count())
     if workers == 1:
         done = [one(task) for task in tasks]
-    else:
+    else:                          # map yields in task order
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(one, tasks))
-    done.sort(key=lambda item: item[0])
-    rows = [row for _, row, _ in done]
-    timings = [timing for _, _, timing in done]
-    aggregates = _AGG_FNS[family](spec, points, rows)
-    return ExperimentResult(spec=spec, columns=_columns(spec, family),
+    rows = [row for row, _ in done]
+    timings = [timing for _, timing in done]
+    # aggregate what the row CSV shows, so it can be recomputed from it
+    columns = _columns(spec, family)
+    shown = [{col: row[col] for col in columns if col in row} for row in rows]
+    aggregates = _AGG_FNS[family](spec, points, shown)
+    return ExperimentResult(spec=spec, columns=columns,
                             rows=rows, agg_columns=tuple(aggregates[0]),
                             aggregates=aggregates, timings=timings,
                             metadata=_metadata(workers))
@@ -772,10 +769,10 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     family = _preset(spec.preset)["family"]
     timed = _RUNTIME[family]
     rows = []
-    for pi, n_ris in enumerate(spec.n_ris_list):
+    for pi, point in enumerate(_grid(spec)):
         rng = np.random.default_rng(np.random.SeedSequence((spec.seed, pi, 0)))
-        link = _Link(spec, n_ris, spec.k_t_db, spec.k_r_db, rng)
-        row = {"n_ris": n_ris, "n_t": spec.n_t, "n_r": spec.n_r}
+        link = _Link(spec, point, rng)
+        row = {"n_ris": point["n_ris"], "n_t": spec.n_t, "n_r": spec.n_r}
         medians = {}
         for name in timed:
             if name != timed[0] and name not in spec.methods:

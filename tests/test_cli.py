@@ -120,6 +120,28 @@ def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv, ini, method", [
+    (["gain", "--n-ris", "64", "--nt", "4", "--trials", "2",
+      "--methods", "wsa"], None, "wsa"),
+    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "2"],
+     "methods = sa", "sa"),
+])
+def test_a_method_of_another_family_is_a_clean_error(tmp_path, capsys,
+                                                     argv, ini, method):
+    # the flag's choices hold every family's methods, and an INI value is
+    # not checked against them; the spec refuses what its family cannot run
+    if ini:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[risopt]\n{ini}\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"'{method}'" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, key, value", [
     ("trials = x", "trials", "'x'"),
     ("n_ris = 32 4o", "n_ris", "'4o'"),

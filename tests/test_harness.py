@@ -61,6 +61,26 @@ def test_spec_refuses_unknown_arrangement():
                            arrangement=name).arrangement == name
 
 
+@pytest.mark.parametrize("preset, methods", [
+    ("custom-gain", ("wsa",)),
+    ("custom-capacity", ("sa",)),
+    ("fig1c", ("lb",)),
+    ("custom-spectrum", ("sa",)),
+])
+def test_spec_refuses_methods_of_another_family(preset, methods):
+    with pytest.raises(ValueError, match=repr(methods[0])):
+        preset_spec(preset, n_ris_list=(32,), methods=methods)
+
+
+def test_every_shipped_preset_is_accepted():
+    for name in harness.preset_names(""):
+        spec = preset_spec(name, n_ris_list=(32,))
+        assert set(spec.methods) <= set(harness.ALL_METHODS)
+    # a directly built spectrum spec requests no method
+    assert ExperimentSpec(preset="custom-spectrum", n_ris_list=(32,),
+                          n_t=4).methods == ()
+
+
 def test_preset_spec_scaling_and_floor():
     spec = preset_spec("fig2a", scale=0.01)
     assert spec.n_ris_list == (5, 20, 82)
@@ -215,6 +235,82 @@ def test_capacity_aggregate_recomputable_from_rows():
     assert last[-1] == ""
 
 
+def aggregate_from_row_csv(row_csv: str, agg_header: list) -> str:
+    """A gain or capacity run's aggregate CSV, recomputed from the text of
+    its row CSV alone: head columns as written in the point's first row,
+    each mean_<col> over the rows whose col is not empty, and the derived
+    columns from those means."""
+    header, *lines = (line.split(",") for line in row_csv.splitlines())
+    rows = [dict(zip(header, cells)) for cells in lines]
+
+    def values(sub, col):
+        return [float(r[col]) for r in sub if r.get(col, "") != ""]
+
+    def fmt(value):
+        return "" if value is None else repr(float(value))
+
+    out = [",".join(agg_header)]
+    for point in sorted({int(r["point"]) for r in rows}):
+        sub = [r for r in rows if int(r["point"]) == point]
+        means = {col: float(np.mean(values(sub, col[5:])))
+                 if values(sub, col[5:]) else None
+                 for col in agg_header if col.startswith("mean_")}
+        sa, rmo = means.get("mean_gain_sa"), means.get("mean_gain_rmo")
+        lb = (values(sub[:1], "lower_bound") or [None])[0]
+        exact, diag = values(sub, "cap_wsa"), values(sub, "cap_diag")
+        derived = {
+            "lower_bound": lb,
+            "ratio_db_sa_lb": (10.0 * math.log10(sa / lb)
+                               if sa and lb and lb > 0 else None),
+            "gap_db_sa_rmo": 10.0 * math.log10(sa / rmo) if sa and rmo else None,
+            "nmse_diag": (nmse(diag, exact)
+                          if exact and len(exact) == len(diag) else None),
+        }
+        out.append(",".join(
+            str(point) if col == "point"
+            else fmt(means[col]) if col in means
+            else fmt(derived[col]) if col in derived
+            else sub[0][col] for col in agg_header))
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("preset, methods", [
+    ("custom-gain", ("sa",)),
+    ("custom-gain", ("sa", "rmo", "lb")),
+    ("custom-capacity", ("wsa", "rmo")),
+])
+def test_aggregates_recompute_from_the_written_row_csv(tmp_path, preset,
+                                                       methods):
+    # a row may hold values its CSV does not show (cap_lb without lb); the
+    # aggregate must not see them either
+    res = run_experiment(preset_spec(preset, n_ris_list=(24, 40), n_t=3,
+                                     trials=3, methods=methods,
+                                     rmo_max_iters=4))
+    paths = res.write(str(tmp_path))
+    agg = res.to_aggregate_csv()
+    assert open(paths["aggregate_csv"]).read() == agg
+    header = agg.splitlines()[0].split(",")
+    assert aggregate_from_row_csv(open(paths["csv"]).read(), header) == agg
+
+
+def test_trials_read_every_parameter_from_the_grid_point(monkeypatch):
+    spec = tiny_capacity_spec(trials=2, methods=("wsa", "rmo", "lb"),
+                              rmo_max_iters=3)
+    moved = dataclasses.replace(spec, n_ris_list=(48,), k_t_db=3.0,
+                                k_r_db=-2.0, snr_db=-5.0)
+    expected = run_experiment(moved)
+    assert harness._grid(moved) == [
+        {"n_ris": 48, "k_t_db": 3.0, "k_r_db": -2.0, "snr_db": -5.0}]
+    # the same spec run on moved's grid gives moved's bytes
+    grid = harness._grid
+    monkeypatch.setattr(harness, "_grid", lambda s: grid(moved))
+    got = run_experiment(spec)
+    assert got.to_csv() == expected.to_csv()
+    assert got.to_aggregate_csv() == expected.to_aggregate_csv()
+    bench = bench_runtime(preset_spec("runtime-capacity", methods=()))
+    assert [r["n_ris"] for r in bench.rows] == [48]
+
+
 def test_method_columns_in_csv_order():
     head = ("point", "trial", "n_ris", "n_t", "n_r", "k_t_db", "k_r_db")
     gain = preset_spec("custom-gain", n_ris_list=(16,), trials=1,
@@ -274,7 +370,7 @@ def test_wsa_columns_are_run_wsa_bit_for_bit(arrangement):
     for row in res.rows:
         rng = np.random.default_rng(
             np.random.SeedSequence((spec.seed, row["point"], row["trial"])))
-        link = harness._Link(spec, row["n_ris"], spec.k_t_db, spec.k_r_db, rng)
+        link = harness._Link(spec, harness._grid(spec)[row["point"]], rng)
         report, plan = run_wsa(link.a, link.t, link.snr,
                                arrangement=arrangement, rng=link.rng)
         got = tuple(row[c] for c in ("cap_wsa", "cap_diag", "cap_lb",
