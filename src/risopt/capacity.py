@@ -339,10 +339,12 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     if plan.counts is None or plan.index_sets is None:
         raise ValueError("plan has no counts/index sets; round it first")
     states = np.ones(bundle_r.right.shape[0])
-    cols, _ = stream_columns(bundle_r, bundle_t)
+    # each stream's target is formed on its own elements only, the same
+    # values as stream_columns' column i gathered at idx
     for i, idx in enumerate(plan.index_sets):
         if idx.size:
-            states[idx] = sign_align(cols[:, i], mask=idx).phi
+            states[idx] = sign_align(bundle_r.right[idx, i].conj()
+                                     * bundle_t.left[idx, i]).phi
     return RisConfig(states)
 
 

@@ -10,7 +10,8 @@ end-to-end matrix is h_r_herm @ diag(phi) @ h_t with shapes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -19,22 +20,46 @@ from .geometry import AnglePair, UpaGeometry, upa_steering
 
 @dataclass(frozen=True)
 class LosSpec:
-    """Deterministic-path description between one array and the RIS."""
+    """Deterministic-path description between one array and the RIS.
+
+    Each steering vector is built once per spec and kept read-only, so
+    sampling and the LoS configuration read the same array.  The cache
+    lives in the instance __dict__, outside the four fields that make
+    equality, hash and repr, and is left out of the pickled state.
+    """
 
     ris_geometry: UpaGeometry
     array_geometry: UpaGeometry
     ris_side_angles: AnglePair
     array_side_angles: AnglePair
 
+    @cached_property
+    def _ris_steering(self) -> np.ndarray:
+        return _read_only(upa_steering(self.ris_geometry, self.ris_side_angles))
+
+    @cached_property
+    def _array_steering(self) -> np.ndarray:
+        return _read_only(upa_steering(self.array_geometry,
+                                       self.array_side_angles))
+
     def ris_steering(self) -> np.ndarray:
-        return upa_steering(self.ris_geometry, self.ris_side_angles)
+        return self._ris_steering
 
     def array_steering(self) -> np.ndarray:
-        return upa_steering(self.array_geometry, self.array_side_angles)
+        return self._array_steering
 
     def los_matrix(self) -> np.ndarray:
-        """Rank-1 deterministic component a_ris a_array^H (n_ris x n_array)."""
+        """Rank-1 deterministic component a_ris a_array^H (n_ris x n_array),
+        a fresh writable array on every call."""
         return np.outer(self.ris_steering(), self.array_steering().conj())
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

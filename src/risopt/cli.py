@@ -128,7 +128,12 @@ def _spec_and_out(args: argparse.Namespace):
             raise ValueError("--k-db takes one or two values")
         opts["k_t_db"], opts["k_r_db"] = k_db[0], k_db[-1]
     preset = getattr(args, "preset", None) or f"custom-{args.command}"
-    return preset_spec(preset, **opts), out_dir
+    spec = preset_spec(preset, **opts)
+    if "k_t_db" in opts and spec.k_sweep_db is not None:
+        sweep = ", ".join(f"{k:g}" for k in spec.k_sweep_db)
+        raise ValueError(f"--k-db (config key k_db) conflicts with preset "
+                         f"{preset!r}, which sweeps K over {sweep} dB")
+    return spec, out_dir
 
 
 def _cmd_validate(seed: int) -> int:

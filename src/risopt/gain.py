@@ -46,7 +46,9 @@ def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:
     los_t describes the transmitter-to-RIS path, los_r the RIS-to-
     receiver path.  The target vector is conj(a_ris of los_r) * a_ris of
     los_t; under pure LoS the resulting 1-bit gain is at least
-    0.25 * n_r * n_t * n_ris^2.
+    0.25 * n_r * n_t * n_ris^2.  It reads the steering vectors that the
+    specs cache, so once a channel was sampled from each spec it builds
+    none.
     """
     if los_t.ris_geometry != los_r.ris_geometry:
         raise ValueError("LoS specs must share the RIS geometry")

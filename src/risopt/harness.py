@@ -758,7 +758,8 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
     RMO).  A sample times configure(link), as a trial does (sa names its
-    own callable: the alignment without the steering vectors).  wsa's
+    own callable: the alignment of the link's cached steering vectors,
+    without the RisConfig).  wsa's
     warmups make the link's SVDs, so the samples of wsa and rmo-surrogate
     both exclude them (CSI acquisition, common to all methods);
     exact-capacity rmo takes the cascade's singular values per evaluation.

@@ -63,8 +63,7 @@ def test_masked_alignment_returns_only_masked_entries():
 
 
 def test_masked_strided_column_matches_a_contiguous_copy():
-    # configure_capacity aligns columns of a C-ordered matrix, which are
-    # strided views
+    # a column of a C-ordered matrix is a strided view
     rng = np.random.default_rng(3)
     cols = rng.normal(size=(500, 6)) + 1j * rng.normal(size=(500, 6))
     for i in range(cols.shape[1]):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from risopt import capacity
-from risopt.capacity import (AllocationPlan, allocate_sca,
+from risopt.alignment import sign_align
+from risopt.capacity import (ARRANGEMENTS, AllocationPlan, allocate_sca,
                              capacity_diag_approx, capacity_exact,
                              capacity_lower_bound, configure_capacity,
                              effective_channel, offdiag_ratio,
-                             round_allocation, run_wsa, water_level_bisect,
-                             water_level_solve)
+                             round_allocation, run_wsa, stream_columns,
+                             water_level_bisect, water_level_solve)
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.spectral import asymptotic_spectrum, svd_bundle
 from tests.test_channels import make_los
@@ -301,6 +302,33 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
         b = cols[idx, i]
         aligned = abs(b @ cfg.states[idx])
         assert aligned >= 0.5 * np.sum(np.abs(b)) - 1e-12
+
+
+def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
+    """The earlier configure_capacity: every stream column over all
+    elements, each aligned on its mask."""
+    states = np.ones(bundle_r.right.shape[0])
+    cols, _ = stream_columns(bundle_r, bundle_t)
+    for i, idx in enumerate(plan.index_sets):
+        if idx.size:
+            states[idx] = sign_align(cols[:, i], mask=idx).phi
+    return states
+
+
+@pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+def test_configure_capacity_matches_the_masked_column_oracle(arrangement):
+    rng = np.random.default_rng(11)
+    for n_s, n_r, n_t in ((40, 3, 3), (257, 2, 5), (1000, 6, 4), (2048, 8, 8)):
+        bundle_r = svd_bundle(complex_gaussian(rng, (n_r, n_s)))
+        bundle_t = svd_bundle(complex_gaussian(rng, (n_s, n_t)))
+        w = rng.uniform(0.0, 1.0, min(n_r, n_t))
+        w[-1] = 0.0                 # a stream with no elements
+        w /= w.sum()
+        plan = round_allocation(make_plan(w ** 2), n_s, arrangement,
+                                np.random.default_rng(n_s))
+        got = configure_capacity(bundle_r, bundle_t, plan).states
+        assert np.array_equal(got, masked_column_configuration(
+            bundle_r, bundle_t, plan))
 
 
 def test_configure_capacity_requires_rounded_plan():

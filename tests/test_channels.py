@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -28,6 +29,38 @@ def test_los_matrix_is_rank_one_outer_product():
     s = np.linalg.svd(m, compute_uv=False)
     assert s[0] == pytest.approx(math.sqrt(16 * 4))
     assert np.all(s[1:] < 1e-12)
+
+
+def test_steering_vectors_are_built_once_and_read_only():
+    los = make_los()
+    for steering in (los.ris_steering, los.array_steering):
+        a = steering()
+        assert steering() is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_los_matrix_is_a_fresh_writable_array_per_call():
+    # sample_ricean scales its LoS matrix in place
+    los = make_los()
+    m1, m2 = los.los_matrix(), los.los_matrix()
+    assert not np.shares_memory(m1, m2)
+    assert m1.flags.writeable and m2.flags.writeable
+    assert not np.shares_memory(m1, los.ris_steering())
+
+
+def test_cached_vectors_leave_equality_hash_and_pickle_alone():
+    los, twin = make_los(seed=3), make_los(seed=3)
+    a = los.ris_steering().copy()
+    los.array_steering()
+    assert los == twin and hash(los) == hash(twin)
+    assert repr(los) == repr(twin)
+    back = pickle.loads(pickle.dumps(los))
+    assert back == los and hash(back) == hash(los)
+    assert np.array_equal(back.ris_steering(), a)
+    assert not back.ris_steering().flags.writeable
+    assert np.array_equal(back.los_matrix(), los.los_matrix())
 
 
 def test_pure_los_limit_draws_nothing_random():

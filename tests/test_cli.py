@@ -142,6 +142,26 @@ def test_a_method_of_another_family_is_a_clean_error(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, ini", [
+    (["--k-db", "3"], None),
+    ([], "k_db = 3"),
+])
+def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags, ini):
+    # fig1c sweeps K on both sides, which used to override a given K-factor
+    # without a word
+    argv = ["figure", "fig1c", "--scale", "0.05", "--trials", "1", *flags]
+    if ini:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[risopt]\n{ini}\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --k-db")
+    assert "fig1c" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, key, value", [
     ("trials = x", "trials", "'x'"),
     ("n_ris = 32 4o", "n_ris", "'4o'"),

@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+import risopt.geometry as geometry
 import risopt.harness as harness
 import risopt.spectral as spectral
 from risopt.capacity import ARRANGEMENTS, run_wsa
@@ -380,20 +381,39 @@ def test_wsa_columns_are_run_wsa_bit_for_bit(arrangement):
                        plan.iterations_used)
 
 
-def count_svd_bundle(monkeypatch) -> list:
-    """Wrap svd_bundle in every risopt module that holds it; the list
-    gets one entry per call."""
-    original = spectral.svd_bundle
+def count_calls(monkeypatch, home, fn_name, record) -> list:
+    """Wrap home.fn_name in every risopt module that holds it; the list
+    gets record(first argument) per call."""
+    original = getattr(home, fn_name)
     calls = []
 
     def wrapper(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(record(args[0]))
         return original(*args, **kwargs)
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "risopt"
-                and getattr(module, "svd_bundle", None) is original):
-            monkeypatch.setattr(module, "svd_bundle", wrapper)
+                and getattr(module, fn_name, None) is original):
+            monkeypatch.setattr(module, fn_name, wrapper)
     return calls
+
+
+def count_svd_bundle(monkeypatch) -> list:
+    return count_calls(monkeypatch, spectral, "svd_bundle", lambda h: h.shape)
+
+
+@pytest.mark.parametrize("preset, methods", [
+    ("custom-gain", ("sa", "lb")),
+    ("custom-gain", ("sa", "rmo", "lb")),
+    ("custom-capacity", ("wsa", "lb")),
+])
+def test_a_trial_builds_each_steering_vector_once(monkeypatch, preset, methods):
+    # two per side, for its LoS matrix; sa reads the same vectors
+    calls = count_calls(monkeypatch, geometry, "upa_steering", lambda g: g.size)
+    res = run_experiment(preset_spec(preset, n_ris_list=(36,), n_t=4,
+                                     trials=3, methods=methods,
+                                     rmo_max_iters=2))
+    assert not any(row.get("error") for row in res.rows)
+    assert sorted(calls) == sorted([36, 36, 4, 4] * 3)
 
 
 def test_a_wsa_trial_decomposes_each_side_once(monkeypatch):
