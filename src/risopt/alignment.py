@@ -17,33 +17,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class AlignmentResult:
-    """Outcome of sign alignment on (the masked part of) a vector.
+    """Outcome of sign alignment on a vector.
 
-    phi holds only the aligned entries (mask order) as +/-1 floats;
-    achieved_value is |sum b_n phi_n| over those entries; branch records
-    which of the two sign patterns won.
+    phi holds the pattern as +/-1 floats; achieved_value is
+    |sum b_n phi_n|; branch records which of the two sign patterns won.
     """
 
     phi: np.ndarray
     achieved_value: float
     branch: str
-
-
-def _masked(b, mask) -> np.ndarray:
-    b = np.asarray(b, dtype=complex)
-    # a masked 1-D b (often a strided column) is gathered straight away,
-    # not first copied whole; the dot products below then see a
-    # contiguous vector either way
-    if mask is None or b.ndim != 1:
-        b = b.ravel()
-    if mask is not None:
-        idx = np.asarray(mask, dtype=np.intp).ravel()
-        if idx.size and (idx.min() < 0 or idx.max() >= b.size):
-            raise ValueError("mask indices out of range")
-        b = b[idx]
-    if b.size == 0:
-        raise ValueError("empty effective vector")
-    return b
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -52,32 +34,31 @@ def _signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 + 0.0j, -1.0 + 0.0j)
 
 
-def sign_align(b, mask=None) -> AlignmentResult:
+def sign_align(b) -> AlignmentResult:
     """Best of the two 1-bit patterns sign(Re b) and sign(Im b).
 
     Parameters
     ----------
     b : array_like of complex
         Target vector.
-    mask : array_like of int, optional
-        Indices to align; entries outside the mask are not represented
-        in the result.  Composition across masks is the caller's job.
 
     Returns
     -------
     AlignmentResult
         The winning pattern, its |b^T phi| value, and the branch name.
-        Guarantee: achieved_value >= 0.5 * sum(|b_n|) over the mask.
+        Guarantee: achieved_value >= 0.5 * sum(|b_n|).
 
     Raises
     ------
     ValueError
-        If the masked vector is empty, or not finite.  With +/-1 weights
+        If the vector is empty, or not finite.  With +/-1 weights
         any inf or nan entry makes a pattern sum non-finite, so the two
         sums are checked instead of every entry (a finite vector whose
         sum overflows is refused too).
     """
-    bm = _masked(b, mask)
+    bm = np.asarray(b, dtype=complex).ravel()
+    if bm.size == 0:
+        raise ValueError("empty vector")
     phi_re = _signs(bm.real)
     phi_im = _signs(bm.imag)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -98,17 +98,19 @@ def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray
     return cols, w
 
 
-def surrogate_bits(z: np.ndarray, w: np.ndarray, rho: float) -> float:
-    """sum_i log2(1 + rho * w_i * |z_i|^2) for stream projections z = cols.T @ phi."""
-    return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / _LN2)
+def stream_bits(rho_w: np.ndarray, q: np.ndarray) -> float:
+    """sum_i log2(1 + rho_w_i * q_i): the diagonal surrogate from the
+    scaled stream weights rho * w_i and the stream powers q_i = |z_i|^2
+    of the projections z = cols.T @ phi."""
+    return float(np.sum(np.log1p(rho_w * q)) / _LN2)
 
 
 def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
                          snr: float) -> float:
     """Diagonal surrogate: per-stream terms only, in bits."""
     cols, w = stream_columns(bundle_r, bundle_t)
-    return surrogate_bits(cols.T @ _phase_vector(phi), w,
-                          snr / bundle_t.right.shape[0])
+    z = cols.T @ _phase_vector(phi)
+    return stream_bits((snr / bundle_t.right.shape[0]) * w, np.abs(z) ** 2)
 
 
 def water_level_solve(gains, weights, budget: float) -> float:

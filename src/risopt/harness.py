@@ -85,6 +85,8 @@ class ExperimentSpec:
             object.__setattr__(self, "n_r", self.n_t)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.rmo_max_iters < 1:
+            raise ValueError("rmo_max_iters must be >= 1")
         if not self.n_ris_list:
             raise ValueError("n_ris_list must be nonempty")
         if self.k_sweep_db is not None and not self.k_sweep_db:

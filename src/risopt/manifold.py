@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import stream_columns, surrogate_bits
+from .capacity import stream_bits, stream_columns
 from .channels import RisConfig
 from .spectral import svd_bundle
 
@@ -62,8 +62,9 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     bundles, the SVDs of (h_r_herm, h_t), and makes them itself if None.
 
     The state is what the value computed on the way: the cascade
-    a @ diag(phi) @ t, or the stream projections cols.T @ phi for the
-    surrogate.  The gradient builds on it and makes no conjugate copy of
+    a @ diag(phi) @ t, or for the surrogate the stream projections
+    z = cols.T @ phi with their powers |z|^2, which the gradient reads in
+    place of recomputing them.  The gradient makes no conjugate copy of
     the N_S-row channels, using the exact identity
     conj(x) * y == conj(x * conj(y)), so it equals the textbook form
     rowsum((a^H @ G) * conj(t)) bit for bit.
@@ -109,13 +110,17 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
     # capacity_surrogate: per-stream rank-1 quadratics through the SVDs
     cols, w = stream_columns(*(bundles or (svd_bundle(a), svd_bundle(t))))
+    rho_w = rho * w
+    coef_w = (2.0 * rho / _LN2) * w
 
     def evaluate(phi):
         z = cols.T @ phi
-        return surrogate_bits(z, w, rho), z
+        q = np.abs(z) ** 2
+        return stream_bits(rho_w, q), (z, q)
 
-    def grad(phi, z):
-        coef = (2.0 * rho / _LN2) * w / (1.0 + rho * w * np.abs(z) ** 2)
+    def grad(phi, state):
+        z, q = state
+        coef = coef_w / (1.0 + rho_w * q)
         g = cols @ (coef * z).conj()
         return np.conjugate(g, out=g)
 
@@ -164,11 +169,6 @@ def riemannian_gradient(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return g - radial * phi
 
 
-def _retract(z: np.ndarray) -> np.ndarray:
-    # tangency makes |phi + mu*xi| >= 1 entrywise, so no zero guard needed
-    return z / np.abs(z)
-
-
 def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
                  snr: float | None = None,
                  bundles: tuple | None = None) -> RmoResult:
@@ -190,9 +190,14 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     required increase is then below the resolution of f, and shorter
     steps cannot be told apart from rounding.
 
+    A non-finite gradient raises FloatingPointError naming the iteration.
+    It always makes the squared step norm non-finite, so that scalar is
+    tested, and the gradient is scanned only when it fails.
+
     Cost: one cascade product (or stream projection for the surrogate)
-    per line-search trial; the gradient reuses the accepted trial's
-    cascade and makes no conjugate copy of the channels.
+    per line-search trial, each trial retracted in one buffer; the
+    gradient reuses the accepted trial's cascade (or projections and
+    their powers) and makes no conjugate copy of the channels.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
@@ -208,9 +213,11 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     grad_norm = math.inf
     for _ in range(settings.max_iters):
         g = grad(phi, state)
-        _check_finite(g, f" at iteration {iterations}")
         xi = riemannian_gradient(g, phi)
         sq_norm = float(np.sum(xi.real ** 2 + xi.imag ** 2))
+        if not math.isfinite(sq_norm):
+            # a finite gradient whose norm overflows passes and runs on
+            _check_finite(g, f" at iteration {iterations}")
         grad_norm = math.sqrt(sq_norm)
         if grad_norm < _GRADIENT_TOLERANCE:
             converged = True
@@ -222,7 +229,11 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             mu = 2.0 * last_step
         accepted = False
         for _ in range(60):
-            cand = _retract(phi + mu * xi)
+            # retract phi + mu*xi to the circle; tangency makes its modulus
+            # >= 1 entrywise, so no zero guard is needed
+            cand = mu * xi
+            cand += phi
+            cand /= np.abs(cand)
             f_new, cand_state = evaluate(cand)
             target = f + 1e-4 * mu * sq_norm
             if f_new >= target and f_new > f:

@@ -51,45 +51,22 @@ def test_tie_prefers_real_branch():
     assert res.branch == "real"
 
 
-def test_masked_alignment_returns_only_masked_entries():
-    rng = np.random.default_rng(7)
-    b = rng.normal(size=9) + 1j * rng.normal(size=9)
-    mask = np.array([1, 4, 6])
-    res = sign_align(b, mask=mask)
-    assert res.phi.shape == (3,)
-    full = sign_align(b[mask])
-    assert np.array_equal(res.phi, full.phi)
-    assert np.isclose(res.achieved_value, full.achieved_value)
-
-
 def test_masked_strided_column_matches_a_contiguous_copy():
     # a column of a C-ordered matrix is a strided view
     rng = np.random.default_rng(3)
     cols = rng.normal(size=(500, 6)) + 1j * rng.normal(size=(500, 6))
     for i in range(cols.shape[1]):
-        mask = np.sort(rng.choice(500, size=80, replace=False))
-        strided = sign_align(cols[:, i], mask=mask)
-        contiguous = sign_align(np.ascontiguousarray(cols[:, i]), mask=mask)
+        strided = sign_align(cols[:, i])
+        contiguous = sign_align(np.ascontiguousarray(cols[:, i]))
         assert np.array_equal(strided.phi, contiguous.phi)
         assert strided.phi.flags.c_contiguous
         assert strided.achieved_value == contiguous.achieved_value
         assert strided.branch == contiguous.branch
 
 
-def test_mask_validation():
-    b = np.ones(4, dtype=complex)
-    with pytest.raises(ValueError):
-        sign_align(b, mask=[4])
-    with pytest.raises(ValueError):
-        sign_align(b, mask=[-1])
-    with pytest.raises(ValueError):
-        sign_align(b, mask=[])
-    with pytest.raises(ValueError):
+def test_empty_vector_is_refused():
+    with pytest.raises(ValueError, match="^empty vector$"):
         sign_align(np.array([], dtype=complex))
-    with pytest.raises(ValueError):
-        sign_align(np.array([np.nan + 0j]))
-    with pytest.raises(ValueError):
-        sign_align(np.array([1.0 + 1j * np.inf]))
 
 
 def reference_sign_align(b):
@@ -102,8 +79,7 @@ def reference_sign_align(b):
     return phi_im, float(val_im), "imaginary"
 
 
-@pytest.mark.parametrize("masked", [False, True])
-def test_bit_identical_to_reference_expressions(masked):
+def test_bit_identical_to_reference_expressions():
     rng = np.random.default_rng(11)
     for i in range(200):
         n = int(rng.integers(1, 3000))
@@ -111,10 +87,8 @@ def test_bit_identical_to_reference_expressions(masked):
              + 1j * rng.normal(size=n))
         if i % 5 == 0:
             b.real[: n // 3] = 0.0
-        mask = (np.sort(rng.choice(n, size=max(1, n // 2), replace=False))
-                if masked else None)
-        res = sign_align(b, mask=mask)
-        phi, value, branch = reference_sign_align(b if mask is None else b[mask])
+        res = sign_align(b)
+        phi, value, branch = reference_sign_align(b)
         assert res.phi.dtype == np.float64
         assert np.array_equal(res.phi, phi)
         assert res.achieved_value == value
@@ -128,9 +102,5 @@ def test_non_finite_entries_are_refused(bad, part, align):
     b = np.array([1.0 + 2.0j, -0.5 + 0.25j, 3.0 - 1.0j, 0.0 + 0.0j])
     getattr(b, part)[2] = bad
     assert np.isfinite(getattr(b, "imag" if part == "real" else "real")).all()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input must be finite$"):
         align(b)
-    with pytest.raises(ValueError):
-        align(b, mask=[0, 2])
-    # entries outside the mask are not looked at
-    align(b, mask=[0, 1, 3])

@@ -306,12 +306,12 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
 
 def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
     """The earlier configure_capacity: every stream column over all
-    elements, each aligned on its mask."""
+    elements, each gathered at its index set and aligned."""
     states = np.ones(bundle_r.right.shape[0])
     cols, _ = stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(plan.index_sets):
         if idx.size:
-            states[idx] = sign_align(cols[:, i], mask=idx).phi
+            states[idx] = sign_align(cols[idx, i]).phi
     return states
 
 

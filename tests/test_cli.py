@@ -162,6 +162,26 @@ def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags, ini):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, ini", [
+    (["--rmo-iters", "0"], None),
+    ([], "rmo_iters = 0"),
+])
+def test_a_non_positive_rmo_iteration_limit_is_a_clean_error(tmp_path, capsys,
+                                                             flags, ini):
+    # it used to run every trial, put the same error in every RMO row and
+    # exit 1 after writing the files
+    argv = ["figure", "fig2b", "--scale", "0.02", "--trials", "1", *flags]
+    if ini:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[risopt]\n{ini}\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: rmo_max_iters must be >= 1"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, key, value", [
     ("trials = x", "trials", "'x'"),
     ("n_ris = 32 4o", "n_ris", "'4o'"),

@@ -42,6 +42,9 @@ def test_db2lin():
 def test_spec_validation():
     with pytest.raises(ValueError):
         tiny_capacity_spec(trials=0)
+    for iters in (0, -3):
+        with pytest.raises(ValueError, match="^rmo_max_iters must be >= 1$"):
+            tiny_capacity_spec(rmo_max_iters=iters)
     with pytest.raises(ValueError):
         tiny_capacity_spec(n_ris_list=())
     with pytest.raises(ValueError):

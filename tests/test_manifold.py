@@ -249,3 +249,154 @@ def test_given_bundles_change_no_bit(monkeypatch, objective):
         assert np.array_equal(given.objective_trace, plain.objective_trace)
         assert given.iterations == plain.iterations
         assert given.final_grad_norm == plain.final_grad_norm
+
+
+def reference_objective(objective, a, t, snr):
+    """The value/gradient pair as first written: the surrogate recomputes
+    rho * w and |z|^2 in its gradient, and its state is z alone."""
+    ln2 = math.log(2.0)
+
+    def backproject(x):
+        y = a.T @ x.conj()
+        y *= t
+        y = np.sum(y, axis=1)
+        return np.conjugate(y, out=y)
+
+    if objective == "gain":
+        def evaluate(phi):
+            g_mat = a @ (phi[:, None] * t)
+            return float(np.sum(np.abs(g_mat) ** 2)), g_mat
+
+        def grad(phi, g_mat):
+            return 2.0 * backproject(g_mat)
+        return evaluate, grad
+
+    rho = snr / t.shape[1]
+    if objective == "capacity_exact":
+        eye = np.eye(a.shape[0])
+
+        def evaluate(phi):
+            g_mat = a @ (phi[:, None] * t)
+            s = np.linalg.svd(g_mat, compute_uv=False)
+            return float(np.sum(np.log1p(rho * s ** 2)) / ln2), g_mat
+
+        def grad(phi, g_mat):
+            m = eye + rho * (g_mat @ g_mat.conj().T)
+            x = np.linalg.solve(m, g_mat)
+            return (2.0 * rho / ln2) * backproject(x)
+        return evaluate, grad
+
+    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
+    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
+    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+
+    def evaluate(phi):
+        z = cols.T @ phi
+        return float(np.sum(np.log1p(rho * w * np.abs(z) ** 2)) / ln2), z
+
+    def grad(phi, z):
+        coef = (2.0 * rho / ln2) * w / (1.0 + rho * w * np.abs(z) ** 2)
+        g = cols @ (coef * z).conj()
+        return np.conjugate(g, out=g)
+    return evaluate, grad
+
+
+def reference_rmo(a, t, objective, max_iters, snr):
+    """The ascent loop as first written: a full finiteness pass over every
+    gradient and a retraction through fresh temporaries."""
+    phi = np.ones(t.shape[0], dtype=complex)
+    evaluate, grad = reference_objective(objective, a, t, snr)
+    f, state = evaluate(phi)
+    trace = [f]
+    last_step = None
+    iterations = 0
+    converged = False
+    stop_reason = "max_iters"
+    grad_norm = math.inf
+    for _ in range(max_iters):
+        g = grad(phi, state)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(
+                f"non-finite gradient at iteration {iterations}")
+        xi = g - (g.real * phi.real + g.imag * phi.imag) * phi
+        sq_norm = float(np.sum(xi.real ** 2 + xi.imag ** 2))
+        grad_norm = math.sqrt(sq_norm)
+        if grad_norm < 1e-6:
+            converged = True
+            stop_reason = "gradient_tolerance"
+            break
+        if last_step is None:
+            mu = 1.0 / max(float(np.max(np.abs(xi))), 1e-300)
+        else:
+            mu = 2.0 * last_step
+        accepted = False
+        for _ in range(60):
+            z = phi + mu * xi
+            cand = z / np.abs(z)
+            f_new, cand_state = evaluate(cand)
+            target = f + 1e-4 * mu * sq_norm
+            if f_new >= target and f_new > f:
+                accepted = True
+                break
+            if target == f:
+                break
+            mu *= 0.5
+        if not accepted:
+            stop_reason = "line_search"
+            break
+        last_step = mu
+        phi, f, state = cand, f_new, cand_state
+        trace.append(f)
+        iterations += 1
+    return phi, np.asarray(trace), iterations, converged, grad_norm, stop_reason
+
+
+def ricean_pair(seed, n_s, n_t):
+    rng = np.random.default_rng(seed)
+    ch_t = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 100), rng)
+    ch_r = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 200), rng)
+    return ch_r.hermitian, ch_t.matrix
+
+
+def trajectory_instances():
+    """Ricean instances across n_t and N_S, then a zero receive channel,
+    whose gradient is exactly zero at the start."""
+    for n_t, n_s in ((1, 64), (4, 256), (8, 2048), (10, 512), (16, 1024),
+                     (1, 2048), (4, 64), (8, 256)):
+        yield ricean_pair(7 * n_t + n_s, n_s, n_t)
+    _, t = ricean_pair(5, 128, 4)
+    yield np.zeros((4, 128), dtype=complex), t
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_trajectory_is_the_reference_loop_bit_for_bit(objective):
+    # every returned field equals the loop as first written, each run to
+    # its own stop; together the runs reach all three stop reasons
+    reasons = set()
+    for a, t in trajectory_instances():
+        got = rmo_optimize(a, t, RmoSettings(objective=objective), snr=10.0)
+        phi, trace, iters, converged, grad_norm, stop = reference_rmo(
+            a, t, objective, 500, 10.0)
+        assert np.array_equal(got.phi, phi)
+        assert np.array_equal(got.objective_trace, trace)
+        assert got.iterations == iters and got.converged == converged
+        assert got.final_grad_norm == grad_norm
+        assert got.stop_reason == stop
+        reasons.add(stop)
+    assert reasons == {"max_iters", "line_search", "gradient_tolerance"}
+
+
+def test_gradient_turning_non_finite_part_way_raises_at_the_reference_step():
+    # the scaled cascade's capacity overflows to inf after a few accepted
+    # steps; the next gradient then solves against an inf matrix
+    a, t = ricean_pair(0, 256, 4)
+    a = a * 10.0 ** 151.9
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError) as expected:
+            reference_rmo(a, t, "capacity_exact", 500, 10.0)
+        message = str(expected.value)
+        assert message != "non-finite gradient at iteration 0"
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            rmo_optimize(a, t, RmoSettings(objective="capacity_exact"),
+                         snr=10.0)
