@@ -29,7 +29,8 @@ _CONFIG_SECTION = "risopt"
 class _ConfigFile(argparse.Action):
     """--config PATH: the [risopt] values of an INI file, keyed by flag
     name (--n-ris as n_ris, --workers as workers) and typed and split
-    like the arguments of that flag on this subcommand."""
+    like the arguments of that flag on this subcommand; a key that names
+    no flag of the subcommand is refused."""
 
     def __call__(self, parser, namespace, path, option_string=None):
         if not os.path.exists(path):
@@ -39,13 +40,15 @@ class _ConfigFile(argparse.Action):
         if _CONFIG_SECTION not in cp:
             raise ValueError(f"config file missing [{_CONFIG_SECTION}] section")
         sec = cp[_CONFIG_SECTION]
+        flags = {action.option_strings[-1].lstrip("-").replace("-", "_"): action
+                 for action in parser._actions
+                 if action.option_strings and action.dest not in ("help", "config")}
         values = {}
-        for action in parser._actions:
-            if not action.option_strings or action.dest in ("help", "config"):
-                continue
-            key = action.option_strings[-1].lstrip("-").replace("-", "_")
-            if key not in sec:
-                continue
+        for key in sec:
+            action = flags.get(key)
+            if action is None:
+                raise ValueError(f"config key {key!r} is not an option of "
+                                 f"{parser.prog}; known: {', '.join(sorted(flags))}")
             convert = action.type or str
             many = action.nargs == "+"
             try:

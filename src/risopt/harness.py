@@ -18,7 +18,7 @@ import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -87,8 +87,13 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.rmo_max_iters < 1:
             raise ValueError("rmo_max_iters must be >= 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if not self.n_ris_list:
             raise ValueError("n_ris_list must be nonempty")
+        if min(self.n_ris_list) < 1:
+            raise ValueError(f"n_ris_list entries must be >= 1; "
+                             f"got {list(self.n_ris_list)}")
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
         family = _preset(self.preset)["family"]
@@ -133,7 +138,7 @@ class ExperimentResult:
 
     def to_json(self) -> str:
         payload = {
-            "spec": _spec_echo(self.spec),
+            "spec": asdict(self.spec),
             "metadata": self.metadata,
             "columns": list(self.columns),
             "aggregate_columns": list(self.agg_columns),
@@ -185,14 +190,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _spec_echo(spec: ExperimentSpec) -> dict:
-    echo = asdict(spec)
-    for key, val in echo.items():
-        if isinstance(val, tuple):
-            echo[key] = list(val)
-    return echo
 
 
 # the thread settings a run reports in its sidecar, as the process sees them
@@ -264,6 +261,11 @@ def _hold_heap() -> dict | None:
     applied = {name: value for name, (param, value) in _HEAP_HOLD.items()
                if mallopt(param, value) == 1}
     return applied or None
+
+
+def _trial_rng(spec: ExperimentSpec, pi: int, t: int) -> np.random.Generator:
+    """Trial t of grid point pi draws from this; see rng_scheme below."""
+    return np.random.default_rng(np.random.SeedSequence((spec.seed, pi, t)))
 
 
 def _metadata(workers: int) -> dict:
@@ -369,17 +371,21 @@ def _preset(name: str) -> dict:
 def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
     """Materialize a named preset, scaling the element-count grid.
 
-    scale multiplies every entry of the RIS size grid (rounded, floor 2);
-    other fields can be overridden by keyword.  The custom-* presets have
-    no size grid of their own, so they need n_ris_list.
+    scale, finite and > 0, multiplies every entry of the RIS size grid
+    (rounded, floor 2); other fields can be overridden by keyword.  The
+    custom-* presets have no size grid of their own, so they need
+    n_ris_list.
     """
     params = {**_preset(name), **overrides}
     del params["family"]
     if "n_ris_list" not in params:
         raise ValueError(f"preset {name!r} needs n_ris_list (--n-ris)")
-    n_list = tuple(max(2, int(round(n * scale))) for n in params["n_ris_list"])
-    params["n_ris_list"] = n_list
-    return ExperimentSpec(preset=name, scale=scale, **params)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0; got {scale!r}")
+    # the unscaled spec refuses sizes below 1 before the floor can hide them
+    spec = ExperimentSpec(preset=name, scale=scale, **params)
+    return replace(spec, n_ris_list=tuple(max(2, int(round(n * scale)))
+                                          for n in spec.n_ris_list))
 
 
 def _grid(spec: ExperimentSpec) -> list:
@@ -475,10 +481,11 @@ def _rmo(objective: str, column: str) -> _Method:
     return _Method(configure, score)
 
 
-# family -> method -> _Method, in the order a trial runs them.  A trial
-# times configure(link); bench_runtime times it once the link's SVDs exist
-# (the trial timer of the first of wsa and rmo-surrogate covers making
-# them).  Only sa names a bench, its LoS alignment alone.
+# family -> method -> _Method, in the order a trial runs them and
+# bench_runtime times them.  A trial times configure(link); bench_runtime
+# times it once the link's SVDs exist (the trial timer of the first of wsa
+# and rmo-surrogate covers making them).  Only sa names a bench, its LoS
+# alignment alone.
 _METHODS = {
     "gain": {
         "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
@@ -525,28 +532,19 @@ _NOT_AVERAGED = {"lower_bound", "alpha_sa", "iterations_used"}
 
 # --- per-trial work ----------------------------------------------------
 
-def _trial_spectrum(spec, point, trial, rng):
-    n_ris, k_db = point["n_ris"], point["k_t_db"]
-    ch = _sample_side(rng, n_ris, spec.n_t, k_db)
-    gram = ch.matrix.conj().T @ ch.matrix
-    eig = np.linalg.eigvalsh(gram)[::-1]
-    row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
-           "flag_hardening": _flag_hardening([(db2lin(k_db), spec.n_t)])}
-    for i, val in enumerate(eig, start=1):
-        row[f"eig_{i:02d}"] = float(val)
-    return row, {}
-
-
-def _trial_hardening(spec, point, trial, rng):
+def _trial_side(spec, point, trial, rng):
+    """A spectrum or hardening trial: the eigenvalues of one sampled
+    side's Gram matrix, in descending order, with the largest one's
+    asymptotic prediction; _columns decides which of them the CSVs show."""
     n_ris, k_db = point["n_ris"], point["k_t_db"]
     k_lin = db2lin(k_db)
     ch = _sample_side(rng, n_ris, spec.n_t, k_db)
-    gram = ch.matrix.conj().T @ ch.matrix
-    lam1 = float(np.linalg.eigvalsh(gram)[-1])
-    pred = k_lin / (k_lin + 1.0) * n_ris * spec.n_t
+    eig = np.linalg.eigvalsh(ch.matrix.conj().T @ ch.matrix)[::-1]
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
            "flag_hardening": _flag_hardening([(k_lin, spec.n_t)]),
-           "lambda_1": lam1, "predicted_1": pred}
+           "lambda_1": float(eig[0]),
+           "predicted_1": k_lin / (k_lin + 1.0) * n_ris * spec.n_t}
+    row.update((f"eig_{i:02d}", float(val)) for i, val in enumerate(eig, start=1))
     return row, {}
 
 
@@ -576,10 +574,6 @@ def _trial_methods(spec, point, trial, rng):
         except Exception as exc:  # recorded, not fatal
             row["error"] += f"{name}: {exc}; "
     return row, timings
-
-
-_TRIAL_FNS = {"spectrum": _trial_spectrum, "hardening": _trial_hardening,
-              **dict.fromkeys(_METHODS, _trial_methods)}
 
 
 def _columns(spec: ExperimentSpec, family: str) -> tuple:
@@ -697,20 +691,23 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     _hold_heap()
     if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
+    requested = spec.workers
+    if requested is None:
+        env = os.environ.get(WORKERS_ENV, "1")
+        requested = int(env) if env.strip().isdecimal() else 0
+        if requested < 1:
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1; got {env!r}")
     family = _preset(spec.preset)["family"]
     points = _grid(spec)
-    trial_fn = _TRIAL_FNS[family]
+    trial_fn = _trial_methods if family in _METHODS else _trial_side
     tasks = [(pi, t) for pi in range(len(points)) for t in range(spec.trials)]
 
     def one(task):
         pi, t = task
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, pi, t)))
-        row, timing = trial_fn(spec, points[pi], t, rng)
+        row, timing = trial_fn(spec, points[pi], t, _trial_rng(spec, pi, t))
         row["point"] = pi
         return row, timing
 
-    requested = (spec.workers if spec.workers is not None
-                 else int(os.environ.get(WORKERS_ENV, "1")))
     workers = _resolve_workers(requested, len(tasks), os.cpu_count())
     if workers == 1:
         done = [one(task) for task in tasks]
@@ -749,38 +746,32 @@ def _time_callable(fn, warmups: int = 3, samples: int = 5,
     return statistics.median(vals), statistics.fmean(vals)
 
 
-# family -> the methods bench_runtime times, in column order; the first
-# is timed whatever the spec's methods
-_RUNTIME = {"gain": ("sa", "rmo"), "capacity": ("wsa", "rmo-surrogate", "rmo")}
-
-
 def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     """Wall-clock comparison of configuration methods over the size grid.
 
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
-    RMO).  A sample times configure(link), as a trial does (sa names its
-    own callable: the alignment of the link's cached steering vectors,
-    without the RisConfig).  wsa's
-    warmups make the link's SVDs, so the samples of wsa and rmo-surrogate
-    both exclude them (CSI acquisition, common to all methods);
-    exact-capacity rmo takes the cascade's singular values per evaluation.
+    RMO).  Methods are timed in _METHODS order, the family's first (sa or
+    wsa) whatever the spec's methods.  A sample times configure(link), as
+    a trial does (sa names its own callable: the alignment of the link's
+    cached steering vectors, without the RisConfig).  wsa's warmups make
+    the link's SVDs, so the samples of wsa and rmo-surrogate both exclude
+    them (CSI acquisition, common to all methods); exact-capacity rmo
+    takes the cascade's singular values per evaluation.
     """
     _hold_heap()
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
-    family = _preset(spec.preset)["family"]
-    timed = _RUNTIME[family]
+    methods = _METHODS[_preset(spec.preset)["family"]]
+    first = next(iter(methods))
     rows = []
     for pi, point in enumerate(_grid(spec)):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, pi, 0)))
-        link = _Link(spec, point, rng)
+        link = _Link(spec, point, _trial_rng(spec, pi, 0))
         row = {"n_ris": point["n_ris"], "n_t": spec.n_t, "n_r": spec.n_r}
         medians = {}
-        for name in timed:
-            if name != timed[0] and name not in spec.methods:
+        for name, method in methods.items():
+            if name != first and name not in spec.methods:
                 continue
-            method = _METHODS[family][name]
             col = name.replace("-", "_")
             fn = method.bench(link) if method.bench else partial(method.configure, link)
             med, mean = _time_callable(fn, *method.repeats)

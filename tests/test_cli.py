@@ -12,6 +12,19 @@ def run_main(argv):
     return main(argv)
 
 
+def refusal(tmp_path, capsys, argv, ini=None) -> list:
+    """The stderr lines of a run that must exit 2 and write no file, with
+    ini, if given, as the body of its [risopt] config section."""
+    if ini:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[risopt]\n{ini}\n")
+        argv = [*argv, "--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_main([*argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err.splitlines()
+
+
 def test_missing_required_grid_is_a_clean_error(capsys):
     code = run_main(["capacity", "--nt", "4"])
     assert code == 2
@@ -103,9 +116,9 @@ def test_bench_runtime_header(tmp_path):
     assert code == 0
     header = open(tmp_path / "runtime-capacity.csv").read().splitlines()[0]
     assert header == ("n_ris,n_t,n_r,wsa_median_s,wsa_mean_s,"
+                      "rmo_median_s,rmo_mean_s,"
                       "rmo_surrogate_median_s,rmo_surrogate_mean_s,"
-                      "rmo_median_s,rmo_mean_s,ratio_rmo_over_wsa,"
-                      "ratio_rmo_over_surrogate")
+                      "ratio_rmo_over_wsa,ratio_rmo_over_surrogate")
 
 
 def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
@@ -130,16 +143,9 @@ def test_a_method_of_another_family_is_a_clean_error(tmp_path, capsys,
                                                      argv, ini, method):
     # the flag's choices hold every family's methods, and an INI value is
     # not checked against them; the spec refuses what its family cannot run
-    if ini:
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[risopt]\n{ini}\n")
-        argv = [*argv, "--config", str(cfg)]
-    out = tmp_path / "out"
-    assert run_main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    err = refusal(tmp_path, capsys, argv, ini)
     assert len(err) == 1 and err[0].startswith("error:")
     assert f"'{method}'" in err[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, ini", [
@@ -150,16 +156,9 @@ def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags, ini):
     # fig1c sweeps K on both sides, which used to override a given K-factor
     # without a word
     argv = ["figure", "fig1c", "--scale", "0.05", "--trials", "1", *flags]
-    if ini:
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[risopt]\n{ini}\n")
-        argv = [*argv, "--config", str(cfg)]
-    out = tmp_path / "out"
-    assert run_main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
+    err = refusal(tmp_path, capsys, argv, ini)
     assert len(err) == 1 and err[0].startswith("error: --k-db")
     assert "fig1c" in err[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, ini", [
@@ -171,15 +170,60 @@ def test_a_non_positive_rmo_iteration_limit_is_a_clean_error(tmp_path, capsys,
     # it used to run every trial, put the same error in every RMO row and
     # exit 1 after writing the files
     argv = ["figure", "fig2b", "--scale", "0.02", "--trials", "1", *flags]
-    if ini:
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[risopt]\n{ini}\n")
-        argv = [*argv, "--config", str(cfg)]
-    out = tmp_path / "out"
-    assert run_main([*argv, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: rmo_max_iters must be >= 1"]
-    assert not out.exists()
+    assert refusal(tmp_path, capsys, argv, ini) == [
+        "error: rmo_max_iters must be >= 1"]
+
+
+SIZE_REFUSED = "error: n_ris_list entries must be >= 1; got "
+SCALE_REFUSED = "error: scale must be finite and > 0; got "
+WORKERS_REFUSED = "error: workers must be >= 1"
+
+
+@pytest.mark.parametrize("argv, ini, message", [
+    # sizes and scales used to be floored to n_ris = 2, or to crash
+    (["gain", "--n-ris", "-5", "--nt", "4"], None, SIZE_REFUSED + "[-5]"),
+    (["gain", "--nt", "4"], "n_ris = 64 0", SIZE_REFUSED + "[64, 0]"),
+    (["figure", "fig2a", "--scale", "-1"], None, SCALE_REFUSED + "-1.0"),
+    (["figure", "fig2a", "--scale", "0"], None, SCALE_REFUSED + "0.0"),
+    (["figure", "fig2a", "--scale", "inf"], None, SCALE_REFUSED + "inf"),
+    (["figure", "fig2a", "--scale", "nan"], None, SCALE_REFUSED + "nan"),
+    (["figure", "fig2a"], "scale = -1", SCALE_REFUSED + "-1.0"),
+    # a worker count below 1 used to run one worker
+    (["gain", "--n-ris", "64", "--workers", "0"], None, WORKERS_REFUSED),
+    (["gain", "--n-ris", "64", "--threads", "-3"], None, WORKERS_REFUSED),
+    (["gain", "--n-ris", "64"], "workers = 0", WORKERS_REFUSED),
+], ids=["n_ris", "n_ris-ini", "scale-negative", "scale-zero", "scale-inf",
+        "scale-nan", "scale-ini", "workers-zero", "threads-negative",
+        "workers-ini"])
+def test_a_bad_size_scale_or_worker_count_is_a_clean_error(tmp_path, capsys,
+                                                           argv, ini, message):
+    argv = [*argv, "--trials", "1"]
+    assert refusal(tmp_path, capsys, argv, ini) == [message]
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_a_bad_workers_variable_is_a_clean_error(tmp_path, capsys,
+                                                 monkeypatch, value):
+    monkeypatch.setenv("RISOPT_WORKERS", value)
+    argv = ["gain", "--n-ris", "64", "--trials", "2"]
+    assert refusal(tmp_path, capsys, argv) == [
+        f"error: RISOPT_WORKERS must be an integer >= 1; got {value!r}"]
+
+
+@pytest.mark.parametrize("argv, ini, key", [
+    # a misspelt key and a lookalike of --methods used to be dropped, and
+    # the run went on with 50 trials of the default methods
+    (["gain", "--n-ris", "64"], "trails = 1\nmethod = sa rmo", "trails"),
+    (["gain", "--n-ris", "64", "--trials", "1"], "scale = 0.5", "scale"),
+    (["figure", "fig2a", "--trials", "1"], "preset = fig2b", "preset"),
+], ids=["misspelt", "scale-in-gain", "preset"])
+def test_a_config_key_that_names_no_option_is_a_clean_error(tmp_path, capsys,
+                                                            argv, ini, key):
+    err = refusal(tmp_path, capsys, argv, ini)
+    assert len(err) == 1
+    assert err[0].startswith(f"error: config key {key!r} is not an option of "
+                             f"risopt {argv[0]}; known: ")
+    assert "trials" in err[0]
 
 
 @pytest.mark.parametrize("line, key, value", [

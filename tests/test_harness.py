@@ -47,6 +47,12 @@ def test_spec_validation():
             tiny_capacity_spec(rmo_max_iters=iters)
     with pytest.raises(ValueError):
         tiny_capacity_spec(n_ris_list=())
+    for sizes in ((0,), (64, -1)):
+        with pytest.raises(ValueError, match="^n_ris_list entries must be >= 1"):
+            tiny_capacity_spec(n_ris_list=sizes)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            tiny_capacity_spec(workers=workers)
     with pytest.raises(ValueError):
         tiny_capacity_spec(methods=("gradient-descent",))
     with pytest.raises(ValueError):
@@ -89,8 +95,23 @@ def test_preset_spec_scaling_and_floor():
     spec = preset_spec("fig2a", scale=0.01)
     assert spec.n_ris_list == (5, 20, 82)
     assert preset_spec("fig1a", scale=1e-9).n_ris_list == (2,)
+    assert preset_spec("custom-gain", n_ris_list=(1, 64)).n_ris_list == (2, 64)
     with pytest.raises(ValueError):
         preset_spec("fig9z")
+    # the floor applies to scaled sizes, not to sizes below 1 or bad scales
+    with pytest.raises(ValueError, match="^n_ris_list entries must be >= 1"):
+        preset_spec("custom-gain", n_ris_list=(-5,))
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^scale must be finite and > 0"):
+            preset_spec("fig2a", scale=scale)
+
+
+def test_run_experiment_refuses_a_bad_workers_variable(monkeypatch):
+    monkeypatch.setenv(harness.WORKERS_ENV, "0")
+    with pytest.raises(ValueError, match="^RISOPT_WORKERS must be"):
+        run_experiment(tiny_capacity_spec())
+    # a spec's own worker count wins over the variable
+    assert run_experiment(tiny_capacity_spec(workers=1)).metadata["workers"] == 1
 
 
 def test_run_experiment_rejects_runtime_presets():
@@ -146,6 +167,20 @@ def test_spectrum_aggregate_recomputable_from_rows():
     assert agg["nmse"] == pytest.approx(nmse(emp, ref))
     per_index = [a["nmse"] for a in res.aggregates]
     assert agg["aggregate_nmse"] == pytest.approx(np.mean(per_index))
+
+
+def test_spectrum_and_hardening_trials_share_their_eigenvalues():
+    # both families run one trial function: a spectrum row's largest
+    # eigenvalue is the lambda_1 of a one-point fig1c grid at the same K
+    common = dict(n_ris_list=(96,), n_t=6, trials=3, seed=11)
+    spectrum = run_experiment(preset_spec("custom-spectrum", k_t_db=5.0,
+                                          **common))
+    hardening = run_experiment(preset_spec("fig1c", k_sweep_db=(5.0,),
+                                           **common))
+    assert [r["eig_01"] for r in spectrum.rows] == [
+        r["lambda_1"] for r in hardening.rows]
+    assert "lambda_1" not in spectrum.columns
+    assert "eig_01" not in hardening.columns
 
 
 def test_hardening_aggregate_recomputable():
@@ -455,6 +490,15 @@ def test_bench_runtime_rows():
         row["rmo_median_s"] / row["wsa_median_s"])
     csv = res.to_csv()
     assert "wsa_median_s" in csv.splitlines()[0]
+
+
+@pytest.mark.parametrize("preset", ["runtime-gain", "runtime-capacity"])
+def test_bench_runtime_times_the_methods_in_registry_order(preset):
+    spec = preset_spec(preset, n_ris_list=(48,), rmo_max_iters=3)
+    family = harness._preset(preset)["family"]
+    timed = [col.removesuffix("_median_s")
+             for col in bench_runtime(spec).columns if col.endswith("_median_s")]
+    assert timed == [name.replace("-", "_") for name in harness._METHODS[family]]
 
 
 def test_metadata_documents_rng_scheme():
