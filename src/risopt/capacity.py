@@ -193,6 +193,8 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
     d_t = np.asarray(singvals_t, dtype=float)
     if not snr > 0 or epsilon <= 0 or max_iters < 1:
         raise ValueError("snr, epsilon, max_iters must be positive")
+    if math.isinf(snr):            # inf gains make the proportional start NaN
+        raise ValueError(f"snr must be finite; got {snr!r}")
     nmin = min(d_r.size, d_t.size)
     if nmin < 1:
         raise ValueError("need at least one stream")

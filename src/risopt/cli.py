@@ -60,17 +60,17 @@ class _ConfigFile(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, runs_trials: bool) -> None:
     parser.add_argument("--config", action=_ConfigFile,
                         help="INI file with a [risopt] section")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
+    if runs_trials:                # bench-runtime times one instance per point
+        parser.add_argument("--trials", type=int, default=None)
+        parser.add_argument("--workers", type=int, default=None,
+                            help="trial-level parallelism; results are "
+                                 "identical for any value")
     parser.add_argument("--out", default=None,
                         help="output directory (default: results)")
-    parser.add_argument("--threads", "--workers", dest="workers", type=int,
-                        default=None,
-                        help="trial-level parallelism (also RISOPT_WORKERS); "
-                             "results are identical for any value")
     parser.add_argument("--out-stem", default=None)
 
 
@@ -80,8 +80,8 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nt", dest="n_t", type=int, default=None)
     parser.add_argument("--nr", dest="n_r", type=int, default=None)
     parser.add_argument("--k-db", type=float, nargs="+", default=None,
-                        help="K-factor in dB: one value for both sides "
-                             "or transmit then receive")
+                        help="K-factor in dB: transmit, then receive if it "
+                             "differs")
     parser.add_argument("--snr-db", type=float, default=None)
     parser.add_argument("--methods", nargs="+", default=None,
                         choices=list(ALL_METHODS))
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("preset", choices=presets)
             p.add_argument("--scale", type=float, default=None,
                            help="multiplier on the element-count grid")
-        _add_common(p)
+        _add_common(p, runs_trials=command != "bench-runtime")
         _add_grid(p)
 
     p_val = sub.add_parser("validate",
@@ -125,18 +125,13 @@ def _spec_and_out(args: argparse.Namespace):
         if val is not None and key not in ("command", "config", "preset"):
             opts[key] = val
     out_dir = opts.pop("out", "results")
-    if "k_db" in opts:             # one value for both sides, or t then r
+    if "k_db" in opts:             # transmit side, then receive side if given
         k_db = opts.pop("k_db")
         if not 1 <= len(k_db) <= 2:
             raise ValueError("--k-db takes one or two values")
-        opts["k_t_db"], opts["k_r_db"] = k_db[0], k_db[-1]
+        opts.update(zip(("k_t_db", "k_r_db"), k_db))
     preset = getattr(args, "preset", None) or f"custom-{args.command}"
-    spec = preset_spec(preset, **opts)
-    if "k_t_db" in opts and spec.k_sweep_db is not None:
-        sweep = ", ".join(f"{k:g}" for k in spec.k_sweep_db)
-        raise ValueError(f"--k-db (config key k_db) conflicts with preset "
-                         f"{preset!r}, which sweeps K over {sweep} dB")
-    return spec, out_dir
+    return preset_spec(preset, **opts), out_dir
 
 
 def _cmd_validate(seed: int) -> int:
@@ -212,9 +207,8 @@ def parse_and_dispatch(argv=None) -> int:
     spec, out_dir = _spec_and_out(args)
     runtime = args.command == "bench-runtime"
     result = bench_runtime(spec) if runtime else run_experiment(spec)
-    paths = result.write(out_dir)
-    for label in ("csv", "aggregate_csv", "json"):
-        print(f"{label}: {paths[label]}")
+    for label, path in result.write(out_dir).items():
+        print(f"{label}: {path}")
     errors = [row["error"] for row in result.rows if row.get("error")]
     if errors:
         print(f"error: {len(errors)} of {len(result.rows)} trials recorded "

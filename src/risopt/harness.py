@@ -31,8 +31,6 @@ from .geometry import AnglePair, near_square_geometry
 from .manifold import RmoSettings, quantize_1bit, rmo_optimize
 from .spectral import asymptotic_spectrum, svd_bundle
 
-WORKERS_ENV = "RISOPT_WORKERS"
-
 
 def db2lin(x_db: float) -> float:
     """Power dB to linear scale."""
@@ -55,12 +53,13 @@ def nmse(estimates, references) -> float:
 class ExperimentSpec:
     """Declarative description of one Monte Carlo run.
 
-    k_t_db/k_r_db set the per-side K-factors; when k_sweep_db is given
-    the grid sweeps that list (applied to both sides) instead.  methods
-    are those of the preset's family in _METHODS, plus "lb"; spectrum and
-    hardening presets take none.  workers defaults to the RISOPT_WORKERS
-    environment variable, then 1, and is capped at the number of trials
-    to run and at the CPU count.
+    k_t_db/k_r_db set the per-side K-factors, k_r_db following k_t_db
+    unless given, as n_r follows n_t; when k_sweep_db is given the grid
+    sweeps that list (applied to both sides) instead.  methods are those
+    of the preset's family in _METHODS, plus "lb"; spectrum and hardening
+    presets take none.  A field the family never reads (_UNREAD) must
+    keep its default.  workers is capped at the number of trials to run
+    and at the CPU count.
     """
 
     preset: str
@@ -68,7 +67,7 @@ class ExperimentSpec:
     n_t: int
     n_r: int = 0          # 0 means "same as n_t"
     k_t_db: float = 0.0
-    k_r_db: float = 0.0
+    k_r_db: float | None = None   # None means "same as k_t_db"
     k_sweep_db: tuple | None = None
     snr_db: float = 10.0
     trials: int = 50
@@ -76,18 +75,26 @@ class ExperimentSpec:
     methods: tuple = ()
     arrangement: str = "contiguous"
     scale: float = 1.0
-    workers: int | None = None
+    workers: int = 1
     rmo_max_iters: int = 200
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
+        if self.n_t < 1:
+            raise ValueError(f"n_t must be >= 1; got {self.n_t}")
+        if self.n_r < 0:
+            raise ValueError(f"n_r must be >= 0 (0: same as n_t); got {self.n_r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
         if self.n_r == 0:
             object.__setattr__(self, "n_r", self.n_t)
+        if self.k_r_db is None:
+            object.__setattr__(self, "k_r_db", self.k_t_db)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.rmo_max_iters < 1:
             raise ValueError("rmo_max_iters must be >= 1")
-        if self.workers is not None and self.workers < 1:
+        if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.n_ris_list:
             raise ValueError("n_ris_list must be nonempty")
@@ -97,11 +104,24 @@ class ExperimentSpec:
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
         family = _preset(self.preset)["family"]
+        if family == "spectrum" and min(self.n_ris_list) < self.n_t:
+            # the spectrum prediction needs n_ris >= n_t
+            raise ValueError(f"n_ris_list entries must be >= n_t = {self.n_t} "
+                             f"for spectrum preset {self.preset!r}; "
+                             f"got {list(self.n_ris_list)}")
         known = (*_METHODS[family], "lb") if family in _METHODS else ()
         bad = [name for name in self.methods if name not in known]
         if bad:
             raise ValueError(f"methods {bad} are not {family} methods; "
                              f"known: {list(known)}")
+        swept = _SWEPT if self.k_sweep_db is not None else ()
+        unset = {"n_r": self.n_t, "k_r_db": self.k_t_db}
+        for name in (*_UNREAD[family], *swept):
+            value = getattr(self, name)
+            if value != unset.get(name, self.__dataclass_fields__[name].default):
+                why = ", which sweeps K over k_sweep_db" if name in swept else ""
+                raise ValueError(f"{name} = {value!r} is not read by {family} "
+                                 f"preset {self.preset!r}{why}; leave it unset")
         if self.arrangement not in ARRANGEMENTS:
             raise ValueError(f"unknown arrangement {self.arrangement!r}; "
                              f"known: {ARRANGEMENTS}")
@@ -146,16 +166,19 @@ class ExperimentResult:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def write(self, out_dir: str) -> dict:
-        """Atomically write rows CSV, aggregate CSV, and JSON sidecar."""
+        """Atomically write the rows CSV, the aggregate CSV if there are
+        aggregate columns (bench_runtime has none), and the JSON sidecar;
+        returns the paths written, by label."""
         stem = self.spec.out_stem or self.spec.preset
-        paths = {
-            "csv": os.path.join(out_dir, f"{stem}.csv"),
-            "aggregate_csv": os.path.join(out_dir, f"{stem}_aggregate.csv"),
-            "json": os.path.join(out_dir, f"{stem}.json"),
-        }
-        _atomic_write(paths["csv"], self.to_csv())
-        _atomic_write(paths["aggregate_csv"], self.to_aggregate_csv())
-        _atomic_write(paths["json"], self.to_json())
+        files = {"csv": (".csv", self.to_csv),
+                 "aggregate_csv": ("_aggregate.csv", self.to_aggregate_csv),
+                 "json": (".json", self.to_json)}
+        if not self.agg_columns:
+            del files["aggregate_csv"]
+        paths = {}
+        for label, (suffix, text) in files.items():
+            paths[label] = os.path.join(out_dir, stem + suffix)
+            _atomic_write(paths[label], text())
         return paths
 
 
@@ -193,7 +216,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 # the thread settings a run reports in its sidecar, as the process sees them
-_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", WORKERS_ENV)
+_THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @cache
@@ -322,33 +345,33 @@ _K_SWEEP_FIG1C = tuple(10.0 * math.log10(k) for k in
 _PRESET_TABLE = {
     # empirical vs predicted spectrum, one size
     "fig1a": dict(family="spectrum", n_ris_list=(2000,), n_t=20,
-                  k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
+                  k_t_db=10.0, trials=100, methods=()),
     # aggregate spectrum error across sizes
     "fig1b": dict(family="spectrum", n_ris_list=(500, 1000, 2000), n_t=20,
-                  k_t_db=10.0, k_r_db=10.0, trials=100, methods=()),
+                  k_t_db=10.0, trials=100, methods=()),
     # principal-eigenvalue error across the K sweep
     "fig1c": dict(family="hardening", n_ris_list=(2000,), n_t=20,
                   k_sweep_db=_K_SWEEP_FIG1C, trials=50, methods=()),
     # capacity vs its diagonal surrogate across sizes
     "fig2a": dict(family="capacity", n_ris_list=(512, 2048, 8192), n_t=8,
-                  k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=50,
+                  k_t_db=0.0, snr_db=10.0, trials=50,
                   methods=("wsa", "lb")),
     # gain methods vs the asymptotic bound
     "fig2b": dict(family="gain", n_ris_list=(1024, 4096), n_t=16,
-                  k_t_db=0.0, k_r_db=0.0, trials=50, methods=("sa", "rmo", "lb")),
+                  k_t_db=0.0, trials=50, methods=("sa", "rmo", "lb")),
     # full-array gain comparison at headline dimensions (manual runs)
     "fig2b-full": dict(family="gain", n_ris_list=(2000, 4000, 7000, 10000),
-                       n_t=100, k_t_db=0.0, k_r_db=0.0, trials=200,
+                       n_t=100, k_t_db=0.0, trials=200,
                        methods=("sa", "rmo", "lb")),
     # capacity method ordering at large element counts
     "fig2c": dict(family="capacity", n_ris_list=(5000, 20000), n_t=10,
-                  k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=10,
+                  k_t_db=0.0, snr_db=10.0, trials=10,
                   methods=("wsa", "rmo", "rmo-surrogate", "lb")),
     "runtime-gain": dict(family="gain", n_ris_list=(2000, 4000, 8000), n_t=16,
-                         k_t_db=0.0, k_r_db=0.0, trials=1,
+                         k_t_db=0.0, trials=1,
                          methods=("sa", "rmo"), rmo_max_iters=500),
     "runtime-capacity": dict(family="capacity", n_ris_list=(5000,), n_t=10,
-                             k_t_db=0.0, k_r_db=0.0, snr_db=10.0, trials=1,
+                             k_t_db=0.0, snr_db=10.0, trials=1,
                              methods=("wsa", "rmo", "rmo-surrogate"),
                              rmo_max_iters=200),
     "custom-spectrum": dict(family="spectrum", n_t=8, methods=()),
@@ -514,6 +537,12 @@ _COLUMNS = {
     "capacity": ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
                  "flag_diag"),
 }
+# Spec fields each family never reads, and the ones a K sweep replaces; a
+# spec leaves them at their defaults (n_r at n_t, k_r_db at k_t_db)
+_SIDE_UNREAD = ("n_r", "k_r_db", "snr_db", "arrangement", "rmo_max_iters")
+_UNREAD = {"spectrum": _SIDE_UNREAD, "hardening": _SIDE_UNREAD,
+           "gain": ("snr_db", "arrangement"), "capacity": ()}
+_SWEPT = ("k_t_db", "k_r_db")
 # Method columns in CSV order, each with the methods a spec must run for
 # it to be written; the error column follows them.
 _METHOD_COLUMNS = {
@@ -691,12 +720,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     _hold_heap()
     if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
-    requested = spec.workers
-    if requested is None:
-        env = os.environ.get(WORKERS_ENV, "1")
-        requested = int(env) if env.strip().isdecimal() else 0
-        if requested < 1:
-            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1; got {env!r}")
     family = _preset(spec.preset)["family"]
     points = _grid(spec)
     trial_fn = _trial_methods if family in _METHODS else _trial_side
@@ -708,7 +731,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         row["point"] = pi
         return row, timing
 
-    workers = _resolve_workers(requested, len(tasks), os.cpu_count())
+    workers = _resolve_workers(spec.workers, len(tasks), os.cpu_count())
     if workers == 1:
         done = [one(task) for task in tasks]
     else:                          # map yields in task order

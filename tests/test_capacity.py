@@ -162,6 +162,18 @@ def test_allocation_validation():
                          n_t=2, init=[bad, 1.0])
 
 
+def test_a_non_finite_snr_is_refused_before_any_start():
+    # inf gains used to make the proportional start NaN and end in an
+    # IndexError; NaN keeps the message the pinned nan-snr rows hold
+    for streams in (1, 3):
+        d = np.arange(streams, 0, -1, dtype=float)
+        with pytest.raises(ValueError, match="^snr must be finite; got inf$"):
+            allocate_sca(d, d, math.inf, streams)
+        with pytest.raises(ValueError,
+                           match="^snr, epsilon, max_iters must be positive$"):
+            allocate_sca(d, d, math.nan, streams)
+
+
 def test_gains_too_small_for_a_step_are_a_value_error():
     # below a gain of about 1e-16 the water level rounds every fraction
     # of the step to 0; no start is feasible, and nothing divides 0 by 0

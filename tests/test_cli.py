@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from risopt.cli import main
+from risopt.harness import preset_spec, run_experiment
 
 
 def run_main(argv):
@@ -75,13 +76,28 @@ def test_gain_subcommand(tmp_path):
     assert "gain_sa" in header and "lower_bound" in header
 
 
-def test_spectrum_subcommand_k_pair(tmp_path):
-    code = run_main(["spectrum", "--n-ris", "80", "--nt", "4",
-                     "--k-db", "10", "0", "--trials", "2",
-                     "--out", str(tmp_path)])
-    assert code == 0
-    agg = open(tmp_path / "custom-spectrum_aggregate.csv").read()
-    assert "aggregate_nmse" in agg.splitlines()[0]
+def test_spectrum_subcommand_k_pair(tmp_path, capsys):
+    # a spectrum trial samples the transmit side only; a receive-side K
+    # used to be dropped without a word
+    argv = ["spectrum", "--n-ris", "80", "--nt", "4", "--k-db", "10", "0",
+            "--trials", "2"]
+    assert refusal(tmp_path, capsys, argv) == [
+        "error: k_r_db = 0.0 is not read by spectrum preset "
+        "'custom-spectrum'; leave it unset"]
+
+
+def test_one_k_db_value_sets_both_sides(tmp_path):
+    argv = ["spectrum", "--n-ris", "64", "128", "--nt", "4", "--k-db", "10",
+            "--trials", "3", "--out", str(tmp_path)]
+    assert run_main(argv) == 0
+    spec = json.load(open(tmp_path / "custom-spectrum.json"))["spec"]
+    assert (spec["k_t_db"], spec["k_r_db"]) == (10.0, 10.0)
+    # the bytes of the pinned library run of the same grid
+    res = run_experiment(preset_spec("custom-spectrum", n_ris_list=[64, 128],
+                                     n_t=4, k_t_db=10.0, trials=3))
+    assert (tmp_path / "custom-spectrum.csv").read_text() == res.to_csv()
+    assert ((tmp_path / "custom-spectrum_aggregate.csv").read_text()
+            == res.to_aggregate_csv())
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -121,6 +137,35 @@ def test_bench_runtime_header(tmp_path):
                       "ratio_rmo_over_wsa,ratio_rmo_over_surrogate")
 
 
+def test_bench_runtime_writes_and_prints_two_files(tmp_path, capsys):
+    # it aggregates nothing, and used to write an aggregate CSV holding
+    # only a newline
+    code = run_main(["bench-runtime", "runtime-gain", "--scale", "0.02",
+                     "--rmo-iters", "3", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["runtime-gain.csv",
+                                            "runtime-gain.json"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"csv: {tmp_path / 'runtime-gain.csv'}",
+        f"json: {tmp_path / 'runtime-gain.json'}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-runtime", "runtime-gain", "--trials", "7"],
+    ["bench-runtime", "runtime-gain", "--workers", "2"],
+    ["gain", "--n-ris", "64", "--threads", "2"],
+])
+def test_an_option_with_no_reader_is_not_recognized(tmp_path, capsys, argv):
+    # bench_runtime times one instance per point on one worker, and
+    # --workers is the worker count's only name
+    with pytest.raises(SystemExit) as exc:
+        run_main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
     # an INI value is not checked against the flag's choices, so the spec
     # must refuse it before any trial runs
@@ -156,9 +201,65 @@ def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags, ini):
     # fig1c sweeps K on both sides, which used to override a given K-factor
     # without a word
     argv = ["figure", "fig1c", "--scale", "0.05", "--trials", "1", *flags]
-    err = refusal(tmp_path, capsys, argv, ini)
-    assert len(err) == 1 and err[0].startswith("error: --k-db")
-    assert "fig1c" in err[0]
+    assert refusal(tmp_path, capsys, argv, ini) == [
+        "error: k_t_db = 3.0 is not read by hardening preset 'fig1c', "
+        "which sweeps K over k_sweep_db; leave it unset"]
+
+
+# family -> (subcommand and preset, its preset's name, then each flag of a
+# spec field the family never reads with a value other than its default)
+UNREAD = {
+    "spectrum": (["spectrum", "--n-ris", "64", "--nt", "4"], "custom-spectrum",
+                 [("n_r", "--nr", "7"), ("k_r_db", "--k-db", "10 0"),
+                  ("snr_db", "--snr-db", "-40"),
+                  ("arrangement", "--arrangement", "random"),
+                  ("rmo_max_iters", "--rmo-iters", "3")]),
+    "hardening": (["figure", "fig1c", "--scale", "0.05"], "fig1c",
+                  [("n_r", "--nr", "9"), ("k_r_db", "--k-db", "0 5"),
+                   ("snr_db", "--snr-db", "3"),
+                   ("arrangement", "--arrangement", "interleaved"),
+                   ("rmo_max_iters", "--rmo-iters", "3"),
+                   ("k_t_db", "--k-db", "3")]),
+    "gain": (["gain", "--n-ris", "64", "--nt", "4"], "custom-gain",
+             [("snr_db", "--snr-db", "-40"),
+              ("arrangement", "--arrangement", "random")]),
+}
+
+
+@pytest.mark.parametrize("family, field, flag, value, as_ini", [
+    pytest.param(family, field, flag, value, as_ini,
+                 id=f"{family}-{field}-{'ini' if as_ini else 'flag'}")
+    for family, (_, _, cases) in UNREAD.items()
+    for field, flag, value in cases for as_ini in (False, True)
+])
+def test_a_field_its_preset_never_reads_is_a_clean_error(tmp_path, capsys,
+                                                         family, field, flag,
+                                                         value, as_ini):
+    # each used to run, write the bytes of a run without it and echo it in
+    # the sidecar as if used
+    argv, preset, _ = UNREAD[family]
+    ini = f"{flag[2:].replace('-', '_')} = {value}" if as_ini else None
+    flags = [] if as_ini else [flag, *value.split()]
+    err = refusal(tmp_path, capsys, [*argv, "--trials", "1", *flags], ini)
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {field} = ")
+    assert f"preset '{preset}'" in err[0]
+
+
+@pytest.mark.parametrize("argv, field, preset", [
+    (["spectrum", "--n-ris", "64", "--nt", "4", "--k-db", "10", "0",
+      "--nr", "7", "--snr-db", "-40", "--arrangement", "random",
+      "--rmo-iters", "3"], "n_r", "custom-spectrum"),
+    (["figure", "fig1c", "--nr", "9", "--snr-db", "3"], "n_r", "fig1c"),
+    (["gain", "--n-ris", "64", "--nt", "4", "--trials", "2", "--snr-db", "-40",
+      "--arrangement", "random"], "snr_db", "custom-gain"),
+], ids=["spectrum", "fig1c", "gain"])
+def test_commands_whose_flags_were_ignored_are_refused(tmp_path, capsys,
+                                                      argv, field, preset):
+    err = refusal(tmp_path, capsys, argv)
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {field} = ")
+    assert f"preset '{preset}'" in err[0]
 
 
 @pytest.mark.parametrize("flags, ini", [
@@ -190,24 +291,35 @@ WORKERS_REFUSED = "error: workers must be >= 1"
     (["figure", "fig2a"], "scale = -1", SCALE_REFUSED + "-1.0"),
     # a worker count below 1 used to run one worker
     (["gain", "--n-ris", "64", "--workers", "0"], None, WORKERS_REFUSED),
-    (["gain", "--n-ris", "64", "--threads", "-3"], None, WORKERS_REFUSED),
     (["gain", "--n-ris", "64"], "workers = 0", WORKERS_REFUSED),
 ], ids=["n_ris", "n_ris-ini", "scale-negative", "scale-zero", "scale-inf",
-        "scale-nan", "scale-ini", "workers-zero", "threads-negative",
-        "workers-ini"])
+        "scale-nan", "scale-ini", "workers-zero", "workers-ini"])
 def test_a_bad_size_scale_or_worker_count_is_a_clean_error(tmp_path, capsys,
                                                            argv, ini, message):
     argv = [*argv, "--trials", "1"]
     assert refusal(tmp_path, capsys, argv, ini) == [message]
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two"])
-def test_a_bad_workers_variable_is_a_clean_error(tmp_path, capsys,
-                                                 monkeypatch, value):
-    monkeypatch.setenv("RISOPT_WORKERS", value)
-    argv = ["gain", "--n-ris", "64", "--trials", "2"]
-    assert refusal(tmp_path, capsys, argv) == [
-        f"error: RISOPT_WORKERS must be an integer >= 1; got {value!r}"]
+@pytest.mark.parametrize("argv, ini, message", [
+    # these used to exit 2 with a message that named no field, fig1b's
+    # only after running every trial
+    (["gain", "--n-ris", "64", "--nt", "0"], None, "n_t must be >= 1; got 0"),
+    (["gain", "--n-ris", "64"], "nt = -1", "n_t must be >= 1; got -1"),
+    (["gain", "--n-ris", "64", "--nr", "-2"], None,
+     "n_r must be >= 0 (0: same as n_t); got -2"),
+    (["gain", "--n-ris", "64", "--seed", "-1"], None, "seed must be >= 0; got -1"),
+    (["gain", "--n-ris", "64"], "seed = -1", "seed must be >= 0; got -1"),
+    (["figure", "fig1b", "--scale", "0.01"], None,
+     "n_ris_list entries must be >= n_t = 20 for spectrum preset 'fig1b'; "
+     "got [5, 10, 20]"),
+    (["spectrum", "--n-ris", "64", "3", "--nt", "4"], None,
+     "n_ris_list entries must be >= n_t = 4 for spectrum preset "
+     "'custom-spectrum'; got [64, 3]"),
+], ids=["nt", "nt-ini", "nr", "seed", "seed-ini", "fig1b-scale", "spectrum"])
+def test_a_size_or_seed_no_trial_can_use_is_a_clean_error(tmp_path, capsys,
+                                                          argv, ini, message):
+    argv = [*argv, "--trials", "1"]
+    assert refusal(tmp_path, capsys, argv, ini) == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("argv, ini, key", [
@@ -216,14 +328,19 @@ def test_a_bad_workers_variable_is_a_clean_error(tmp_path, capsys,
     (["gain", "--n-ris", "64"], "trails = 1\nmethod = sa rmo", "trails"),
     (["gain", "--n-ris", "64", "--trials", "1"], "scale = 0.5", "scale"),
     (["figure", "fig2a", "--trials", "1"], "preset = fig2b", "preset"),
-], ids=["misspelt", "scale-in-gain", "preset"])
+    # bench_runtime times one instance per point on one worker
+    (["bench-runtime", "runtime-gain"], "trials = 7", "trials"),
+    (["bench-runtime", "runtime-gain"], "workers = 2", "workers"),
+], ids=["misspelt", "scale-in-gain", "preset", "trials-in-bench-runtime",
+        "workers-in-bench-runtime"])
 def test_a_config_key_that_names_no_option_is_a_clean_error(tmp_path, capsys,
                                                             argv, ini, key):
     err = refusal(tmp_path, capsys, argv, ini)
     assert len(err) == 1
     assert err[0].startswith(f"error: config key {key!r} is not an option of "
                              f"risopt {argv[0]}; known: ")
-    assert "trials" in err[0]
+    known = err[0].split("; known: ")[1].split(", ")
+    assert "seed" in known and key not in known
 
 
 @pytest.mark.parametrize("line, key, value", [
@@ -255,6 +372,17 @@ def test_a_trial_error_exits_1_after_writing_the_files(tmp_path, capsys):
     assert len(rows) == 2 and "rmo: " in rows[1]
     assert (tmp_path / "custom-capacity_aggregate.csv").exists()
     assert (tmp_path / "custom-capacity.json").exists()
+
+
+def test_an_infinite_snr_is_named_in_the_row_error(tmp_path, capsys):
+    # W-SA used to end with "list index out of range"
+    code = run_main(["capacity", "--n-ris", "32", "--nt", "4", "--snr-db", "inf",
+                     "--trials", "1", "--methods", "wsa", "lb",
+                     "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 1 of 1 trials recorded an error; first: wsa: snr must be "
+        "finite; got inf"]
 
 
 def test_config_missing_section(tmp_path):

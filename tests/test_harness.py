@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -57,9 +58,83 @@ def test_spec_validation():
         tiny_capacity_spec(methods=("gradient-descent",))
     with pytest.raises(ValueError):
         tiny_capacity_spec(k_sweep_db=())
+    # sizes and seeds no trial can use, each named
+    for field, value, message in (
+            ("n_t", 0, "^n_t must be >= 1; got 0$"),
+            ("n_r", -2, r"^n_r must be >= 0 \(0: same as n_t\); got -2$"),
+            ("seed", -1, "^seed must be >= 0; got -1$")):
+        with pytest.raises(ValueError, match=message):
+            tiny_capacity_spec(**{field: value})
+    # the spectrum prediction needs n_ris >= n_t
+    with pytest.raises(ValueError, match=r"^n_ris_list entries must be >= "
+                       r"n_t = 5 for spectrum preset 'custom-spectrum'"):
+        ExperimentSpec(preset="custom-spectrum", n_ris_list=(32, 4), n_t=5)
     # n_r defaults to n_t
     spec = ExperimentSpec(preset="custom-spectrum", n_ris_list=(32,), n_t=5)
     assert spec.n_r == 5
+
+
+def test_k_r_db_follows_k_t_db_unless_given():
+    only_t = tiny_capacity_spec(k_t_db=5.0)
+    assert (only_t.k_t_db, only_t.k_r_db) == (5.0, 5.0)
+    assert tiny_capacity_spec(k_t_db=5.0, k_r_db=-2.0).k_r_db == -2.0
+    assert tiny_capacity_spec().k_r_db == 0.0
+    # a spec given only k_t_db runs both sides at that K
+    both = tiny_capacity_spec(k_t_db=5.0, k_r_db=5.0)
+    assert run_experiment(only_t).to_csv() == run_experiment(both).to_csv()
+    # a replace keeps the resolved value
+    assert dataclasses.replace(only_t, trials=1).k_r_db == 5.0
+
+
+@pytest.mark.parametrize("preset, field, value", [
+    ("custom-spectrum", "n_r", 3),
+    ("custom-spectrum", "k_r_db", 0.0),
+    ("custom-spectrum", "snr_db", -40.0),
+    ("custom-spectrum", "arrangement", "random"),
+    ("custom-spectrum", "rmo_max_iters", 3),
+    ("fig1c", "n_r", 9),
+    ("fig1c", "k_r_db", 5.0),
+    ("fig1c", "snr_db", float("nan")),
+    ("fig1c", "arrangement", "interleaved"),
+    ("fig1c", "rmo_max_iters", 500),
+    ("fig1c", "k_t_db", 3.0),
+    ("custom-gain", "snr_db", 0.0),
+    ("custom-gain", "arrangement", "random"),
+])
+def test_spec_refuses_fields_its_family_never_reads(preset, field, value):
+    kwargs = {"k_t_db": 10.0} if field == "k_r_db" and preset != "fig1c" else {}
+    with pytest.raises(ValueError, match=f"^{field} = .* is not read by "
+                       f"[a-z]+ preset '{preset}'"):
+        preset_spec(preset, n_ris_list=(32,), n_t=4, **kwargs, **{field: value})
+    # their defaults pass, n_r at n_t and k_r_db at k_t_db, and so does a
+    # replace of a built spec
+    same = {"n_r": 4, "k_r_db": kwargs.get("k_t_db", 0.0)}
+    default = same.get(field, ExperimentSpec.__dataclass_fields__[field].default)
+    spec = preset_spec(preset, n_ris_list=(32,), n_t=4, **kwargs,
+                       **{field: default})
+    assert dataclasses.replace(spec, trials=1).trials == 1
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("custom-spectrum", {}),
+    ("fig1c", {"k_sweep_db": (0.0, 5.0)}),
+    ("custom-gain", {"methods": ("sa", "rmo", "lb"), "rmo_max_iters": 3}),
+])
+def test_the_fields_a_family_refuses_are_never_read(preset, extra):
+    # set behind the spec's back, they move no byte of either CSV
+    spec = preset_spec(preset, n_ris_list=(24,), n_t=3, trials=2, seed=4,
+                       **extra)
+    moved = copy.copy(spec)
+    other = {"n_r": 2, "k_t_db": 7.0, "k_r_db": -7.0, "snr_db": -40.0,
+             "arrangement": "random", "rmo_max_iters": 1}
+    family = harness._preset(preset)["family"]
+    swept = harness._SWEPT if spec.k_sweep_db is not None else ()
+    for name in (*harness._UNREAD[family], *swept):
+        object.__setattr__(moved, name, other[name])
+    assert moved != spec
+    expected, got = run_experiment(spec), run_experiment(moved)
+    assert got.to_csv() == expected.to_csv()
+    assert got.to_aggregate_csv() == expected.to_aggregate_csv()
 
 
 def test_spec_refuses_unknown_arrangement():
@@ -94,7 +169,11 @@ def test_every_shipped_preset_is_accepted():
 def test_preset_spec_scaling_and_floor():
     spec = preset_spec("fig2a", scale=0.01)
     assert spec.n_ris_list == (5, 20, 82)
-    assert preset_spec("fig1a", scale=1e-9).n_ris_list == (2,)
+    assert preset_spec("fig1c", scale=1e-9).n_ris_list == (2,)
+    # a spectrum grid scaled below n_t is refused before any trial runs
+    with pytest.raises(ValueError, match=r"^n_ris_list entries must be >= n_t "
+                       r"= 20 for spectrum preset 'fig1a'; got \[2\]$"):
+        preset_spec("fig1a", scale=1e-9)
     assert preset_spec("custom-gain", n_ris_list=(1, 64)).n_ris_list == (2, 64)
     with pytest.raises(ValueError):
         preset_spec("fig9z")
@@ -104,14 +183,6 @@ def test_preset_spec_scaling_and_floor():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^scale must be finite and > 0"):
             preset_spec("fig2a", scale=scale)
-
-
-def test_run_experiment_refuses_a_bad_workers_variable(monkeypatch):
-    monkeypatch.setenv(harness.WORKERS_ENV, "0")
-    with pytest.raises(ValueError, match="^RISOPT_WORKERS must be"):
-        run_experiment(tiny_capacity_spec())
-    # a spec's own worker count wins over the variable
-    assert run_experiment(tiny_capacity_spec(workers=1)).metadata["workers"] == 1
 
 
 def test_run_experiment_rejects_runtime_presets():
@@ -509,7 +580,6 @@ def test_metadata_documents_rng_scheme():
 
 def test_metadata_records_the_environment(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
     res = run_experiment(tiny_capacity_spec(workers=2))
     meta = res.metadata
     for key in ("cpu_count", "cpu_affinity"):
@@ -517,9 +587,8 @@ def test_metadata_records_the_environment(monkeypatch):
     for key in ("blas_name", "blas_version"):
         assert meta[key] is None or isinstance(meta[key], str)
     assert set(meta["thread_env"]) == {"OPENBLAS_NUM_THREADS",
-                                       "OMP_NUM_THREADS", harness.WORKERS_ENV}
+                                       "OMP_NUM_THREADS"}
     assert meta["thread_env"]["OMP_NUM_THREADS"] == "3"
-    assert meta["thread_env"][harness.WORKERS_ENV] is None
     assert meta["workers"] == _resolve_workers(2, 3, os.cpu_count())
     assert run_experiment(tiny_capacity_spec(trials=1, workers=2)).metadata["workers"] == 1
     # the sidecar carries them, and the CSVs do not
