@@ -19,9 +19,7 @@ import sys
 
 import numpy as np
 
-from .capacity import ARRANGEMENTS
-from .harness import (ALL_METHODS, bench_runtime, preset_names, preset_spec,
-                      run_experiment)
+from .harness import bench_runtime, preset_names, preset_spec, run_experiment
 
 _CONFIG_SECTION = "risopt"
 
@@ -83,10 +81,9 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="K-factor in dB: transmit, then receive if it "
                              "differs")
     parser.add_argument("--snr-db", type=float, default=None)
-    parser.add_argument("--methods", nargs="+", default=None,
-                        choices=list(ALL_METHODS))
-    parser.add_argument("--arrangement", default=None,
-                        choices=list(ARRANGEMENTS))
+    # no choices: the spec checks names for flags, INI keys and library calls
+    parser.add_argument("--methods", nargs="+", default=None)
+    parser.add_argument("--arrangement", default=None)
     parser.add_argument("--rmo-iters", dest="rmo_max_iters", type=int,
                         default=None)
 

@@ -53,13 +53,14 @@ def nmse(estimates, references) -> float:
 class ExperimentSpec:
     """Declarative description of one Monte Carlo run.
 
-    k_t_db/k_r_db set the per-side K-factors, k_r_db following k_t_db
-    unless given, as n_r follows n_t; when k_sweep_db is given the grid
-    sweeps that list (applied to both sides) instead.  methods are those
-    of the preset's family in _METHODS, plus "lb"; spectrum and hardening
-    presets take none.  A field the family never reads (_UNREAD) must
-    keep its default.  workers is capped at the number of trials to run
-    and at the CPU count.
+    k_t_db/k_r_db set the per-side K-factors (not NaN; finite for spectrum
+    and hardening), k_r_db following k_t_db unless given, as n_r follows
+    n_t; a given k_sweep_db is swept on both sides instead.  methods are
+    distinct _METHODS of the family, plus "lb", each writing a shown
+    column (a timing on runtime presets); spectrum and hardening take
+    none.  A field none of whose _READERS run, or that a K sweep replaces,
+    keeps its preset's value.  workers is capped at the trial and CPU
+    counts.
     """
 
     preset: str
@@ -103,25 +104,47 @@ class ExperimentSpec:
                              f"got {list(self.n_ris_list)}")
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
-        family = _preset(self.preset)["family"]
+        for name in ("k_t_db", "k_r_db"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number; got nan")
+        if any(math.isnan(k) for k in self.k_sweep_db or ()):
+            raise ValueError(f"k_sweep_db entries must be numbers; "
+                             f"got {list(self.k_sweep_db)}")
+        preset = _preset(self.preset)
+        family = preset["family"]
         if family == "spectrum" and min(self.n_ris_list) < self.n_t:
             # the spectrum prediction needs n_ris >= n_t
             raise ValueError(f"n_ris_list entries must be >= n_t = {self.n_t} "
                              f"for spectrum preset {self.preset!r}; "
                              f"got {list(self.n_ris_list)}")
-        known = (*_METHODS[family], "lb") if family in _METHODS else ()
-        bad = [name for name in self.methods if name not in known]
-        if bad:
-            raise ValueError(f"methods {bad} are not {family} methods; "
-                             f"known: {list(known)}")
+        self._check_methods(family)
         swept = _SWEPT if self.k_sweep_db is not None else ()
         unset = {"n_r": self.n_t, "k_r_db": self.k_t_db}
-        for name in (*_UNREAD[family], *swept):
+        reads = {family, *self.methods}
+        could_read = {family, *_METHODS.get(family, ())}
+        for name in dict.fromkeys((*_READERS, *swept)):
+            if name not in swept and _READERS[name] & reads:
+                continue
             value = getattr(self, name)
-            if value != unset.get(name, self.__dataclass_fields__[name].default):
-                why = ", which sweeps K over k_sweep_db" if name in swept else ""
-                raise ValueError(f"{name} = {value!r} is not read by {family} "
-                                 f"preset {self.preset!r}{why}; leave it unset")
+            default = self.__dataclass_fields__[name].default
+            if value == unset.get(name, preset.get(name, default)):
+                continue
+            if name in swept:
+                why = ", which sweeps K over k_sweep_db"
+            elif _READERS[name] & could_read:
+                why = f" with methods {list(self.methods)}"
+            else:
+                why = ""
+            raise ValueError(f"{name} = {value!r} is not read by {family} "
+                             f"preset {self.preset!r}{why}; leave it unset")
+        if family not in _METHODS:
+            if not math.isfinite(self.k_t_db):
+                raise ValueError(f"k_t_db must be finite for {family} preset "
+                                 f"{self.preset!r}; got {self.k_t_db!r}")
+            if not all(map(math.isfinite, self.k_sweep_db or ())):
+                raise ValueError(f"k_sweep_db entries must be finite for "
+                                 f"{family} preset {self.preset!r}; "
+                                 f"got {list(self.k_sweep_db)}")
         if self.arrangement not in ARRANGEMENTS:
             raise ValueError(f"unknown arrangement {self.arrangement!r}; "
                              f"known: {ARRANGEMENTS}")
@@ -131,6 +154,34 @@ class ExperimentSpec:
             object.__setattr__(self, "k_sweep_db",
                                tuple(float(k) for k in self.k_sweep_db))
         object.__setattr__(self, "methods", tuple(self.methods))
+
+    def _check_methods(self, family: str) -> None:
+        """Refuse a method the family does not run, a repeated one, and
+        one that writes no column the spec shows."""
+        methods = list(self.methods)
+        known = (*_METHODS[family], "lb") if family in _METHODS else ()
+        bad = [name for name in methods if name not in known]
+        if bad:
+            raise ValueError(f"methods {bad} are not {family} methods; "
+                             f"known: {list(known)}")
+        repeated = [name for i, name in enumerate(methods) if name in methods[:i]]
+        if repeated:
+            raise ValueError(f"method {repeated[0]!r} is repeated in "
+                             f"methods {methods}")
+        if family not in _METHODS:
+            return
+        # a runtime preset writes one timing per method it times
+        writers = ([{name} for name in _METHODS[family]]
+                   if self.preset.startswith("runtime-")
+                   else [needs for _, needs in _METHOD_COLUMNS[family]])
+        shown = set().union(*(needs for needs in writers if needs <= set(methods)))
+        if not shown:
+            raise ValueError(f"{family} preset {self.preset!r} needs a method "
+                             f"that writes a column; got methods {methods}")
+        idle = [name for name in methods if name not in shown]
+        if idle:
+            raise ValueError(f"method {idle[0]!r} writes no column of {family} "
+                             f"preset {self.preset!r} with methods {methods}")
 
 
 @dataclass
@@ -525,10 +576,6 @@ _METHODS = {
     },
 }
 
-# "lb" adds the asymptotic bound to the rows; it has no configuration
-ALL_METHODS = tuple(dict.fromkeys(
-    name for methods in _METHODS.values() for name in methods)) + ("lb",)
-
 # Row columns of each family after point, trial, n_ris and n_t
 _COLUMNS = {
     "spectrum": ("k_t_db", "flag_hardening"),
@@ -537,14 +584,15 @@ _COLUMNS = {
     "capacity": ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
                  "flag_diag"),
 }
-# Spec fields each family never reads, and the ones a K sweep replaces; a
-# spec leaves them at their defaults (n_r at n_t, k_r_db at k_t_db)
-_SIDE_UNREAD = ("n_r", "k_r_db", "snr_db", "arrangement", "rmo_max_iters")
-_UNREAD = {"spectrum": _SIDE_UNREAD, "hardening": _SIDE_UNREAD,
-           "gain": ("snr_db", "arrangement"), "capacity": ()}
+# Spec fields that only some families or methods read, and the ones a K
+# sweep replaces; a spec that runs none of a field's readers leaves it at
+# its preset's value (n_r at n_t, k_r_db at k_t_db)
+_READERS = {"n_r": {"gain", "capacity"}, "k_r_db": {"gain", "capacity"},
+            "snr_db": {"capacity"}, "arrangement": {"wsa"},
+            "rmo_max_iters": {"rmo", "rmo-surrogate"}}
 _SWEPT = ("k_t_db", "k_r_db")
-# Method columns in CSV order, each with the methods a spec must run for
-# it to be written; the error column follows them.
+# Method columns in CSV order, each with the methods ("lb": the asymptotic
+# bound) a spec must run for it to be written; the error column follows.
 _METHOD_COLUMNS = {
     "gain": (("gain_sa", {"sa"}), ("gain_rmo", {"rmo"}),
              ("lower_bound", {"lb"}), ("alpha_sa", {"sa", "lb"})),
@@ -554,9 +602,13 @@ _METHOD_COLUMNS = {
                  ("cap_lb", {"wsa", "lb"}), ("offdiag_ratio", {"wsa"}),
                  ("iterations_used", {"wsa"})),
 }
-# Method columns the aggregate does not average; each other one gets a
-# mean_<col> column whatever the spec's methods
+# Method columns the aggregate does not average (each other one shown gets
+# a mean_<col>), and the row columns each derived aggregate column reads
 _NOT_AVERAGED = {"lower_bound", "alpha_sa", "iterations_used"}
+_DERIVED_READS = {"nmse": {"lambda_1", "predicted_1"}, "lower_bound": {"lower_bound"},
+                  "ratio_db_sa_lb": {"gain_sa", "lower_bound"},
+                  "gap_db_sa_rmo": {"gain_sa", "gain_rmo"},
+                  "nmse_diag": {"cap_wsa", "cap_diag"}}
 
 
 # --- per-trial work ----------------------------------------------------
@@ -652,9 +704,15 @@ def _present(rows, key):
     return [r[key] for r in rows if r.get(key) is not None]
 
 
-def _agg_points(spec, points, rows, *, head, means, derive):
+def _agg_points(spec, points, rows, *, head, derive, means=()):
     """Per point: the head columns of its first row, mean_<col> over the
-    rows that hold col, then the columns derive(rows, entry) adds."""
+    rows that hold col for each col of means and each shown method column
+    outside _NOT_AVERAGED, then each column derive(rows, entry) gives whose
+    _DERIVED_READS the row CSV all shows."""
+    family = _preset(spec.preset)["family"]
+    shown = set(_columns(spec, family))
+    means = (*means, *(col for col, _ in _METHOD_COLUMNS.get(family, ())
+                       if col in shown and col not in _NOT_AVERAGED))
     out = []
     for pi in range(len(points)):
         sub = _point_rows(rows, pi)
@@ -662,7 +720,8 @@ def _agg_points(spec, points, rows, *, head, means, derive):
         for col in means:
             vals = _present(sub, col)
             entry[f"mean_{col}"] = float(np.mean(vals)) if vals else None
-        entry.update(derive(sub, entry))
+        entry.update((col, value) for col, value in derive(sub, entry).items()
+                     if _DERIVED_READS[col] <= shown)
         out.append(entry)
     return out
 
@@ -673,7 +732,7 @@ def _derive_hardening(sub, entry):
 
 
 def _derive_gain(sub, entry):
-    sa, rmo = entry["mean_gain_sa"], entry["mean_gain_rmo"]
+    sa, rmo = entry.get("mean_gain_sa"), entry.get("mean_gain_rmo")
     lb = sub[0].get("lower_bound")
     return {"lower_bound": lb,
             "ratio_db_sa_lb": (10.0 * math.log10(sa / lb)
@@ -687,20 +746,14 @@ def _derive_capacity(sub, entry):
                           if exact and len(exact) == len(diag) else None)}
 
 
-def _averaged(family: str) -> tuple:
-    return tuple(name for name, _ in _METHOD_COLUMNS[family]
-                 if name not in _NOT_AVERAGED)
-
-
 _AGG_FNS = {
     "spectrum": _agg_spectrum,
     "hardening": partial(_agg_points, head=("n_ris", "k_t_db", "predicted_1"),
                          means=("lambda_1",), derive=_derive_hardening),
     "gain": partial(_agg_points, head=("n_ris", "k_t_db", "k_r_db"),
-                    means=_averaged("gain"), derive=_derive_gain),
-    "capacity": partial(_agg_points,
-                        head=("n_ris", "k_t_db", "k_r_db", "snr_db"),
-                        means=_averaged("capacity"), derive=_derive_capacity),
+                    derive=_derive_gain),
+    "capacity": partial(_agg_points, head=("n_ris", "k_t_db", "k_r_db", "snr_db"),
+                        derive=_derive_capacity),
 }
 
 
@@ -774,26 +827,25 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
 
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
-    RMO).  Methods are timed in _METHODS order, the family's first (sa or
-    wsa) whatever the spec's methods.  A sample times configure(link), as
-    a trial does (sa names its own callable: the alignment of the link's
-    cached steering vectors, without the RisConfig).  wsa's warmups make
-    the link's SVDs, so the samples of wsa and rmo-surrogate both exclude
-    them (CSI acquisition, common to all methods); exact-capacity rmo
-    takes the cascade's singular values per evaluation.
+    RMO).  The spec's methods are timed in _METHODS order, as a trial
+    runs them.  A sample times configure(link), as a trial does (sa
+    names its own callable: the alignment of the link's cached steering
+    vectors, without the RisConfig).  The warmups of the first of wsa
+    and rmo-surrogate make the link's SVDs, so the samples of both
+    exclude them (CSI acquisition, common to all methods); exact-capacity
+    rmo takes the cascade's singular values per evaluation.
     """
     _hold_heap()
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
     methods = _METHODS[_preset(spec.preset)["family"]]
-    first = next(iter(methods))
     rows = []
     for pi, point in enumerate(_grid(spec)):
         link = _Link(spec, point, _trial_rng(spec, pi, 0))
         row = {"n_ris": point["n_ris"], "n_t": spec.n_t, "n_r": spec.n_r}
         medians = {}
         for name, method in methods.items():
-            if name != first and name not in spec.methods:
+            if name not in spec.methods:
                 continue
             col = name.replace("-", "_")
             fn = method.bench(link) if method.bench else partial(method.configure, link)

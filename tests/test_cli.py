@@ -103,7 +103,7 @@ def test_one_k_db_value_sets_both_sides(tmp_path):
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[risopt]\nn_ris = 48\nnt = 4\nnr = 4\ntrials = 3\n"
-                   "methods = wsa\nseed = 2\nk_db = 3 -2\nsnr_db = 7.5\n"
+                   "methods = wsa rmo\nseed = 2\nk_db = 3 -2\nsnr_db = 7.5\n"
                    "rmo_iters = 7\nout_stem = from_ini\n")
     out = tmp_path / "results"
     code = run_main(["capacity", "--config", str(cfg), "--trials", "1",
@@ -114,7 +114,7 @@ def test_config_file_with_flag_override(tmp_path):
     spec = json.load(open(out / "from_ini.json"))["spec"]
     assert (spec["k_t_db"], spec["k_r_db"], spec["snr_db"]) == (3.0, -2.0, 7.5)
     assert (spec["rmo_max_iters"], spec["n_t"], spec["seed"]) == (7, 4, 2)
-    assert spec["n_ris_list"] == [48] and spec["methods"] == ["wsa"]
+    assert spec["n_ris_list"] == [48] and spec["methods"] == ["wsa", "rmo"]
 
 
 def test_config_scale_applies_to_figure(tmp_path):
@@ -260,6 +260,119 @@ def test_commands_whose_flags_were_ignored_are_refused(tmp_path, capsys,
     assert len(err) == 1
     assert err[0].startswith(f"error: {field} = ")
     assert f"preset '{preset}'" in err[0]
+
+
+# subcommand and grid, its preset, the methods, then a field only other
+# methods of the family read, its flag and a value
+METHOD_UNREAD = [
+    (["gain", "--n-ris", "64", "--nt", "4", "--trials", "1"], "custom-gain",
+     ["sa", "lb"], "rmo_max_iters", "--rmo-iters", 3),
+    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
+     "custom-capacity", ["wsa", "lb"], "rmo_max_iters", "--rmo-iters", 3),
+    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
+     "custom-capacity", ["rmo"], "arrangement", "--arrangement", "random"),
+    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
+     "custom-capacity", ["rmo-surrogate"], "arrangement", "--arrangement",
+     "interleaved"),
+    (["bench-runtime", "runtime-gain", "--scale", "0.02"], "runtime-gain",
+     ["sa"], "rmo_max_iters", "--rmo-iters", 3),
+    (["bench-runtime", "runtime-capacity", "--scale", "0.02"],
+     "runtime-capacity", ["rmo", "rmo-surrogate"], "arrangement",
+     "--arrangement", "random"),
+]
+
+
+@pytest.mark.parametrize("argv, preset, methods, field, flag, value, as_ini", [
+    pytest.param(*case, as_ini,
+                 id=f"{case[1]}-{'-'.join(case[2])}-{case[3]}-"
+                    f"{'ini' if as_ini else 'flag'}")
+    for case in METHOD_UNREAD for as_ini in (False, True)
+])
+def test_a_field_its_methods_never_read_is_a_clean_error(
+        tmp_path, capsys, argv, preset, methods, field, flag, value, as_ini):
+    # each used to write the bytes of a run without it and echo it in the
+    # sidecar as if used
+    ini = f"{flag[2:].replace('-', '_')} = {value}" if as_ini else None
+    flags = [] if as_ini else [flag, str(value)]
+    err = refusal(tmp_path, capsys, [*argv, "--methods", *methods, *flags], ini)
+    assert err == [f"error: {field} = {value!r} is not read by "
+                   f"{'gain' if 'gain' in preset else 'capacity'} preset "
+                   f"'{preset}' with methods {methods}; leave it unset"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["capacity", "--methods", "lb"], "capacity preset 'custom-capacity' needs "
+     "a method that writes a column; got methods ['lb']"),
+    (["gain", "--methods", "sa", "lb", "--rmo-iters", "3"],
+     "rmo_max_iters = 3 is not read by gain preset 'custom-gain' with methods "
+     "['sa', 'lb']; leave it unset"),
+    (["capacity", "--methods", "rmo-surrogate", "--rmo-iters", "3",
+      "--arrangement", "random"],
+     "arrangement = 'random' is not read by capacity preset 'custom-capacity' "
+     "with methods ['rmo-surrogate']; leave it unset"),
+    (["capacity", "--methods", "rmo", "lb"], "method 'lb' writes no column of "
+     "capacity preset 'custom-capacity' with methods ['rmo', 'lb']"),
+    (["gain", "--methods", "sa", "sa", "lb"],
+     "method 'sa' is repeated in methods ['sa', 'sa', 'lb']"),
+], ids=["capacity-lb", "gain-rmo-iters", "capacity-arrangement",
+        "capacity-rmo-lb", "gain-repeated-sa"])
+def test_commands_whose_methods_wrote_nothing_are_refused(tmp_path, capsys,
+                                                          argv, message):
+    # each used to exit 0: lb alone wrote no method column, the options
+    # changed no byte and sa ran once
+    argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "1", *argv[1:]]
+    assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
+
+
+def test_bench_runtime_refuses_a_method_with_no_timing(tmp_path, capsys):
+    argv = ["bench-runtime", "runtime-gain", "--scale", "0.02", "--methods",
+            "sa", "lb"]
+    assert refusal(tmp_path, capsys, argv) == [
+        "error: method 'lb' writes no column of gain preset 'runtime-gain' "
+        "with methods ['sa', 'lb']"]
+
+
+def test_bench_runtime_times_only_the_requested_methods(tmp_path):
+    # sa used to be timed whatever the spec requested
+    code = run_main(["bench-runtime", "runtime-gain", "--scale", "0.02",
+                     "--rmo-iters", "3", "--methods", "rmo",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    header = open(tmp_path / "runtime-gain.csv").read().splitlines()[0]
+    assert header == "n_ris,n_t,n_r,rmo_median_s,rmo_mean_s"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gain", "--methods", "foo"],
+     "methods ['foo'] are not gain methods; known: ['sa', 'rmo', 'lb']"),
+    (["capacity", "--arrangement", "diag"], "unknown arrangement 'diag'; "
+     "known: ('contiguous', 'interleaved', 'random')"),
+], ids=["methods", "arrangement"])
+def test_a_bad_method_or_arrangement_flag_prints_one_error_line(
+        tmp_path, capsys, argv, message):
+    # the flags used to print argparse's usage block and its own error
+    argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "1", *argv[1:]]
+    assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, ini, message", [
+    # spectrum used to blame k_r_db, which the user did not set
+    (["spectrum", "--k-db", "nan"], None, "k_t_db must be a number; got nan"),
+    (["spectrum"], "k_db = nan", "k_t_db must be a number; got nan"),
+    # a gain trial used to fail with "k_factor must be non-negative"
+    (["gain", "--k-db", "nan"], None, "k_t_db must be a number; got nan"),
+    (["capacity", "--k-db", "0", "nan"], None, "k_r_db must be a number; got nan"),
+    # a spectrum at K = inf used to run every trial, then die in its aggregate
+    (["spectrum", "--k-db", "inf"], None, "k_t_db must be finite for spectrum "
+     "preset 'custom-spectrum'; got inf"),
+    (["spectrum", "--k-db=-inf"], None, "k_t_db must be finite for spectrum "
+     "preset 'custom-spectrum'; got -inf"),
+], ids=["spectrum-nan", "spectrum-nan-ini", "gain-nan", "capacity-nan-k_r",
+        "spectrum-inf", "spectrum-minus-inf"])
+def test_a_nan_or_infinite_k_is_a_clean_error(tmp_path, capsys, argv, ini,
+                                              message):
+    argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "2", *argv[1:]]
+    assert refusal(tmp_path, capsys, argv, ini) == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("flags, ini", [

@@ -16,6 +16,8 @@ from risopt.capacity import ARRANGEMENTS, run_wsa
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
+from .test_pinned_outputs import RUNS as PINNED_RUNS
+
 
 def tiny_capacity_spec(**kw):
     base = dict(preset="custom-capacity", n_ris_list=(64,), n_t=4, n_r=4,
@@ -119,22 +121,110 @@ def test_spec_refuses_fields_its_family_never_reads(preset, field, value):
     ("custom-spectrum", {}),
     ("fig1c", {"k_sweep_db": (0.0, 5.0)}),
     ("custom-gain", {"methods": ("sa", "rmo", "lb"), "rmo_max_iters": 3}),
+    ("custom-gain", {"methods": ("sa", "lb")}),
+    ("custom-capacity", {"methods": ("rmo",), "rmo_max_iters": 3}),
 ])
 def test_the_fields_a_family_refuses_are_never_read(preset, extra):
-    # set behind the spec's back, they move no byte of either CSV
+    # set behind the spec's back, the fields that none of their readers
+    # reads move no byte of either CSV
     spec = preset_spec(preset, n_ris_list=(24,), n_t=3, trials=2, seed=4,
                        **extra)
     moved = copy.copy(spec)
     other = {"n_r": 2, "k_t_db": 7.0, "k_r_db": -7.0, "snr_db": -40.0,
              "arrangement": "random", "rmo_max_iters": 1}
-    family = harness._preset(preset)["family"]
+    reads = {harness._preset(preset)["family"], *spec.methods}
     swept = harness._SWEPT if spec.k_sweep_db is not None else ()
-    for name in (*harness._UNREAD[family], *swept):
+    unread = [name for name, readers in harness._READERS.items()
+              if not readers & reads]
+    for name in (*unread, *swept):
         object.__setattr__(moved, name, other[name])
     assert moved != spec
     expected, got = run_experiment(spec), run_experiment(moved)
     assert got.to_csv() == expected.to_csv()
     assert got.to_aggregate_csv() == expected.to_aggregate_csv()
+
+
+@pytest.mark.parametrize("preset, methods, field, value", [
+    ("custom-gain", ("sa", "lb"), "rmo_max_iters", 3),
+    ("custom-capacity", ("wsa", "lb"), "rmo_max_iters", 3),
+    ("custom-capacity", ("rmo",), "arrangement", "random"),
+    ("custom-capacity", ("rmo-surrogate",), "arrangement", "interleaved"),
+    ("runtime-gain", ("sa",), "rmo_max_iters", 3),
+    ("runtime-capacity", ("rmo", "rmo-surrogate"), "arrangement", "random"),
+])
+def test_spec_refuses_fields_its_methods_never_read(preset, methods, field,
+                                                    value):
+    # each used to run and write the bytes of a run without it
+    with pytest.raises(ValueError, match=(
+            rf"^{field} = {value!r} is not read by [a-z]+ preset '{preset}' "
+            rf"with methods \[{', '.join(map(repr, methods))}\]; "
+            rf"leave it unset$")):
+        preset_spec(preset, n_ris_list=(32,), methods=methods, **{field: value})
+    # the preset's own value passes: runtime-gain sets rmo_max_iters=500
+    own = harness._preset(preset).get(
+        field, ExperimentSpec.__dataclass_fields__[field].default)
+    assert getattr(preset_spec(preset, n_ris_list=(32,), methods=methods,
+                               **{field: own}), field) == own
+
+
+@pytest.mark.parametrize("preset, methods, message", [
+    ("custom-capacity", ("lb",), "^capacity preset 'custom-capacity' needs a "
+     r"method that writes a column; got methods \['lb'\]$"),
+    ("custom-capacity", ("rmo", "lb"), "^method 'lb' writes no column of "
+     r"capacity preset 'custom-capacity' with methods \['rmo', 'lb'\]$"),
+    ("custom-capacity", ("rmo-surrogate", "lb"), "^method 'lb' writes no column"),
+    ("runtime-gain", ("sa", "lb"), "^method 'lb' writes no column of gain "
+     "preset 'runtime-gain'"),
+    ("runtime-capacity", ("lb",), "^capacity preset 'runtime-capacity' needs"),
+    ("custom-gain", (), "^gain preset 'custom-gain' needs a method that "
+     r"writes a column; got methods \[\]$"),
+    ("custom-capacity", (), "^capacity preset 'custom-capacity' needs"),
+    ("runtime-gain", (), "^gain preset 'runtime-gain' needs"),
+], ids=["capacity-lb", "capacity-rmo-lb", "capacity-rmo-surrogate-lb",
+        "runtime-gain-sa-lb", "runtime-capacity-lb", "gain-none",
+        "capacity-none", "runtime-gain-none"])
+def test_spec_refuses_methods_that_write_no_column(preset, methods, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(preset=preset, n_ris_list=(32,), n_t=4, methods=methods)
+
+
+def test_spec_refuses_a_repeated_method():
+    # sa used to run once and the sidecar recorded it twice
+    with pytest.raises(ValueError, match=r"^method 'sa' is repeated in methods "
+                       r"\['sa', 'sa', 'lb'\]$"):
+        preset_spec("custom-gain", n_ris_list=(32,), methods=["sa", "sa", "lb"])
+    with pytest.raises(ValueError, match="^method 'rmo' is repeated"):
+        preset_spec("runtime-capacity", methods=("wsa", "rmo", "rmo"))
+
+
+@pytest.mark.parametrize("preset, fields, message", [
+    # the spectrum's used to blame k_r_db, gain's came from a trial
+    ("custom-spectrum", {"k_t_db": math.nan}, "^k_t_db must be a number; got nan$"),
+    ("custom-gain", {"k_t_db": math.nan}, "^k_t_db must be a number; got nan$"),
+    ("custom-capacity", {"k_r_db": math.nan}, "^k_r_db must be a number; got nan$"),
+    ("fig1c", {"k_sweep_db": (3.0, math.nan)},
+     r"^k_sweep_db entries must be numbers; got \[3.0, nan\]$"),
+    # a spectrum at K = inf used to die in its aggregate, a sweep entry of
+    # inf to write nan, and one of -inf to die like the spectrum
+    ("custom-spectrum", {"k_t_db": math.inf}, "^k_t_db must be finite for "
+     "spectrum preset 'custom-spectrum'; got inf$"),
+    ("custom-spectrum", {"k_t_db": -math.inf}, "^k_t_db must be finite"),
+    ("fig1c", {"k_sweep_db": (math.inf,)}, "^k_sweep_db entries must be finite "
+     r"for hardening preset 'fig1c'; got \[inf\]$"),
+    ("fig1c", {"k_sweep_db": (0.0, -math.inf)}, "^k_sweep_db entries must be finite"),
+], ids=["spectrum-nan", "gain-nan", "capacity-k_r-nan", "sweep-nan",
+        "spectrum-inf", "spectrum-minus-inf", "sweep-inf", "sweep-minus-inf"])
+def test_spec_refuses_a_nan_or_infinite_k(preset, fields, message):
+    with pytest.raises(ValueError, match=message):
+        preset_spec(preset, n_ris_list=(32,), n_t=4, trials=2, **fields)
+
+
+@pytest.mark.parametrize("k_db", [math.inf, -math.inf])
+def test_gain_and_capacity_keep_pure_los_and_rayleigh(k_db):
+    for preset in ("custom-gain", "custom-capacity"):
+        res = run_experiment(preset_spec(preset, n_ris_list=(32,), n_t=4,
+                                         trials=2, k_t_db=k_db))
+        assert not any(row["error"] for row in res.rows)
 
 
 def test_spec_refuses_unknown_arrangement():
@@ -160,7 +250,8 @@ def test_spec_refuses_methods_of_another_family(preset, methods):
 def test_every_shipped_preset_is_accepted():
     for name in harness.preset_names(""):
         spec = preset_spec(name, n_ris_list=(32,))
-        assert set(spec.methods) <= set(harness.ALL_METHODS)
+        family = harness._preset(name)["family"]
+        assert set(spec.methods) <= {*harness._METHODS.get(family, ()), "lb"}
     # a directly built spectrum spec requests no method
     assert ExperimentSpec(preset="custom-spectrum", n_ris_list=(32,),
                           n_t=4).methods == ()
@@ -393,9 +484,9 @@ def test_aggregates_recompute_from_the_written_row_csv(tmp_path, preset,
                                                        methods):
     # a row may hold values its CSV does not show (cap_lb without lb); the
     # aggregate must not see them either
+    iters = {"rmo_max_iters": 4} if "rmo" in methods else {}
     res = run_experiment(preset_spec(preset, n_ris_list=(24, 40), n_t=3,
-                                     trials=3, methods=methods,
-                                     rmo_max_iters=4))
+                                     trials=3, methods=methods, **iters))
     paths = res.write(str(tmp_path))
     agg = res.to_aggregate_csv()
     assert open(paths["aggregate_csv"]).read() == agg
@@ -417,7 +508,7 @@ def test_trials_read_every_parameter_from_the_grid_point(monkeypatch):
     got = run_experiment(spec)
     assert got.to_csv() == expected.to_csv()
     assert got.to_aggregate_csv() == expected.to_aggregate_csv()
-    bench = bench_runtime(preset_spec("runtime-capacity", methods=()))
+    bench = bench_runtime(preset_spec("runtime-capacity", methods=("wsa",)))
     assert [r["n_ris"] for r in bench.rows] == [48]
 
 
@@ -435,9 +526,42 @@ def test_method_columns_in_csv_order():
         "snr_db", "flag_hardening", "flag_diag", "cap_wsa", "cap_diag",
         "cap_rmo", "cap_rmo_surrogate", "cap_lb", "offdiag_ratio",
         "iterations_used", "error")
-    surrogate = dataclasses.replace(cap, methods=("rmo-surrogate", "lb"))
+    surrogate = dataclasses.replace(cap, methods=("rmo-surrogate",))
     assert run_experiment(surrogate).columns == head + (
         "snr_db", "flag_hardening", "flag_diag", "cap_rmo_surrogate", "error")
+    # cap_lb needs wsa, so lb next to rmo-surrogate alone shows nothing
+    with pytest.raises(ValueError, match="^method 'lb' writes no column"):
+        dataclasses.replace(cap, methods=("rmo-surrogate", "lb"))
+
+
+def test_a_new_method_column_reaches_only_the_aggregates_that_show_it(
+        monkeypatch):
+    # a method column added to the registry leaves the aggregates of every
+    # spec that does not request its method as they were
+    grids = {name: preset_spec(preset, **kwargs)
+             for name, (preset, kwargs) in PINNED_RUNS.items()
+             if harness._preset(preset)["family"] in harness._METHODS}
+    assert len(grids) == 11
+    before = {name: run_experiment(spec) for name, spec in grids.items()}
+    for family, column in (("gain", "gain_probe"), ("capacity", "cap_probe")):
+        probe = harness._Method(lambda link: None,
+                                lambda link, cfg, column=column: {column: 2.0})
+        monkeypatch.setitem(harness._METHODS, family,
+                            {**harness._METHODS[family], "probe": probe})
+        monkeypatch.setitem(harness._METHOD_COLUMNS, family,
+                            (*harness._METHOD_COLUMNS[family], (column, {"probe"})))
+    for name, spec in grids.items():
+        after = run_experiment(spec)
+        assert after.to_csv() == before[name].to_csv(), name
+        assert after.to_aggregate_csv() == before[name].to_aggregate_csv(), name
+    gain = run_experiment(preset_spec("custom-gain", n_ris_list=(16,), trials=2,
+                                      methods=("sa", "probe")))
+    assert gain.agg_columns == ("point", "n_ris", "k_t_db", "k_r_db",
+                                "mean_gain_sa", "mean_gain_probe")
+    assert gain.aggregates[0]["mean_gain_probe"] == 2.0
+    cap = run_experiment(preset_spec("custom-capacity", n_ris_list=(16,),
+                                     trials=2, methods=("probe",)))
+    assert cap.agg_columns[-1] == "mean_cap_probe"
 
 
 def test_each_requested_method_runs_once_per_trial(monkeypatch):
@@ -518,9 +642,9 @@ def count_svd_bundle(monkeypatch) -> list:
 def test_a_trial_builds_each_steering_vector_once(monkeypatch, preset, methods):
     # two per side, for its LoS matrix; sa reads the same vectors
     calls = count_calls(monkeypatch, geometry, "upa_steering", lambda g: g.size)
+    iters = {"rmo_max_iters": 2} if "rmo" in methods else {}
     res = run_experiment(preset_spec(preset, n_ris_list=(36,), n_t=4,
-                                     trials=3, methods=methods,
-                                     rmo_max_iters=2))
+                                     trials=3, methods=methods, **iters))
     assert not any(row.get("error") for row in res.rows)
     assert sorted(calls) == sorted([36, 36, 4, 4] * 3)
 
@@ -570,6 +694,21 @@ def test_bench_runtime_times_the_methods_in_registry_order(preset):
     timed = [col.removesuffix("_median_s")
              for col in bench_runtime(spec).columns if col.endswith("_median_s")]
     assert timed == [name.replace("-", "_") for name in harness._METHODS[family]]
+
+
+@pytest.mark.parametrize("preset, methods", [
+    ("runtime-gain", ("rmo",)),
+    ("runtime-capacity", ("rmo-surrogate",)),
+    ("runtime-capacity", ("wsa", "rmo-surrogate")),
+])
+def test_bench_runtime_times_exactly_the_requested_methods(preset, methods):
+    # the family's first method, sa or wsa, used to be timed whatever the
+    # spec requested
+    spec = preset_spec(preset, n_ris_list=(48,), rmo_max_iters=3,
+                       methods=methods)
+    timed = [col.removesuffix("_median_s")
+             for col in bench_runtime(spec).columns if col.endswith("_median_s")]
+    assert timed == [name.replace("-", "_") for name in methods]
 
 
 def test_metadata_documents_rng_scheme():
@@ -632,7 +771,8 @@ def test_heap_hold_applies_once(monkeypatch, fresh_heap_hold):
     calls = fake_glibc(monkeypatch)
     monkeypatch.setenv("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX512F")
     res = run_experiment(tiny_capacity_spec(trials=1))
-    bench_runtime(preset_spec("runtime-capacity", n_ris_list=(40,), methods=()))
+    bench_runtime(preset_spec("runtime-capacity", n_ris_list=(40,),
+                              methods=("wsa",)))
     held = {"mmap_threshold": 32 << 20, "trim_threshold": 64 << 20}
     assert harness._hold_heap() == held
     assert calls == [("load", None), ("mallopt", -3, 32 << 20),
