@@ -14,7 +14,6 @@ import json
 import math
 import os
 import statistics
-import tempfile
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -120,7 +119,8 @@ class ExperimentSpec:
         self._check_methods(family)
         swept = _SWEPT if self.k_sweep_db is not None else ()
         unset = {"n_r": self.n_t, "k_r_db": self.k_t_db}
-        reads = {family, *self.methods}
+        run = () if self.preset.startswith("runtime-") else ("run",)
+        reads = {family, *self.methods, *run}
         could_read = {family, *_METHODS.get(family, ())}
         for name in dict.fromkeys((*_READERS, *swept)):
             if name not in swept and _READERS[name] & reads:
@@ -255,9 +255,10 @@ def _csv_text(columns, rows) -> str:
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # created as open(path, "w") would create path: mode 0o666 less the umask
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -274,7 +275,6 @@ _THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 def _static_environment() -> dict:
     """Facts that do not change while the process runs."""
     import platform
-    import scipy
 
     from . import __version__
     try:
@@ -288,7 +288,6 @@ def _static_environment() -> dict:
     return {
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "python_version": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "cpu_affinity": affinity,
@@ -584,12 +583,14 @@ _COLUMNS = {
     "capacity": ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
                  "flag_diag"),
 }
-# Spec fields that only some families or methods read, and the ones a K
-# sweep replaces; a spec that runs none of a field's readers leaves it at
-# its preset's value (n_r at n_t, k_r_db at k_t_db)
+# Spec fields that only some families, methods or presets ("run": those
+# run_experiment runs, not bench_runtime's) read, and the ones a K sweep
+# replaces; a spec that runs none of a field's readers leaves it at its
+# preset's value (n_r at n_t, k_r_db at k_t_db)
 _READERS = {"n_r": {"gain", "capacity"}, "k_r_db": {"gain", "capacity"},
             "snr_db": {"capacity"}, "arrangement": {"wsa"},
-            "rmo_max_iters": {"rmo", "rmo-surrogate"}}
+            "rmo_max_iters": {"rmo", "rmo-surrogate"},
+            "trials": {"run"}, "workers": {"run"}}
 _SWEPT = ("k_t_db", "k_r_db")
 # Method columns in CSV order, each with the methods ("lb": the asymptotic
 # bound) a spec must run for it to be written; the error column follows.
@@ -851,11 +852,11 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
             fn = method.bench(link) if method.bench else partial(method.configure, link)
             med, mean = _time_callable(fn, *method.repeats)
             row[f"{col}_median_s"], row[f"{col}_mean_s"] = med, mean
-            medians[name] = med
-        for name in medians:
-            if name != "rmo" and "rmo" in medians:
-                short = name.removeprefix("rmo-")
-                row[f"ratio_rmo_over_{short}"] = medians["rmo"] / medians[name]
+            medians[col] = med
+        for col in medians:
+            if col != "rmo" and "rmo" in medians:
+                short = col.removeprefix("rmo_")
+                row[f"ratio_rmo_over_{short}"] = medians["rmo"] / medians[col]
         rows.append(row)
     # every row times the same methods, so the rows share their keys
     return ExperimentResult(spec=spec, columns=tuple(rows[0]), rows=rows,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,27 +55,6 @@ def svd_bundle(h: np.ndarray) -> SvdBundle:
     return SvdBundle(u, s, vh.conj().T)
 
 
-@lru_cache(maxsize=None)
-def _laguerre_roots_cached(n_big: int, n_small: int) -> tuple[float, ...]:
-    # Nonzero roots of the degree-n_big polynomial with parameter
-    # n_small - n_big reduce, via
-    #   L_n^{-m}(y) = (-y)^m ((n-m)!/n!) L_{n-m}^{m}(y),  m = n_big - n_small,
-    # to the n_small roots of L_{n_small}^{n_big - n_small}.  Those are the
-    # eigenvalues of the symmetric tridiagonal Jacobi matrix of the
-    # generalized-Laguerre recurrence (Golub-Welsch, nodes only).
-    # scipy.linalg is imported here, its only use: it would otherwise make
-    # up about half the import time of the package.
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    alpha = n_big - n_small
-    diag = 2.0 * np.arange(n_small) + alpha + 1.0
-    k = np.arange(1, n_small)
-    off = np.sqrt(k * (k + alpha))
-    y = eigvalsh_tridiagonal(diag, off)
-    x = (y - n_big) / (2.0 * math.sqrt(n_big * n_small))
-    return tuple(float(v) for v in x)
-
-
 def laguerre_top_roots(n_big: int, n_small: int) -> np.ndarray:
     """Mapped nonzero Laguerre roots, ascending, length n_small.
 
@@ -84,14 +62,22 @@ def laguerre_top_roots(n_big: int, n_small: int) -> np.ndarray:
     of the n_small nonzero roots in y of the degree-n_big generalized
     Laguerre polynomial with parameter n_small - n_big.  The remaining
     n_big - n_small roots sit degenerate at y = 0 and are dropped.
-    Results are cached per (n_big, n_small); recomputation is idempotent
-    so concurrent first calls are harmless.
     """
     if n_small < 1:
         raise ValueError("n_small must be at least 1")
     if n_small > n_big:
         raise ValueError("n_small must not exceed n_big")
-    return np.array(_laguerre_roots_cached(int(n_big), int(n_small)))
+    # Via L_n^{-m}(y) = (-y)^m ((n-m)!/n!) L_{n-m}^{m}(y), m = n_big - n_small,
+    # the nonzero roots are the n_small roots of L_{n_small}^{n_big - n_small}:
+    # the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    # generalized-Laguerre recurrence (Golub-Welsch, nodes only), of which
+    # eigvalsh reads the lower triangle.
+    alpha = n_big - n_small
+    k = np.arange(1, n_small)
+    jacobi = (np.diag(2.0 * np.arange(n_small) + alpha + 1.0)
+              + np.diag(np.sqrt(k * (k + alpha)), -1))
+    y = np.linalg.eigvalsh(jacobi)
+    return (y - n_big) / (2.0 * math.sqrt(n_big * n_small))
 
 
 def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> AsymptoticSpectrum:

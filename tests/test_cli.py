@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -148,6 +149,24 @@ def test_bench_runtime_writes_and_prints_two_files(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"csv: {tmp_path / 'runtime-gain.csv'}",
         f"json: {tmp_path / 'runtime-gain.json'}"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_written_files_honour_the_umask(tmp_path, umask, mode):
+    # each used to keep its temp file's 0o600, whatever the umask
+    runs = [["gain", "--n-ris", "16", "--nt", "2", "--trials", "1"],
+            ["capacity", "--n-ris", "16", "--nt", "2", "--trials", "1"],
+            ["bench-runtime", "runtime-gain", "--scale", "0.01", "--methods", "sa"]]
+    old = os.umask(umask)
+    try:
+        for argv in runs:
+            assert run_main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in os.listdir(tmp_path)}
+    assert len(modes) == 8 and set(modes.values()) == {mode}, modes
 
 
 @pytest.mark.parametrize("argv", [

@@ -132,7 +132,7 @@ def test_the_fields_a_family_refuses_are_never_read(preset, extra):
     moved = copy.copy(spec)
     other = {"n_r": 2, "k_t_db": 7.0, "k_r_db": -7.0, "snr_db": -40.0,
              "arrangement": "random", "rmo_max_iters": 1}
-    reads = {harness._preset(preset)["family"], *spec.methods}
+    reads = {harness._preset(preset)["family"], *spec.methods, "run"}
     swept = harness._SWEPT if spec.k_sweep_db is not None else ()
     unread = [name for name, readers in harness._READERS.items()
               if not readers & reads]
@@ -165,6 +165,28 @@ def test_spec_refuses_fields_its_methods_never_read(preset, methods, field,
         field, ExperimentSpec.__dataclass_fields__[field].default)
     assert getattr(preset_spec(preset, n_ris_list=(32,), methods=methods,
                                **{field: own}), field) == own
+
+
+@pytest.mark.parametrize("field, value", [("trials", 7), ("workers", 2)])
+@pytest.mark.parametrize("preset", ["runtime-gain", "runtime-capacity"])
+def test_runtime_specs_refuse_trials_and_workers(preset, field, value):
+    # bench_runtime times one instance per point on one worker; its sidecar
+    # used to record these as if they were used
+    with pytest.raises(ValueError, match=(
+            rf"^{field} = {value} is not read by [a-z]+ preset '{preset}'; "
+            rf"leave it unset$")):
+        preset_spec(preset, n_ris_list=(16,), **{field: value})
+    own = harness._preset(preset).get(
+        field, ExperimentSpec.__dataclass_fields__[field].default)
+    assert getattr(preset_spec(preset, n_ris_list=(16,), **{field: own}),
+                   field) == own
+
+
+@pytest.mark.parametrize("preset", ["custom-spectrum", "fig1c", "custom-gain",
+                                    "custom-capacity"])
+def test_run_specs_read_trials_and_workers(preset):
+    spec = preset_spec(preset, n_ris_list=(16,), n_t=4, trials=7, workers=2)
+    assert (spec.trials, spec.workers) == (7, 2)
 
 
 @pytest.mark.parametrize("preset, methods, message", [
@@ -685,6 +707,20 @@ def test_bench_runtime_rows():
         row["rmo_median_s"] / row["wsa_median_s"])
     csv = res.to_csv()
     assert "wsa_median_s" in csv.splitlines()[0]
+
+
+def test_bench_runtime_names_a_ratio_from_the_column_name(monkeypatch):
+    # a hyphenated method used to give a column named ratio_rmo_over_sa-fp
+    probe = harness._Method(lambda link: None, lambda link, cfg: {})
+    monkeypatch.setitem(harness._METHODS, "gain",
+                        {**harness._METHODS["gain"], "sa-fp": probe})
+    spec = preset_spec("runtime-gain", n_ris_list=(16,), rmo_max_iters=2,
+                       methods=("sa", "rmo", "sa-fp"))
+    row = bench_runtime(spec).rows[0]
+    assert [col for col in row if col.startswith("ratio_")] == [
+        "ratio_rmo_over_sa", "ratio_rmo_over_sa_fp"]
+    assert row["ratio_rmo_over_sa_fp"] == (row["rmo_median_s"]
+                                           / row["sa_fp_median_s"])
 
 
 @pytest.mark.parametrize("preset", ["runtime-gain", "runtime-capacity"])

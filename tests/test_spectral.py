@@ -172,26 +172,37 @@ def test_spectrum_against_monte_carlo_at_moderate_size():
     assert np.all(rel[:5] < 0.08)
 
 
-LAZY_SCIPY_SCRIPT = """
+NO_SCIPY_SCRIPT = """
 import sys
+sys.modules["scipy"] = None         # every import of scipy now fails
+import numpy as np
 import risopt
+from risopt.cli import main
 from risopt.harness import preset_spec, run_experiment
-res = run_experiment(preset_spec("fig2b", trials=1, n_ris_list=(1024,)))
-assert not res.rows[0]["error"], res.rows[0]["error"]
-assert "scipy.linalg" not in sys.modules, "scipy.linalg imported"
-spec = risopt.asymptotic_spectrum(1024, 4, 1.0)
-assert "scipy.linalg" in sys.modules
-print(spec.predicted_sq_singular_values.size)
+
+fig1b = run_experiment(preset_spec("fig1b", scale=0.05))
+rng = np.random.default_rng(0)
+spectrum = risopt.asymptotic_spectrum(64, 4, 1.0)
+report, _ = risopt.run_wsa(risopt.complex_gaussian(rng, (4, 64)),
+                           risopt.complex_gaussian(rng, (64, 4)), 10.0,
+                           spectra=(spectrum, spectrum))
+fig2b = run_experiment(preset_spec("fig2b", trials=1, n_ris_list=(1024,)))
+assert not fig2b.rows[0]["error"], fig2b.rows[0]["error"]
+assert main(["validate"]) == 0
+assert sys.modules["scipy"] is None
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+print(len(fig1b.aggregates), report.capacity_lb > 0)
 """
 
 
-def test_scipy_linalg_is_imported_only_for_the_asymptotic_spectrum():
-    # importing scipy.linalg is about half the import time of the package;
-    # a fresh interpreter shows whether anything else pulls it in
+def test_runs_and_self_checks_need_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter that cannot
+    # import scipy runs fig1b, statistical-CSI W-SA, a fig2b trial and
+    # validate
     src = os.path.dirname(os.path.dirname(os.path.abspath(risopt.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", LAZY_SCIPY_SCRIPT], env=env,
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["4"]
+    assert out.stdout.split()[-2:] == ["60", "True"]
