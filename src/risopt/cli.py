@@ -1,66 +1,32 @@
 """Command line front end for the experiment harness.
 
 Subcommands: figure (named preset), spectrum / gain / capacity (custom
-grids), bench-runtime, and validate (fast self-checks).  Options can
-come from an INI config file; explicit flags override it.  All angles
-of randomness flow from --seed, so a command line is a reproducible
-artifact.  Errors print a single machine-parsable line `error: <msg>`
-on stderr and exit with status 2.  A run whose rows record a trial
-error writes its files, then prints one such line and exits with
-status 1.
+grids), bench-runtime, and validate (fast self-checks).  An argument
+`@FILE` stands for the arguments in FILE, split on whitespace, and a
+later argument overrides an earlier one.  All angles of randomness
+flow from --seed, so a command line is a reproducible artifact.  Usage
+errors print a single machine-parsable line `error: <msg>` on stderr
+and exit with status 2.  A run whose rows record a trial error writes
+its files, then prints one such line and exits with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import os
 import sys
 
 import numpy as np
 
 from .harness import bench_runtime, preset_names, preset_spec, run_experiment
 
-_CONFIG_SECTION = "risopt"
+class _Parser(argparse.ArgumentParser):
+    """Raises each usage error, for main to print as one `error:` line."""
 
-
-class _ConfigFile(argparse.Action):
-    """--config PATH: the [risopt] values of an INI file, keyed by flag
-    name (--n-ris as n_ris, --workers as workers) and typed and split
-    like the arguments of that flag on this subcommand; a key that names
-    no flag of the subcommand is refused."""
-
-    def __call__(self, parser, namespace, path, option_string=None):
-        if not os.path.exists(path):
-            raise ValueError(f"config file not found: {path}")
-        cp = configparser.ConfigParser()
-        cp.read(path)
-        if _CONFIG_SECTION not in cp:
-            raise ValueError(f"config file missing [{_CONFIG_SECTION}] section")
-        sec = cp[_CONFIG_SECTION]
-        flags = {action.option_strings[-1].lstrip("-").replace("-", "_"): action
-                 for action in parser._actions
-                 if action.option_strings and action.dest not in ("help", "config")}
-        values = {}
-        for key in sec:
-            action = flags.get(key)
-            if action is None:
-                raise ValueError(f"config key {key!r} is not an option of "
-                                 f"{parser.prog}; known: {', '.join(sorted(flags))}")
-            convert = action.type or str
-            many = action.nargs == "+"
-            try:
-                vals = [convert(tok) for tok in
-                        (sec[key].split() if many else [sec[key]])]
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
-            values[action.dest] = vals if many else vals[0]
-        setattr(namespace, self.dest, values)
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser, runs_trials: bool) -> None:
-    parser.add_argument("--config", action=_ConfigFile,
-                        help="INI file with a [risopt] section")
     parser.add_argument("--seed", type=int, default=None)
     if runs_trials:                # bench-runtime times one instance per point
         parser.add_argument("--trials", type=int, default=None)
@@ -81,7 +47,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="K-factor in dB: transmit, then receive if it "
                              "differs")
     parser.add_argument("--snr-db", type=float, default=None)
-    # no choices: the spec checks names for flags, INI keys and library calls
+    # no choices: the spec checks names for flags and library calls alike
     parser.add_argument("--methods", nargs="+", default=None)
     parser.add_argument("--arrangement", default=None)
     parser.add_argument("--rmo-iters", dest="rmo_max_iters", type=int,
@@ -89,9 +55,9 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="risopt",
-        description="1-bit RIS gain/capacity experiments")
+    parser = _Parser(prog="risopt", fromfile_prefix_chars="@",
+                     description="1-bit RIS gain/capacity experiments")
+    parser.convert_arg_line_to_args = str.split
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text, presets in (
             ("figure", "run a named figure preset", preset_names("fig")),
@@ -115,16 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec_and_out(args: argparse.Namespace):
-    """The preset's spec with config-file values, then explicit flags, on
-    top; and the output directory."""
-    opts = dict(args.config or {})
-    for key, val in vars(args).items():
-        if val is not None and key not in ("command", "config", "preset"):
-            opts[key] = val
+    """The preset's spec with the given flags on top; and the output
+    directory."""
+    opts = {key: val for key, val in vars(args).items()
+            if val is not None and key not in ("command", "preset")}
     out_dir = opts.pop("out", "results")
     if "k_db" in opts:             # transmit side, then receive side if given
         k_db = opts.pop("k_db")
-        if not 1 <= len(k_db) <= 2:
+        if len(k_db) > 2:
             raise ValueError("--k-db takes one or two values")
         opts.update(zip(("k_t_db", "k_r_db"), k_db))
     preset = getattr(args, "preset", None) or f"custom-{args.command}"

@@ -14,13 +14,13 @@ def run_main(argv):
     return main(argv)
 
 
-def refusal(tmp_path, capsys, argv, ini=None) -> list:
+def refusal(tmp_path, capsys, argv, argfile=None) -> list:
     """The stderr lines of a run that must exit 2 and write no file, with
-    ini, if given, as the body of its [risopt] config section."""
-    if ini:
-        cfg = tmp_path / "run.ini"
-        cfg.write_text(f"[risopt]\n{ini}\n")
-        argv = [*argv, "--config", str(cfg)]
+    argfile, if given, as the text of an argument file read after argv."""
+    if argfile:
+        path = tmp_path / "run.args"
+        path.write_text(f"{argfile}\n")
+        argv = [*argv, f"@{path}"]
     out = tmp_path / "out"
     assert run_main([*argv, "--out", str(out)]) == 2
     assert not out.exists()
@@ -102,29 +102,85 @@ def test_one_k_db_value_sets_both_sides(tmp_path):
 
 
 def test_config_file_with_flag_override(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[risopt]\nn_ris = 48\nnt = 4\nnr = 4\ntrials = 3\n"
-                   "methods = wsa rmo\nseed = 2\nk_db = 3 -2\nsnr_db = 7.5\n"
-                   "rmo_iters = 7\nout_stem = from_ini\n")
+    args = tmp_path / "run.args"
+    args.write_text("--n-ris 48\n--nt 4\n--nr 4\n--trials 3\n"
+                    "--methods wsa rmo\n--seed 2\n--k-db 3 -2\n--snr-db 7.5\n"
+                    "--rmo-iters 7\n--out-stem from_file\n")
     out = tmp_path / "results"
-    code = run_main(["capacity", "--config", str(cfg), "--trials", "1",
+    code = run_main(["capacity", f"@{args}", "--trials", "1",
                      "--out", str(out)])
     assert code == 0
-    lines = open(out / "from_ini.csv").read().strip().splitlines()
-    assert len(lines) == 2              # flag --trials 1 beat config's 3
-    spec = json.load(open(out / "from_ini.json"))["spec"]
+    lines = open(out / "from_file.csv").read().strip().splitlines()
+    assert len(lines) == 2              # flag --trials 1 beat the file's 3
+    spec = json.load(open(out / "from_file.json"))["spec"]
     assert (spec["k_t_db"], spec["k_r_db"], spec["snr_db"]) == (3.0, -2.0, 7.5)
     assert (spec["rmo_max_iters"], spec["n_t"], spec["seed"]) == (7, 4, 2)
     assert spec["n_ris_list"] == [48] and spec["methods"] == ["wsa", "rmo"]
 
 
 def test_config_scale_applies_to_figure(tmp_path):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[risopt]\nscale = 0.02\ntrials = 1\n")
-    assert run_main(["figure", "fig2a", "--config", str(cfg),
+    args = tmp_path / "run.args"
+    args.write_text("--scale 0.02\n--trials 1\n")
+    assert run_main(["figure", "fig2a", f"@{args}",
                      "--out", str(tmp_path)]) == 0
     spec = json.load(open(tmp_path / "fig2a.json"))["spec"]
     assert spec["scale"] == 0.02 and spec["n_ris_list"] == [10, 41, 164]
+
+
+def test_an_argument_file_writes_the_bytes_of_its_flags(tmp_path):
+    # the gain-sa-rmo-lb grid of tests/test_pinned_outputs.py
+    lines = ["--n-ris 36 64", "--nt 4", "--trials 2", "--rmo-iters 5",
+             "--methods sa rmo lb"]
+    args = tmp_path / "run.args"
+    args.write_text("\n".join(lines) + "\n")
+    flags = " ".join(lines).split()
+    assert run_main(["gain", *flags, "--out", str(tmp_path / "flags")]) == 0
+    assert run_main(["gain", f"@{args}", "--out", str(tmp_path / "file")]) == 0
+    for name in ("custom-gain.csv", "custom-gain_aggregate.csv"):
+        assert ((tmp_path / "file" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes())
+
+
+def test_a_file_after_a_flag_overrides_it(tmp_path):
+    # test_config_file_with_flag_override checks the other order
+    args = tmp_path / "run.args"
+    args.write_text("--trials 3\n")
+    assert run_main(["gain", "--n-ris", "16", "--nt", "2", "--trials", "1",
+                     f"@{args}", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "custom-gain.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--trials x", "argument --trials: invalid int value: 'x'"),
+    ("--n-ris 32 4o", "argument --n-ris: invalid int value: '4o'"),
+], ids=["trials", "n_ris"])
+def test_a_bad_value_in_a_file_prints_the_flags_error_line(tmp_path, capsys,
+                                                           flag, message):
+    argv = ["capacity", "--n-ris", "32"]
+    assert refusal(tmp_path, capsys, [*argv, *flag.split()]) == [
+        f"error: {message}"]
+    assert refusal(tmp_path, capsys, argv, flag) == [f"error: {message}"]
+
+
+def test_a_missing_argument_file_is_a_clean_error(tmp_path, capsys):
+    missing = tmp_path / "missing.args"
+    assert refusal(tmp_path, capsys, ["capacity", f"@{missing}"]) == [
+        f"error: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_a_missing_subcommand_prints_one_error_line(capsys):
+    # argparse used to print its usage block and raise SystemExit(2)
+    assert run_main([]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the following arguments are required: command"]
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_main(["gain", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: risopt gain")
 
 
 def test_bench_runtime_header(tmp_path):
@@ -173,54 +229,41 @@ def test_written_files_honour_the_umask(tmp_path, umask, mode):
     ["bench-runtime", "runtime-gain", "--trials", "7"],
     ["bench-runtime", "runtime-gain", "--workers", "2"],
     ["gain", "--n-ris", "64", "--threads", "2"],
+    ["gain", "--n-ris", "64", "--scale", "0.5"],
+    ["gain", "--n-ris", "64", "--trails", "1"],
 ])
 def test_an_option_with_no_reader_is_not_recognized(tmp_path, capsys, argv):
-    # bench_runtime times one instance per point on one worker, and
-    # --workers is the worker count's only name
-    with pytest.raises(SystemExit) as exc:
-        run_main([*argv, "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
-    assert not (tmp_path / "out").exists()
+    # bench_runtime times one instance per point on one worker, --workers
+    # is the worker count's only name, and --scale scales presets only
+    assert refusal(tmp_path, capsys, argv) == [
+        "error: unrecognized arguments: " + " ".join(argv[-2:])]
 
 
-def test_config_unknown_arrangement_is_a_clean_error(tmp_path, capsys):
-    # an INI value is not checked against the flag's choices, so the spec
-    # must refuse it before any trial runs
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[risopt]\nn_ris = 32\ntrials = 2\narrangement = diagonal\n")
-    code = run_main(["capacity", "--config", str(cfg), "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "diagonal" in err
-    assert not list(tmp_path.glob("*.csv"))
-
-
-@pytest.mark.parametrize("argv, ini, method", [
+@pytest.mark.parametrize("argv, argfile, method", [
     (["gain", "--n-ris", "64", "--nt", "4", "--trials", "2",
       "--methods", "wsa"], None, "wsa"),
-    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "2"],
-     "methods = sa", "sa"),
+    pytest.param(["capacity", "--n-ris", "64", "--nt", "4", "--trials", "2"],
+                 "--methods sa", "sa", id="argfile"),
 ])
 def test_a_method_of_another_family_is_a_clean_error(tmp_path, capsys,
-                                                     argv, ini, method):
-    # the flag's choices hold every family's methods, and an INI value is
-    # not checked against them; the spec refuses what its family cannot run
-    err = refusal(tmp_path, capsys, argv, ini)
+                                                     argv, argfile, method):
+    # the flag has no choices, so a name from a flag, a file or a library
+    # call meets one check: the spec refuses what its family cannot run
+    err = refusal(tmp_path, capsys, argv, argfile)
     assert len(err) == 1 and err[0].startswith("error:")
     assert f"'{method}'" in err[0]
 
 
-@pytest.mark.parametrize("flags, ini", [
+@pytest.mark.parametrize("flags, argfile", [
     (["--k-db", "3"], None),
-    ([], "k_db = 3"),
+    pytest.param([], "--k-db 3", id="argfile"),
 ])
-def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags, ini):
+def test_k_db_next_to_a_k_sweep_is_a_clean_error(tmp_path, capsys, flags,
+                                                 argfile):
     # fig1c sweeps K on both sides, which used to override a given K-factor
     # without a word
     argv = ["figure", "fig1c", "--scale", "0.05", "--trials", "1", *flags]
-    assert refusal(tmp_path, capsys, argv, ini) == [
+    assert refusal(tmp_path, capsys, argv, argfile) == [
         "error: k_t_db = 3.0 is not read by hardening preset 'fig1c', "
         "which sweeps K over k_sweep_db; leave it unset"]
 
@@ -245,21 +288,19 @@ UNREAD = {
 }
 
 
-@pytest.mark.parametrize("family, field, flag, value, as_ini", [
-    pytest.param(family, field, flag, value, as_ini,
-                 id=f"{family}-{field}-{'ini' if as_ini else 'flag'}")
+@pytest.mark.parametrize("family, field, flag, value", [
+    pytest.param(family, field, flag, value, id=f"{family}-{field}-flag")
     for family, (_, _, cases) in UNREAD.items()
-    for field, flag, value in cases for as_ini in (False, True)
+    for field, flag, value in cases
 ])
 def test_a_field_its_preset_never_reads_is_a_clean_error(tmp_path, capsys,
                                                          family, field, flag,
-                                                         value, as_ini):
+                                                         value):
     # each used to run, write the bytes of a run without it and echo it in
     # the sidecar as if used
     argv, preset, _ = UNREAD[family]
-    ini = f"{flag[2:].replace('-', '_')} = {value}" if as_ini else None
-    flags = [] if as_ini else [flag, *value.split()]
-    err = refusal(tmp_path, capsys, [*argv, "--trials", "1", *flags], ini)
+    err = refusal(tmp_path, capsys,
+                  [*argv, "--trials", "1", flag, *value.split()])
     assert len(err) == 1
     assert err[0].startswith(f"error: {field} = ")
     assert f"preset '{preset}'" in err[0]
@@ -301,19 +342,16 @@ METHOD_UNREAD = [
 ]
 
 
-@pytest.mark.parametrize("argv, preset, methods, field, flag, value, as_ini", [
-    pytest.param(*case, as_ini,
-                 id=f"{case[1]}-{'-'.join(case[2])}-{case[3]}-"
-                    f"{'ini' if as_ini else 'flag'}")
-    for case in METHOD_UNREAD for as_ini in (False, True)
+@pytest.mark.parametrize("argv, preset, methods, field, flag, value", [
+    pytest.param(*case, id=f"{case[1]}-{'-'.join(case[2])}-{case[3]}-flag")
+    for case in METHOD_UNREAD
 ])
 def test_a_field_its_methods_never_read_is_a_clean_error(
-        tmp_path, capsys, argv, preset, methods, field, flag, value, as_ini):
+        tmp_path, capsys, argv, preset, methods, field, flag, value):
     # each used to write the bytes of a run without it and echo it in the
     # sidecar as if used
-    ini = f"{flag[2:].replace('-', '_')} = {value}" if as_ini else None
-    flags = [] if as_ini else [flag, str(value)]
-    err = refusal(tmp_path, capsys, [*argv, "--methods", *methods, *flags], ini)
+    err = refusal(tmp_path, capsys,
+                  [*argv, "--methods", *methods, flag, str(value)])
     assert err == [f"error: {field} = {value!r} is not read by "
                    f"{'gain' if 'gain' in preset else 'capacity'} preset "
                    f"'{preset}' with methods {methods}; leave it unset"]
@@ -374,36 +412,34 @@ def test_a_bad_method_or_arrangement_flag_prints_one_error_line(
     assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("argv, ini, message", [
+@pytest.mark.parametrize("argv, message", [
     # spectrum used to blame k_r_db, which the user did not set
-    (["spectrum", "--k-db", "nan"], None, "k_t_db must be a number; got nan"),
-    (["spectrum"], "k_db = nan", "k_t_db must be a number; got nan"),
+    (["spectrum", "--k-db", "nan"], "k_t_db must be a number; got nan"),
     # a gain trial used to fail with "k_factor must be non-negative"
-    (["gain", "--k-db", "nan"], None, "k_t_db must be a number; got nan"),
-    (["capacity", "--k-db", "0", "nan"], None, "k_r_db must be a number; got nan"),
+    (["gain", "--k-db", "nan"], "k_t_db must be a number; got nan"),
+    (["capacity", "--k-db", "0", "nan"], "k_r_db must be a number; got nan"),
     # a spectrum at K = inf used to run every trial, then die in its aggregate
-    (["spectrum", "--k-db", "inf"], None, "k_t_db must be finite for spectrum "
+    (["spectrum", "--k-db", "inf"], "k_t_db must be finite for spectrum "
      "preset 'custom-spectrum'; got inf"),
-    (["spectrum", "--k-db=-inf"], None, "k_t_db must be finite for spectrum "
+    (["spectrum", "--k-db=-inf"], "k_t_db must be finite for spectrum "
      "preset 'custom-spectrum'; got -inf"),
-], ids=["spectrum-nan", "spectrum-nan-ini", "gain-nan", "capacity-nan-k_r",
-        "spectrum-inf", "spectrum-minus-inf"])
-def test_a_nan_or_infinite_k_is_a_clean_error(tmp_path, capsys, argv, ini,
-                                              message):
+], ids=["spectrum-nan", "gain-nan", "capacity-nan-k_r", "spectrum-inf",
+        "spectrum-minus-inf"])
+def test_a_nan_or_infinite_k_is_a_clean_error(tmp_path, capsys, argv, message):
     argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "2", *argv[1:]]
-    assert refusal(tmp_path, capsys, argv, ini) == [f"error: {message}"]
+    assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("flags, ini", [
+@pytest.mark.parametrize("flags, argfile", [
     (["--rmo-iters", "0"], None),
-    ([], "rmo_iters = 0"),
+    pytest.param([], "--rmo-iters 0", id="argfile"),
 ])
 def test_a_non_positive_rmo_iteration_limit_is_a_clean_error(tmp_path, capsys,
-                                                             flags, ini):
+                                                             flags, argfile):
     # it used to run every trial, put the same error in every RMO row and
     # exit 1 after writing the files
     argv = ["figure", "fig2b", "--scale", "0.02", "--trials", "1", *flags]
-    assert refusal(tmp_path, capsys, argv, ini) == [
+    assert refusal(tmp_path, capsys, argv, argfile) == [
         "error: rmo_max_iters must be >= 1"]
 
 
@@ -412,84 +448,41 @@ SCALE_REFUSED = "error: scale must be finite and > 0; got "
 WORKERS_REFUSED = "error: workers must be >= 1"
 
 
-@pytest.mark.parametrize("argv, ini, message", [
+@pytest.mark.parametrize("argv, message", [
     # sizes and scales used to be floored to n_ris = 2, or to crash
-    (["gain", "--n-ris", "-5", "--nt", "4"], None, SIZE_REFUSED + "[-5]"),
-    (["gain", "--nt", "4"], "n_ris = 64 0", SIZE_REFUSED + "[64, 0]"),
-    (["figure", "fig2a", "--scale", "-1"], None, SCALE_REFUSED + "-1.0"),
-    (["figure", "fig2a", "--scale", "0"], None, SCALE_REFUSED + "0.0"),
-    (["figure", "fig2a", "--scale", "inf"], None, SCALE_REFUSED + "inf"),
-    (["figure", "fig2a", "--scale", "nan"], None, SCALE_REFUSED + "nan"),
-    (["figure", "fig2a"], "scale = -1", SCALE_REFUSED + "-1.0"),
+    (["gain", "--n-ris", "-5", "--nt", "4"], SIZE_REFUSED + "[-5]"),
+    (["figure", "fig2a", "--scale", "-1"], SCALE_REFUSED + "-1.0"),
+    (["figure", "fig2a", "--scale", "0"], SCALE_REFUSED + "0.0"),
+    (["figure", "fig2a", "--scale", "inf"], SCALE_REFUSED + "inf"),
+    (["figure", "fig2a", "--scale", "nan"], SCALE_REFUSED + "nan"),
     # a worker count below 1 used to run one worker
-    (["gain", "--n-ris", "64", "--workers", "0"], None, WORKERS_REFUSED),
-    (["gain", "--n-ris", "64"], "workers = 0", WORKERS_REFUSED),
-], ids=["n_ris", "n_ris-ini", "scale-negative", "scale-zero", "scale-inf",
-        "scale-nan", "scale-ini", "workers-zero", "workers-ini"])
+    (["gain", "--n-ris", "64", "--workers", "0"], WORKERS_REFUSED),
+], ids=["n_ris", "scale-negative", "scale-zero", "scale-inf", "scale-nan",
+        "workers-zero"])
 def test_a_bad_size_scale_or_worker_count_is_a_clean_error(tmp_path, capsys,
-                                                           argv, ini, message):
+                                                           argv, message):
     argv = [*argv, "--trials", "1"]
-    assert refusal(tmp_path, capsys, argv, ini) == [message]
+    assert refusal(tmp_path, capsys, argv) == [message]
 
 
-@pytest.mark.parametrize("argv, ini, message", [
+@pytest.mark.parametrize("argv, message", [
     # these used to exit 2 with a message that named no field, fig1b's
     # only after running every trial
-    (["gain", "--n-ris", "64", "--nt", "0"], None, "n_t must be >= 1; got 0"),
-    (["gain", "--n-ris", "64"], "nt = -1", "n_t must be >= 1; got -1"),
-    (["gain", "--n-ris", "64", "--nr", "-2"], None,
+    (["gain", "--n-ris", "64", "--nt", "0"], "n_t must be >= 1; got 0"),
+    (["gain", "--n-ris", "64", "--nr", "-2"],
      "n_r must be >= 0 (0: same as n_t); got -2"),
-    (["gain", "--n-ris", "64", "--seed", "-1"], None, "seed must be >= 0; got -1"),
-    (["gain", "--n-ris", "64"], "seed = -1", "seed must be >= 0; got -1"),
-    (["figure", "fig1b", "--scale", "0.01"], None,
+    (["gain", "--n-ris", "64", "--seed", "-1"], "seed must be >= 0; got -1"),
+    (["figure", "fig1b", "--scale", "0.01"],
      "n_ris_list entries must be >= n_t = 20 for spectrum preset 'fig1b'; "
      "got [5, 10, 20]"),
-    (["spectrum", "--n-ris", "64", "3", "--nt", "4"], None,
+    (["spectrum", "--n-ris", "64", "3", "--nt", "4"],
      "n_ris_list entries must be >= n_t = 4 for spectrum preset "
      "'custom-spectrum'; got [64, 3]"),
-], ids=["nt", "nt-ini", "nr", "seed", "seed-ini", "fig1b-scale", "spectrum"])
+], ids=["nt", "nr", "seed", "fig1b-scale", "spectrum"])
 def test_a_size_or_seed_no_trial_can_use_is_a_clean_error(tmp_path, capsys,
-                                                          argv, ini, message):
+                                                          argv, message):
     argv = [*argv, "--trials", "1"]
-    assert refusal(tmp_path, capsys, argv, ini) == [f"error: {message}"]
-
-
-@pytest.mark.parametrize("argv, ini, key", [
-    # a misspelt key and a lookalike of --methods used to be dropped, and
-    # the run went on with 50 trials of the default methods
-    (["gain", "--n-ris", "64"], "trails = 1\nmethod = sa rmo", "trails"),
-    (["gain", "--n-ris", "64", "--trials", "1"], "scale = 0.5", "scale"),
-    (["figure", "fig2a", "--trials", "1"], "preset = fig2b", "preset"),
-    # bench_runtime times one instance per point on one worker
-    (["bench-runtime", "runtime-gain"], "trials = 7", "trials"),
-    (["bench-runtime", "runtime-gain"], "workers = 2", "workers"),
-], ids=["misspelt", "scale-in-gain", "preset", "trials-in-bench-runtime",
-        "workers-in-bench-runtime"])
-def test_a_config_key_that_names_no_option_is_a_clean_error(tmp_path, capsys,
-                                                            argv, ini, key):
-    err = refusal(tmp_path, capsys, argv, ini)
-    assert len(err) == 1
-    assert err[0].startswith(f"error: config key {key!r} is not an option of "
-                             f"risopt {argv[0]}; known: ")
-    known = err[0].split("; known: ")[1].split(", ")
-    assert "seed" in known and key not in known
-
-
-@pytest.mark.parametrize("line, key, value", [
-    ("trials = x", "trials", "'x'"),
-    ("n_ris = 32 4o", "n_ris", "'4o'"),
-])
-def test_config_bad_value_names_its_key(tmp_path, capsys, line, key, value):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(f"[risopt]\n{line}\n")
-    code = run_main(["capacity", "--n-ris", "32", "--config", str(cfg),
-                     "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"error: config key '{key}': ")
-    assert err[0].endswith(value)
-    assert not list(tmp_path.glob("*.csv"))
+    assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
 
 
 def test_a_trial_error_exits_1_after_writing_the_files(tmp_path, capsys):
@@ -517,20 +510,10 @@ def test_an_infinite_snr_is_named_in_the_row_error(tmp_path, capsys):
         "finite; got inf"]
 
 
-def test_config_missing_section(tmp_path):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[other]\nn_ris = 8\n")
-    assert run_main(["capacity", "--config", str(cfg)]) == 2
-
-
 def test_bad_k_db_count(tmp_path):
     code = run_main(["capacity", "--n-ris", "32", "--k-db", "1", "2", "3",
                      "--out", str(tmp_path)])
     assert code == 2
-    cfg = tmp_path / "empty_k.ini"
-    cfg.write_text("[risopt]\nk_db =\n")
-    assert run_main(["capacity", "--n-ris", "32", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
 
 
 def test_module_entry_point_runs():
@@ -540,6 +523,7 @@ def test_module_entry_point_runs():
     assert "all checks passed" in proc.stdout
 
 
-def test_unknown_preset_rejected_by_parser(capsys):
-    with pytest.raises(SystemExit):
-        run_main(["figure", "fig7q"])
+def test_unknown_preset_rejected_by_parser(tmp_path, capsys):
+    err = refusal(tmp_path, capsys, ["figure", "fig7q"])
+    assert len(err) == 1
+    assert err[0].startswith("error: argument preset: invalid choice: 'fig7q'")

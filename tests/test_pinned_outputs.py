@@ -59,11 +59,11 @@ RUNS = {
 }
 
 # Runs every entry of RUNS (read from argv as JSON) and prints the hashes
-# and the BLAS build as JSON.  numpy and scipy.linalg are imported first,
-# so each OpenBLAS prints its kernel line before anything else runs.
+# and the BLAS build as JSON.  numpy is imported first, so its OpenBLAS
+# prints its kernel line before anything else runs.
 CHILD = """
 import hashlib, json, sys
-import numpy, scipy.linalg
+import numpy
 from risopt.harness import _static_environment, preset_spec, run_experiment
 
 def sha(text):
