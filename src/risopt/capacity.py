@@ -25,9 +25,6 @@ from .spectral import AsymptoticSpectrum, SvdBundle, svd_bundle
 
 _LN2 = math.log(2.0)
 
-# how round_allocation lays the element counts out over the RIS
-ARRANGEMENTS = ("contiguous", "interleaved", "random")
-
 
 @dataclass(frozen=True)
 class AllocationPlan:
@@ -122,9 +119,12 @@ def water_level_solve(gains, weights, budget: float) -> float:
     """
     a = np.asarray(gains, dtype=float)
     c = np.asarray(weights, dtype=float)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if np.any(c <= 0) or np.any(a <= 0):
+    if a.ndim != 1 or a.size == 0 or c.shape != a.shape:
+        raise ValueError(f"gains and weights must be nonempty 1-D arrays of "
+                         f"one length; got shapes {a.shape} and {c.shape}")
+    if not budget > 0:
+        raise ValueError(f"budget must be positive; got {budget!r}")
+    if not (np.all(c > 0) and np.all(a > 0)):      # NaN fails too
         raise ValueError("gains and weights must be positive")
     return _water_level(a, c, budget)
 
@@ -195,6 +195,10 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
         raise ValueError("snr, epsilon, max_iters must be positive")
     if math.isinf(snr):            # inf gains make the proportional start NaN
         raise ValueError(f"snr must be finite; got {snr!r}")
+    if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
+        raise ValueError("singular values must be finite")
+    if n_t < 1:
+        raise ValueError(f"n_t must be >= 1; got {n_t!r}")
     nmin = min(d_r.size, d_t.size)
     if nmin < 1:
         raise ValueError("need at least one stream")
@@ -285,21 +289,16 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
                           objective_trace=np.asarray(trace), converged=converged)
 
 
-def round_allocation(plan: AllocationPlan, n_ris: int,
-                     arrangement: str = "contiguous",
-                     rng: np.random.Generator | None = None) -> AllocationPlan:
+def round_allocation(plan: AllocationPlan, n_ris: int) -> AllocationPlan:
     """Fill integer counts and disjoint index sets on a plan.
 
     Counts come from largest-remainder rounding of sqrt(p_i) * n_ris
     (ties to the lower stream index); zero-fraction streams get zero
-    elements.  Arrangements (ARRANGEMENTS): contiguous blocks,
-    interleaved round-robin deal, or random permutation blocks (pass the
-    rng; a fixed default_rng(0) is used otherwise so outputs stay
-    reproducible).
+    elements.  Stream i gets the i-th contiguous block of elements: the
+    allocation fixes how many elements serve a stream, not where they sit.
     """
-    if arrangement not in ARRANGEMENTS:
-        raise ValueError(f"unknown arrangement {arrangement!r}; "
-                         f"known: {ARRANGEMENTS}")
+    if not isinstance(n_ris, (int, np.integer)) or n_ris < 1:
+        raise ValueError(f"n_ris must be an integer >= 1; got {n_ris!r}")
     w = np.sqrt(np.clip(plan.fractions, 0.0, None))
     targets = w * n_ris
     counts = np.floor(targets).astype(np.int64)
@@ -309,27 +308,8 @@ def round_allocation(plan: AllocationPlan, n_ris: int,
         order = np.lexsort((np.arange(rem.size), -rem))
         counts[order[:leftover]] += 1
 
-    k = counts.size
-    if arrangement == "contiguous":
-        edges = np.concatenate(([0], np.cumsum(counts)))
-        sets = tuple(np.arange(edges[i], edges[i + 1]) for i in range(k))
-    elif arrangement == "interleaved":
-        quotas = counts.copy()
-        lists: list[list[int]] = [[] for _ in range(k)]
-        for pos in range(n_ris):
-            j = pos % k
-            for step in range(k):
-                cand = (j + step) % k
-                if quotas[cand] > 0:
-                    lists[cand].append(pos)
-                    quotas[cand] -= 1
-                    break
-        sets = tuple(np.asarray(lst, dtype=np.int64) for lst in lists)
-    else:
-        gen = rng if rng is not None else np.random.default_rng(0)
-        perm = gen.permutation(n_ris)
-        edges = np.concatenate(([0], np.cumsum(counts)))
-        sets = tuple(np.sort(perm[edges[i]:edges[i + 1]]) for i in range(k))
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    sets = tuple(np.arange(edges[i], edges[i + 1]) for i in range(counts.size))
     return replace(plan, counts=counts, index_sets=sets)
 
 
@@ -387,8 +367,6 @@ def offdiag_ratio(h_eff: np.ndarray) -> float:
 
 
 def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
-                  arrangement: str = "contiguous",
-                  rng: np.random.Generator | None = None,
                   spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
                   ) -> tuple[RisConfig, AllocationPlan]:
     """W-SA configuration from the two channel SVDs: allocate fractions,
@@ -404,7 +382,7 @@ def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
     else:
         sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
     plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right.shape[0])
-    plan = round_allocation(plan, bundle_t.left.shape[0], arrangement, rng)
+    plan = round_allocation(plan, bundle_t.left.shape[0])
     return configure_capacity(bundle_r, bundle_t, plan), plan
 
 
@@ -422,8 +400,6 @@ def wsa_report(h_r_herm: np.ndarray, h_t: np.ndarray, bundle_r: SvdBundle,
 
 
 def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
-            arrangement: str = "contiguous",
-            rng: np.random.Generator | None = None,
             spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
             ) -> tuple[CapacityReport, AllocationPlan]:
     """Full waterfilling-SA pipeline on one channel pair.
@@ -438,7 +414,6 @@ def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
     h_t = np.asarray(h_t, dtype=complex)
     bundle_r = svd_bundle(h_r_herm)
     bundle_t = svd_bundle(h_t)
-    phi, plan = configure_wsa(bundle_r, bundle_t, snr, arrangement=arrangement,
-                              rng=rng, spectra=spectra)
+    phi, plan = configure_wsa(bundle_r, bundle_t, snr, spectra=spectra)
     return wsa_report(h_r_herm, h_t, bundle_r, bundle_t, phi, plan, snr,
                       spectra=spectra), plan

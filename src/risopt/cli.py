@@ -49,7 +49,6 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--snr-db", type=float, default=None)
     # no choices: the spec checks names for flags and library calls alike
     parser.add_argument("--methods", nargs="+", default=None)
-    parser.add_argument("--arrangement", default=None)
     parser.add_argument("--rmo-iters", dest="rmo_max_iters", type=int,
                         default=None)
 

@@ -23,7 +23,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .alignment import sign_align
-from .capacity import ARRANGEMENTS, capacity_exact, configure_wsa, wsa_report
+from .capacity import capacity_exact, configure_wsa, wsa_report
 from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
@@ -73,7 +73,6 @@ class ExperimentSpec:
     trials: int = 50
     seed: int = 0
     methods: tuple = ()
-    arrangement: str = "contiguous"
     scale: float = 1.0
     workers: int = 1
     rmo_max_iters: int = 200
@@ -145,9 +144,6 @@ class ExperimentSpec:
                 raise ValueError(f"k_sweep_db entries must be finite for "
                                  f"{family} preset {self.preset!r}; "
                                  f"got {list(self.k_sweep_db)}")
-        if self.arrangement not in ARRANGEMENTS:
-            raise ValueError(f"unknown arrangement {self.arrangement!r}; "
-                             f"known: {ARRANGEMENTS}")
         object.__setattr__(self, "n_ris_list",
                            tuple(int(n) for n in self.n_ris_list))
         if self.k_sweep_db is not None:
@@ -482,7 +478,6 @@ class _Link:
     def __init__(self, spec: ExperimentSpec, point: dict,
                  rng: np.random.Generator):
         self.spec = spec
-        self.rng = rng
         self.ch_t = _sample_side(rng, point["n_ris"], spec.n_t, point["k_t_db"])
         self.ch_r = _sample_side(rng, point["n_ris"], spec.n_r, point["k_r_db"])
         self.a = self.ch_r.hermitian
@@ -566,9 +561,7 @@ _METHODS = {
         "rmo": _rmo("gain", "gain_rmo"),
     },
     "capacity": {
-        "wsa": _Method(lambda link: configure_wsa(
-                           *link.bundles, link.snr,
-                           arrangement=link.spec.arrangement, rng=link.rng),
+        "wsa": _Method(lambda link: configure_wsa(*link.bundles, link.snr),
                        _score_wsa, repeats=(3, 5)),
         "rmo": _rmo("capacity_exact", "cap_rmo"),
         "rmo-surrogate": _rmo("capacity_surrogate", "cap_rmo_surrogate"),
@@ -588,7 +581,7 @@ _COLUMNS = {
 # replaces; a spec that runs none of a field's readers leaves it at its
 # preset's value (n_r at n_t, k_r_db at k_t_db)
 _READERS = {"n_r": {"gain", "capacity"}, "k_r_db": {"gain", "capacity"},
-            "snr_db": {"capacity"}, "arrangement": {"wsa"},
+            "snr_db": {"capacity"},
             "rmo_max_iters": {"rmo", "rmo-surrogate"},
             "trials": {"run"}, "workers": {"run"}}
 _SWEPT = ("k_t_db", "k_r_db")

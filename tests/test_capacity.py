@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from risopt import capacity
 from risopt.alignment import sign_align
-from risopt.capacity import (ARRANGEMENTS, AllocationPlan, allocate_sca,
+from risopt.capacity import (AllocationPlan, allocate_sca,
                              capacity_diag_approx, capacity_exact,
                              capacity_lower_bound, configure_capacity,
                              effective_channel, offdiag_ratio,
@@ -39,6 +40,22 @@ def test_water_level_validation():
         water_level_solve([-1.0], [1.0], 1.0)
     with pytest.raises(ValueError):
         water_level_solve([1.0], [0.0], 1.0)
+
+
+@pytest.mark.parametrize("gains, weights, budget, message", [
+    # an IndexError in the segment search
+    ([], [], 1.0, "nonempty 1-D arrays"),
+    # each of these returned nan
+    ([1.0, 2.0], [1.0, 1.0], math.nan, "budget must be positive; got nan"),
+    ([1.0, math.nan], [1.0, 1.0], 1.0, "gains and weights must be positive"),
+    ([1.0, 2.0], [math.nan, 1.0], 1.0, "gains and weights must be positive"),
+    # the weight broadcast and the level came out 0.8
+    ([1.0, 2.0], [1.0], 1.0, r"got shapes \(2,\) and \(1,\)"),
+], ids=["empty", "nan-budget", "nan-gain", "nan-weight", "length-mismatch"])
+def test_water_level_refuses_input_it_cannot_solve(gains, weights, budget,
+                                                   message):
+    with pytest.raises(ValueError, match=message):
+        water_level_solve(gains, weights, budget)
 
 
 def test_capacity_exact_against_logdet():
@@ -162,6 +179,19 @@ def test_allocation_validation():
                          n_t=2, init=[bad, 1.0])
 
 
+@pytest.mark.parametrize("d_r, d_t, n_t, message", [
+    # a NaN singular value used to end in an IndexError inside the level
+    # search, and n_t = 0 divided the gains by zero
+    ([2.0, math.nan], [2.0, 1.0], 2, "^singular values must be finite$"),
+    ([2.0, 1.0], [math.inf, 1.0], 2, "^singular values must be finite$"),
+    ([2.0, 1.0], [2.0, 1.0], 0, "^n_t must be >= 1; got 0$"),
+], ids=["nan-receive", "inf-transmit", "n_t-zero"])
+def test_allocation_refuses_non_finite_singular_values_and_no_antenna(
+        d_r, d_t, n_t, message):
+    with pytest.raises(ValueError, match=message):
+        allocate_sca(d_r, d_t, 10.0, n_t)
+
+
 def test_a_non_finite_snr_is_refused_before_any_start():
     # inf gains used to make the proportional start NaN and end in an
     # IndexError; NaN keeps the message the pinned nan-snr rows hold
@@ -278,27 +308,22 @@ def test_rounding_largest_remainder_with_tie_to_lower_index():
 
 def test_rounding_preserves_totals_and_disjointness():
     rng = np.random.default_rng(5)
-    for arrangement in ("contiguous", "interleaved", "random"):
-        w = rng.uniform(0.1, 1.0, 4)
-        w /= w.sum()
-        plan = round_allocation(make_plan(w ** 2), 101, arrangement,
-                                np.random.default_rng(9))
-        assert plan.counts.sum() == 101
-        allidx = np.concatenate([s for s in plan.index_sets])
-        assert np.array_equal(np.sort(allidx), np.arange(101))
-        for s, c in zip(plan.index_sets, plan.counts):
-            assert s.size == c
+    w = rng.uniform(0.1, 1.0, 4)
+    w /= w.sum()
+    plan = round_allocation(make_plan(w ** 2), 101)
+    assert plan.counts.sum() == 101
+    # stream i holds the i-th block of elements
+    assert np.array_equal(np.concatenate(plan.index_sets), np.arange(101))
+    for s, c in zip(plan.index_sets, plan.counts):
+        assert s.size == c
 
 
-def test_rounding_interleaved_deals_round_robin():
-    plan = round_allocation(make_plan([0.25, 0.25]), 6, "interleaved")
-    assert plan.index_sets[0].tolist() == [0, 2, 4]
-    assert plan.index_sets[1].tolist() == [1, 3, 5]
-
-
-def test_rounding_unknown_arrangement():
-    with pytest.raises(ValueError):
-        round_allocation(make_plan([1.0]), 4, "diagonal")
+@pytest.mark.parametrize("n_ris", [-5, 0, 2.5, np.float64(8.0)])
+def test_rounding_refuses_an_element_count_that_is_not_a_positive_integer(n_ris):
+    # -5 used to give the counts [-2, -3], and 2.5 was rounded as given
+    with pytest.raises(ValueError, match="^n_ris must be an integer >= 1; got "):
+        round_allocation(make_plan([0.25, 0.25]), n_ris)
+    assert round_allocation(make_plan([0.25, 0.25]), np.int64(8)).counts.tolist() == [4, 4]
 
 
 def test_configure_capacity_aligns_each_stream_on_its_block():
@@ -327,8 +352,10 @@ def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
     return states
 
 
-@pytest.mark.parametrize("arrangement", ARRANGEMENTS)
-def test_configure_capacity_matches_the_masked_column_oracle(arrangement):
+@pytest.mark.parametrize("layout", ["contiguous", "scattered"])
+def test_configure_capacity_matches_the_masked_column_oracle(layout):
+    # round_allocation lays the streams out in blocks; configure_capacity
+    # takes any disjoint index sets, so a scattered plan is built by hand
     rng = np.random.default_rng(11)
     for n_s, n_r, n_t in ((40, 3, 3), (257, 2, 5), (1000, 6, 4), (2048, 8, 8)):
         bundle_r = svd_bundle(complex_gaussian(rng, (n_r, n_s)))
@@ -336,8 +363,11 @@ def test_configure_capacity_matches_the_masked_column_oracle(arrangement):
         w = rng.uniform(0.0, 1.0, min(n_r, n_t))
         w[-1] = 0.0                 # a stream with no elements
         w /= w.sum()
-        plan = round_allocation(make_plan(w ** 2), n_s, arrangement,
-                                np.random.default_rng(n_s))
+        plan = round_allocation(make_plan(w ** 2), n_s)
+        if layout == "scattered":
+            perm = np.random.default_rng(n_s).permutation(n_s)
+            plan = dataclasses.replace(plan, index_sets=tuple(
+                np.sort(perm[idx]) for idx in plan.index_sets))
         got = configure_capacity(bundle_r, bundle_t, plan).states
         assert np.array_equal(got, masked_column_configuration(
             bundle_r, bundle_t, plan))

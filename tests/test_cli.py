@@ -231,10 +231,13 @@ def test_written_files_honour_the_umask(tmp_path, umask, mode):
     ["gain", "--n-ris", "64", "--threads", "2"],
     ["gain", "--n-ris", "64", "--scale", "0.5"],
     ["gain", "--n-ris", "64", "--trails", "1"],
+    ["capacity", "--arrangement", "random"],
+    ["figure", "fig2a", "--arrangement", "contiguous"],
 ])
 def test_an_option_with_no_reader_is_not_recognized(tmp_path, capsys, argv):
     # bench_runtime times one instance per point on one worker, --workers
-    # is the worker count's only name, and --scale scales presets only
+    # is the worker count's only name, --scale scales presets only, and
+    # W-SA lays each stream's elements out in one block
     assert refusal(tmp_path, capsys, argv) == [
         "error: unrecognized arguments: " + " ".join(argv[-2:])]
 
@@ -274,17 +277,14 @@ UNREAD = {
     "spectrum": (["spectrum", "--n-ris", "64", "--nt", "4"], "custom-spectrum",
                  [("n_r", "--nr", "7"), ("k_r_db", "--k-db", "10 0"),
                   ("snr_db", "--snr-db", "-40"),
-                  ("arrangement", "--arrangement", "random"),
                   ("rmo_max_iters", "--rmo-iters", "3")]),
     "hardening": (["figure", "fig1c", "--scale", "0.05"], "fig1c",
                   [("n_r", "--nr", "9"), ("k_r_db", "--k-db", "0 5"),
                    ("snr_db", "--snr-db", "3"),
-                   ("arrangement", "--arrangement", "interleaved"),
                    ("rmo_max_iters", "--rmo-iters", "3"),
                    ("k_t_db", "--k-db", "3")]),
     "gain": (["gain", "--n-ris", "64", "--nt", "4"], "custom-gain",
-             [("snr_db", "--snr-db", "-40"),
-              ("arrangement", "--arrangement", "random")]),
+             [("snr_db", "--snr-db", "-40")]),
 }
 
 
@@ -308,11 +308,11 @@ def test_a_field_its_preset_never_reads_is_a_clean_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("argv, field, preset", [
     (["spectrum", "--n-ris", "64", "--nt", "4", "--k-db", "10", "0",
-      "--nr", "7", "--snr-db", "-40", "--arrangement", "random",
-      "--rmo-iters", "3"], "n_r", "custom-spectrum"),
+      "--nr", "7", "--snr-db", "-40", "--rmo-iters", "3"], "n_r",
+     "custom-spectrum"),
     (["figure", "fig1c", "--nr", "9", "--snr-db", "3"], "n_r", "fig1c"),
-    (["gain", "--n-ris", "64", "--nt", "4", "--trials", "2", "--snr-db", "-40",
-      "--arrangement", "random"], "snr_db", "custom-gain"),
+    (["gain", "--n-ris", "64", "--nt", "4", "--trials", "2", "--snr-db", "-40"],
+     "snr_db", "custom-gain"),
 ], ids=["spectrum", "fig1c", "gain"])
 def test_commands_whose_flags_were_ignored_are_refused(tmp_path, capsys,
                                                       argv, field, preset):
@@ -329,16 +329,8 @@ METHOD_UNREAD = [
      ["sa", "lb"], "rmo_max_iters", "--rmo-iters", 3),
     (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
      "custom-capacity", ["wsa", "lb"], "rmo_max_iters", "--rmo-iters", 3),
-    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
-     "custom-capacity", ["rmo"], "arrangement", "--arrangement", "random"),
-    (["capacity", "--n-ris", "64", "--nt", "4", "--trials", "1"],
-     "custom-capacity", ["rmo-surrogate"], "arrangement", "--arrangement",
-     "interleaved"),
     (["bench-runtime", "runtime-gain", "--scale", "0.02"], "runtime-gain",
      ["sa"], "rmo_max_iters", "--rmo-iters", 3),
-    (["bench-runtime", "runtime-capacity", "--scale", "0.02"],
-     "runtime-capacity", ["rmo", "rmo-surrogate"], "arrangement",
-     "--arrangement", "random"),
 ]
 
 
@@ -363,16 +355,12 @@ def test_a_field_its_methods_never_read_is_a_clean_error(
     (["gain", "--methods", "sa", "lb", "--rmo-iters", "3"],
      "rmo_max_iters = 3 is not read by gain preset 'custom-gain' with methods "
      "['sa', 'lb']; leave it unset"),
-    (["capacity", "--methods", "rmo-surrogate", "--rmo-iters", "3",
-      "--arrangement", "random"],
-     "arrangement = 'random' is not read by capacity preset 'custom-capacity' "
-     "with methods ['rmo-surrogate']; leave it unset"),
     (["capacity", "--methods", "rmo", "lb"], "method 'lb' writes no column of "
      "capacity preset 'custom-capacity' with methods ['rmo', 'lb']"),
     (["gain", "--methods", "sa", "sa", "lb"],
      "method 'sa' is repeated in methods ['sa', 'sa', 'lb']"),
-], ids=["capacity-lb", "gain-rmo-iters", "capacity-arrangement",
-        "capacity-rmo-lb", "gain-repeated-sa"])
+], ids=["capacity-lb", "gain-rmo-iters", "capacity-rmo-lb",
+        "gain-repeated-sa"])
 def test_commands_whose_methods_wrote_nothing_are_refused(tmp_path, capsys,
                                                           argv, message):
     # each used to exit 0: lb alone wrote no method column, the options
@@ -399,17 +387,12 @@ def test_bench_runtime_times_only_the_requested_methods(tmp_path):
     assert header == "n_ris,n_t,n_r,rmo_median_s,rmo_mean_s"
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["gain", "--methods", "foo"],
-     "methods ['foo'] are not gain methods; known: ['sa', 'rmo', 'lb']"),
-    (["capacity", "--arrangement", "diag"], "unknown arrangement 'diag'; "
-     "known: ('contiguous', 'interleaved', 'random')"),
-], ids=["methods", "arrangement"])
-def test_a_bad_method_or_arrangement_flag_prints_one_error_line(
-        tmp_path, capsys, argv, message):
-    # the flags used to print argparse's usage block and its own error
-    argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "1", *argv[1:]]
-    assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
+def test_a_bad_method_flag_prints_one_error_line(tmp_path, capsys):
+    # the flag used to print argparse's usage block and its own error
+    argv = ["gain", "--n-ris", "64", "--nt", "4", "--trials", "1",
+            "--methods", "foo"]
+    assert refusal(tmp_path, capsys, argv) == [
+        "error: methods ['foo'] are not gain methods; known: ['sa', 'rmo', 'lb']"]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -12,7 +12,7 @@ import pytest
 import risopt.geometry as geometry
 import risopt.harness as harness
 import risopt.spectral as spectral
-from risopt.capacity import ARRANGEMENTS, run_wsa
+from risopt.capacity import run_wsa
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
@@ -92,16 +92,13 @@ def test_k_r_db_follows_k_t_db_unless_given():
     ("custom-spectrum", "n_r", 3),
     ("custom-spectrum", "k_r_db", 0.0),
     ("custom-spectrum", "snr_db", -40.0),
-    ("custom-spectrum", "arrangement", "random"),
     ("custom-spectrum", "rmo_max_iters", 3),
     ("fig1c", "n_r", 9),
     ("fig1c", "k_r_db", 5.0),
     ("fig1c", "snr_db", float("nan")),
-    ("fig1c", "arrangement", "interleaved"),
     ("fig1c", "rmo_max_iters", 500),
     ("fig1c", "k_t_db", 3.0),
     ("custom-gain", "snr_db", 0.0),
-    ("custom-gain", "arrangement", "random"),
 ])
 def test_spec_refuses_fields_its_family_never_reads(preset, field, value):
     kwargs = {"k_t_db": 10.0} if field == "k_r_db" and preset != "fig1c" else {}
@@ -122,7 +119,7 @@ def test_spec_refuses_fields_its_family_never_reads(preset, field, value):
     ("fig1c", {"k_sweep_db": (0.0, 5.0)}),
     ("custom-gain", {"methods": ("sa", "rmo", "lb"), "rmo_max_iters": 3}),
     ("custom-gain", {"methods": ("sa", "lb")}),
-    ("custom-capacity", {"methods": ("rmo",), "rmo_max_iters": 3}),
+    ("custom-capacity", {"methods": ("wsa", "lb")}),
 ])
 def test_the_fields_a_family_refuses_are_never_read(preset, extra):
     # set behind the spec's back, the fields that none of their readers
@@ -131,7 +128,7 @@ def test_the_fields_a_family_refuses_are_never_read(preset, extra):
                        **extra)
     moved = copy.copy(spec)
     other = {"n_r": 2, "k_t_db": 7.0, "k_r_db": -7.0, "snr_db": -40.0,
-             "arrangement": "random", "rmo_max_iters": 1}
+             "rmo_max_iters": 1}
     reads = {harness._preset(preset)["family"], *spec.methods, "run"}
     swept = harness._SWEPT if spec.k_sweep_db is not None else ()
     unread = [name for name, readers in harness._READERS.items()
@@ -147,10 +144,7 @@ def test_the_fields_a_family_refuses_are_never_read(preset, extra):
 @pytest.mark.parametrize("preset, methods, field, value", [
     ("custom-gain", ("sa", "lb"), "rmo_max_iters", 3),
     ("custom-capacity", ("wsa", "lb"), "rmo_max_iters", 3),
-    ("custom-capacity", ("rmo",), "arrangement", "random"),
-    ("custom-capacity", ("rmo-surrogate",), "arrangement", "interleaved"),
     ("runtime-gain", ("sa",), "rmo_max_iters", 3),
-    ("runtime-capacity", ("rmo", "rmo-surrogate"), "arrangement", "random"),
 ])
 def test_spec_refuses_fields_its_methods_never_read(preset, methods, field,
                                                     value):
@@ -247,15 +241,6 @@ def test_gain_and_capacity_keep_pure_los_and_rayleigh(k_db):
         res = run_experiment(preset_spec(preset, n_ris_list=(32,), n_t=4,
                                          trials=2, k_t_db=k_db))
         assert not any(row["error"] for row in res.rows)
-
-
-def test_spec_refuses_unknown_arrangement():
-    with pytest.raises(ValueError, match="arrangement"):
-        preset_spec("custom-capacity", n_ris_list=(32,), trials=2,
-                    arrangement="diagonal")
-    for name in ARRANGEMENTS:
-        assert preset_spec("custom-capacity", n_ris_list=(32,),
-                           arrangement=name).arrangement == name
 
 
 @pytest.mark.parametrize("preset, methods", [
@@ -616,19 +601,16 @@ def test_each_requested_method_runs_once_per_trial(monkeypatch):
     assert sorted(objectives) == ["capacity_exact"] * 3 + ["capacity_surrogate"] * 3
 
 
-@pytest.mark.parametrize("arrangement", ["contiguous", "random"])
-def test_wsa_columns_are_run_wsa_bit_for_bit(arrangement):
+def test_wsa_columns_are_run_wsa_bit_for_bit():
     # a trial configures from its link's SVDs and scores outside the
-    # timer; run_wsa on the same channels, with the link's generator in
-    # its post-sampling state, must give the same values
-    spec = tiny_capacity_spec(n_ris_list=(64, 48), arrangement=arrangement)
+    # timer; run_wsa on the same channels must give the same values
+    spec = tiny_capacity_spec(n_ris_list=(64, 48))
     res = run_experiment(spec)
     for row in res.rows:
         rng = np.random.default_rng(
             np.random.SeedSequence((spec.seed, row["point"], row["trial"])))
         link = harness._Link(spec, harness._grid(spec)[row["point"]], rng)
-        report, plan = run_wsa(link.a, link.t, link.snr,
-                               arrangement=arrangement, rng=link.rng)
+        report, plan = run_wsa(link.a, link.t, link.snr)
         got = tuple(row[c] for c in ("cap_wsa", "cap_diag", "cap_lb",
                                      "offdiag_ratio", "iterations_used"))
         assert got == (report.capacity_exact, report.capacity_diag,

@@ -33,13 +33,13 @@ RUNS = {
     "capacity-low-snr": ("custom-capacity", dict(
         n_ris_list=[256], n_t=4, k_t_db=10.0, k_r_db=10.0, snr_db=-30.0,
         trials=2, methods=["wsa", "lb"])),
-    "capacity-random": ("custom-capacity", dict(
+    "capacity-square-surrogate-lb": ("custom-capacity", dict(
         n_ris_list=[128], n_t=4, n_r=4, trials=2, rmo_max_iters=5,
-        arrangement="random", methods=["wsa", "rmo-surrogate", "lb"])),
+        methods=["wsa", "rmo-surrogate", "lb"])),
     "fig1b": ("fig1b", dict(scale=0.05, trials=2)),
-    "capacity-interleaved-no-lb": ("custom-capacity", dict(
+    "capacity-rectangular-no-lb": ("custom-capacity", dict(
         n_ris_list=[48, 96], n_t=4, n_r=2, trials=2, rmo_max_iters=5,
-        arrangement="interleaved", methods=["wsa", "rmo"])),
+        methods=["wsa", "rmo"])),
     "capacity-rmo-surrogate": ("custom-capacity", dict(
         n_ris_list=[64], n_t=4, trials=2, rmo_max_iters=5,
         methods=["rmo-surrogate"])),
