@@ -30,18 +30,17 @@ _LN2 = math.log(2.0)
 class AllocationPlan:
     """Per-stream RIS element allocation.
 
-    fractions are the p_i of the continuous program; counts and
-    index_sets are filled by round_allocation and stay None until then.
-    objective_trace records the surrogate value at the initial point and
-    after every SCA step; converged is False when the iteration budget
-    ran out before the objective settled (the last iterate is still
-    returned, the flag is the caller's signal).
+    fractions are the p_i of the continuous program; counts is filled by
+    round_allocation and stays None until then, and stream i is served by
+    the i-th contiguous block of counts[i] elements.  objective_trace
+    records the surrogate value at the initial point and after every SCA
+    step; converged is False when the iteration budget ran out before the
+    objective settled (the last iterate is still returned, the flag is
+    the caller's signal).
     """
 
     fractions: np.ndarray
     counts: np.ndarray | None
-    index_sets: tuple | None
-    water_level: float
     iterations_used: int
     objective_trace: np.ndarray
     converged: bool
@@ -161,44 +160,44 @@ def water_level_bisect(gains, weights, budget: float) -> float:
     return 1.0 / lo
 
 
-def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
-                 epsilon: float = 1e-6, max_iters: int = 200,
-                 init=None) -> AllocationPlan:
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan:
     """Per-stream fraction allocation by SCA generalized waterfilling.
 
     singvals are the descending singular values of the two channels; the
     stream gains are a_i = 0.25 * snr * d_R,i^2 * d_T,i^2 / n_t.  The
     constraint sum(sqrt(p_i)) = 1 is non-convex and both single-stream
-    corners of a two-stream instance are local maxima, so with init=None
-    the iteration is run from the uniform point, every single-stream
-    corner, and a gain-proportional point, in that order, and the best
-    endpoint wins; a later start replaces the best so far only with a
-    strictly larger final objective.  A corner e_i is skipped when the
-    best final objective so far already exceeds
-    log2(1 + a_i * (1 + 1e-9)): from e_i only stream i stays active and
-    its fraction stays 1 to within a few ulps, so that start cannot win
-    and the returned plan is bit for bit the one of running every start.
-    At the presets' 10 dB every corner is skipped; at low SNR, where a
-    corner can win, corners run.  Pass init (finite, non-negative) to
-    force one start.  Streams driven to zero are frozen (the
-    linearization is undefined at p = 0) and cannot re-enter.
-    Each start stops when the objective moves by less than epsilon bits;
-    converged=False means its iteration budget ran out first.
+    corners of a two-stream instance are local maxima, so the iteration
+    is run from the uniform point, every single-stream corner, and a
+    gain-proportional point, in that order, and the best endpoint wins;
+    a later start replaces the best so far only with a strictly larger
+    final objective.  A corner e_i is skipped when the best final
+    objective so far already exceeds log2(1 + a_i * (1 + 1e-9)): from e_i
+    only stream i stays active and its fraction stays 1 to within a few
+    ulps, so that start cannot win and the returned plan is bit for bit
+    the one of running every start.  At the presets' 10 dB every corner
+    is skipped; at low SNR, where a corner can win, corners run.  Streams
+    driven to zero are frozen (the linearization is undefined at p = 0)
+    and cannot re-enter.  Each start stops when the objective moves by
+    less than 1e-6 bits; converged=False means its budget of 200 steps
+    ran out first.
 
-    n_t is an argument because singular values do not fix it.  epsilon,
-    max_iters and init stay public: the fixed-point and non-convergence
-    checks of the allocation pin the iteration with them.
+    n_t, an integer, is an argument because singular values do not fix it.
     """
     d_r = np.asarray(singvals_r, dtype=float)
     d_t = np.asarray(singvals_t, dtype=float)
-    if not snr > 0 or epsilon <= 0 or max_iters < 1:
-        raise ValueError("snr, epsilon, max_iters must be positive")
+    if not snr > 0:
+        raise ValueError(f"snr must be positive; got {snr!r}")
     if math.isinf(snr):            # inf gains make the proportional start NaN
         raise ValueError(f"snr must be finite; got {snr!r}")
     if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
         raise ValueError("singular values must be finite")
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1; got {n_t!r}")
+    if not _is_count(n_t) or n_t < 1:
+        raise ValueError(f"n_t must be an integer >= 1; got {n_t!r}")
     nmin = min(d_r.size, d_t.size)
     if nmin < 1:
         raise ValueError("need at least one stream")
@@ -207,27 +206,20 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int,
         raise ValueError("no stream has positive gain")
 
     # each start with the value its endpoint cannot exceed (inf: no bound)
-    if init is not None:
-        p0 = np.array(init, dtype=float)
-        if (p0.size != nmin or not np.isfinite(p0).all() or np.any(p0 < 0)
-                or not p0.any()):
-            raise ValueError("init must be nmin non-negative fractions")
-        starts = [(p0, math.inf)]
-    else:
-        starts = [(np.full(nmin, 1.0 / nmin ** 2), math.inf)]
-        for i in np.flatnonzero(a > 0):
-            corner = np.zeros(nmin)
-            corner[i] = 1.0
-            starts.append((corner, _corner_ceiling(a[i])))
-        if nmin > 1:
-            w = np.clip(a, 0.0, None)
-            starts.append(((w / w.sum()) ** 2, math.inf))
+    starts = [(np.full(nmin, 1.0 / nmin ** 2), math.inf)]
+    for i in np.flatnonzero(a > 0):
+        corner = np.zeros(nmin)
+        corner[i] = 1.0
+        starts.append((corner, _corner_ceiling(a[i])))
+    if nmin > 1:
+        w = np.clip(a, 0.0, None)
+        starts.append(((w / w.sum()) ** 2, math.inf))
     best = None
     for p0, ceiling in starts:
         # a NaN incumbent or an inf ceiling compares False: the start runs
         if best is not None and best.objective_trace[-1] > ceiling:
             continue
-        plan = _sca_from(a, p0, epsilon, max_iters)
+        plan = _sca_from(a, p0)
         if plan is None:
             continue
         if best is None or plan.objective_trace[-1] > best.objective_trace[-1]:
@@ -245,9 +237,11 @@ def _corner_ceiling(gain: float) -> float:
     return math.log1p(gain * (1.0 + 1e-9)) / _LN2
 
 
-def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
-              max_iters: int) -> AllocationPlan | None:
-    """One SCA run from p0; None when it is left with no active stream."""
+def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float = 1e-6,
+              max_iters: int = 200) -> AllocationPlan | None:
+    """One SCA run from p0 on the stream gains a, stopping when the
+    objective moves by less than epsilon bits or after max_iters steps;
+    None when it is left with no active stream."""
     p = p0.copy()
     p[a <= 0] = 0.0                       # dead streams never get elements
     root_sum = np.sqrt(p).sum()
@@ -260,7 +254,6 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
         return float(np.log1p(a * q).sum() / _LN2)
 
     trace = [objective(p)]
-    eta = math.nan
     converged = False
     iters = 0
     for _ in range(max_iters):
@@ -269,8 +262,7 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
         sq = np.sqrt(p_act)
         c = 0.5 / sq
         gamma = 1.0 - float((sq - p_act * c).sum())   # = 1 - sum(sq)/2
-        eta = _water_level(a_act, c, gamma)
-        s_level = 1.0 / eta
+        s_level = 1.0 / _water_level(a_act, c, gamma)
         p_next = np.zeros_like(p)
         p_next[active] = np.maximum(s_level - c / a_act, 0.0) / c
         root_sum = np.sqrt(p_next).sum()
@@ -284,51 +276,62 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float,
         if abs(delta) < epsilon:
             converged = True
             break
-    return AllocationPlan(fractions=p, counts=None, index_sets=None,
-                          water_level=float(eta), iterations_used=iters,
+    return AllocationPlan(fractions=p, counts=None, iterations_used=iters,
                           objective_trace=np.asarray(trace), converged=converged)
 
 
 def round_allocation(plan: AllocationPlan, n_ris: int) -> AllocationPlan:
-    """Fill integer counts and disjoint index sets on a plan.
+    """Fill integer counts on a plan.
 
     Counts come from largest-remainder rounding of sqrt(p_i) * n_ris
     (ties to the lower stream index); zero-fraction streams get zero
-    elements.  Stream i gets the i-th contiguous block of elements: the
-    allocation fixes how many elements serve a stream, not where they sit.
+    elements.  The fractions must be finite and non-negative with square
+    roots summing to 1 within 1e-9, the budget allocate_sca keeps.
     """
-    if not isinstance(n_ris, (int, np.integer)) or n_ris < 1:
+    if not _is_count(n_ris) or n_ris < 1:
         raise ValueError(f"n_ris must be an integer >= 1; got {n_ris!r}")
-    w = np.sqrt(np.clip(plan.fractions, 0.0, None))
-    targets = w * n_ris
+    p = np.asarray(plan.fractions, dtype=float)
+    if not (np.isfinite(p).all() and np.all(p >= 0)
+            and abs(np.sqrt(p).sum() - 1.0) <= 1e-9):
+        raise ValueError(f"fractions must be finite, non-negative and have "
+                         f"square roots summing to 1; got {p.tolist()}")
+    targets = np.sqrt(p) * n_ris
     counts = np.floor(targets).astype(np.int64)
     leftover = int(n_ris - counts.sum())
     if leftover > 0:
         rem = targets - counts
         order = np.lexsort((np.arange(rem.size), -rem))
         counts[order[:leftover]] += 1
-
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    sets = tuple(np.arange(edges[i], edges[i + 1]) for i in range(counts.size))
-    return replace(plan, counts=counts, index_sets=sets)
+    return replace(plan, counts=counts)
 
 
 def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
                        plan: AllocationPlan) -> RisConfig:
-    """Per-stream sign alignment on the plan's index sets.
+    """Per-stream sign alignment on the plan's contiguous blocks.
 
-    Stream i's elements are aligned to conj(v_R,i) * u_T,i restricted to
-    its index set.
+    Stream i holds elements [sum(counts[:i]), sum(counts[:i+1])) and
+    aligns them to conj(v_R,i) * u_T,i restricted to that block.  The
+    counts must cover every element of the bundles, on no more streams
+    than the bundles have columns.
     """
-    if plan.counts is None or plan.index_sets is None:
-        raise ValueError("plan has no counts/index sets; round it first")
-    states = np.ones(bundle_r.right.shape[0])
+    if plan.counts is None:
+        raise ValueError("plan has no counts; round it first")
+    n_s = bundle_r.right.shape[0]
+    columns = min(bundle_r.right.shape[1], bundle_t.left.shape[1])
+    placed = int(plan.counts.sum())
+    if placed != n_s or plan.counts.size > columns:
+        raise ValueError(f"plan places {placed} elements on {plan.counts.size} "
+                         f"streams; the bundles have {n_s} elements and "
+                         f"{columns} stream columns")
+    states = np.ones(n_s)
     # each stream's target is formed on its own elements only, the same
-    # values as stream_columns' column i gathered at idx
-    for i, idx in enumerate(plan.index_sets):
-        if idx.size:
-            states[idx] = sign_align(bundle_r.right[idx, i].conj()
-                                     * bundle_t.left[idx, i]).phi
+    # values as stream_columns' column i sliced to the block
+    start = 0
+    for i, end in enumerate(np.cumsum(plan.counts).tolist()):
+        if end > start:
+            states[start:end] = sign_align(bundle_r.right[start:end, i].conj()
+                                           * bundle_t.left[start:end, i]).phi
+        start = end
     return RisConfig(states)
 
 

@@ -23,7 +23,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .alignment import sign_align
-from .capacity import capacity_exact, configure_wsa, wsa_report
+from .capacity import _is_count, capacity_exact, configure_wsa, wsa_report
 from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
@@ -58,8 +58,9 @@ class ExperimentSpec:
     distinct _METHODS of the family, plus "lb", each writing a shown
     column (a timing on runtime presets); spectrum and hardening take
     none.  A field none of whose _READERS run, or that a K sweep replaces,
-    keeps its preset's value.  workers is capped at the trial and CPU
-    counts.
+    keeps its preset's value.  Sizes, counts and the seed are integers
+    (numpy integers too, not bools).  workers is capped at the trial and
+    CPU counts.
     """
 
     preset: str
@@ -79,6 +80,14 @@ class ExperimentSpec:
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("n_t", "n_r", "trials", "seed", "workers", "rmo_max_iters"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
+            object.__setattr__(self, name, int(value))   # the sidecar is JSON
+        if not all(map(_is_count, self.n_ris_list)):
+            raise ValueError(f"n_ris_list entries must be integers; "
+                             f"got {list(self.n_ris_list)}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1; got {self.n_t}")
         if self.n_r < 0:

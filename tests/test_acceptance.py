@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from risopt.alignment import brute_force_value, sign_align
-from risopt.capacity import (allocate_sca, effective_channel, run_wsa,
-                             water_level_solve)
+from risopt.capacity import (_sca_from, allocate_sca, effective_channel,
+                             run_wsa, water_level_solve)
 from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
                              sample_ricean)
 from risopt.gain import channel_gain, configure_gain_los
@@ -25,6 +25,8 @@ from risopt.harness import (_resolve_workers, bench_runtime, db2lin,
                             preset_spec, run_experiment)
 from risopt.manifold import OBJECTIVES, finite_difference_error
 from risopt.spectral import svd_bundle
+
+from .test_capacity import stream_gains
 
 
 def report(capsys, tag, ok, detail):
@@ -245,8 +247,8 @@ def test_c10_allocation_properties(capsys):
     assert worst_gap <= 1e-3
     # symmetric fixed point held exactly from the uniform start
     n = 6
-    plan = allocate_sca(np.full(n, 2.0), np.full(n, 2.0), 12.0, n,
-                        init=np.full(n, 1.0 / n ** 2))
+    plan = _sca_from(stream_gains(np.full(n, 2.0), np.full(n, 2.0), 12.0, n),
+                     np.full(n, 1.0 / n ** 2))
     sym_err = float(np.max(np.abs(plan.fractions - 1.0 / n ** 2)))
     assert sym_err <= 1e-6
     report(capsys, "C10", True,

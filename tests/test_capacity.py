@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -122,13 +121,20 @@ def test_allocation_dominant_stream_takes_everything():
     assert plan.fractions[1] == pytest.approx(0.0, abs=1e-6)
 
 
+def stream_gains(d_r, d_t, snr, n_t):
+    """allocate_sca's stream gains, in its order of operations."""
+    d_r, d_t = np.asarray(d_r, dtype=float), np.asarray(d_t, dtype=float)
+    nmin = min(d_r.size, d_t.size)
+    return 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
+
+
 def test_allocation_equal_gains_recovers_uniform_split():
     # the symmetric point is a fixed point of the iteration; from the
-    # uniform start it is held exactly (the default multi-start may
-    # instead report a corner when concentration wins globally)
+    # uniform start it is held exactly (the multi-start may instead
+    # report a corner when concentration wins globally)
     n = 5
-    plan = allocate_sca(np.full(n, 2.0), np.full(n, 3.0), snr=8.0, n_t=n,
-                        init=np.full(n, 1.0 / n ** 2))
+    plan = capacity._sca_from(stream_gains(np.full(n, 2.0), np.full(n, 3.0), 8.0, n),
+                              np.full(n, 1.0 / n ** 2))
     assert np.allclose(plan.fractions, 1.0 / n ** 2, atol=1e-6)
     assert plan.converged
 
@@ -158,9 +164,9 @@ def test_allocation_beats_two_stream_grid_search():
 
 
 def test_allocation_nonconvergence_flag():
-    plan = allocate_sca(np.array([3.0, 2.0, 1.0]), np.array([2.0, 1.5, 1.0]),
-                        snr=10.0, n_t=3, epsilon=1e-15, max_iters=2,
-                        init=np.full(3, 1.0 / 9.0))
+    a = stream_gains([3.0, 2.0, 1.0], [2.0, 1.5, 1.0], 10.0, 3)
+    plan = capacity._sca_from(a, np.full(3, 1.0 / 9.0), epsilon=1e-15,
+                              max_iters=2)
     assert not plan.converged
     assert plan.iterations_used == 2
 
@@ -170,37 +176,34 @@ def test_allocation_validation():
         allocate_sca(np.array([1.0]), np.array([1.0]), snr=-1.0, n_t=1)
     with pytest.raises(ValueError):
         allocate_sca(np.array([]), np.array([]), snr=1.0, n_t=1)
-    with pytest.raises(ValueError):
-        allocate_sca(np.array([1.0, 2.0]), np.array([1.0, 2.0]), snr=1.0,
-                     n_t=2, init=np.array([0.5]))
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="init must be nmin non-negative"):
-            allocate_sca(np.array([1.0, 2.0]), np.array([1.0, 2.0]), snr=1.0,
-                         n_t=2, init=[bad, 1.0])
 
 
 @pytest.mark.parametrize("d_r, d_t, n_t, message", [
     # a NaN singular value used to end in an IndexError inside the level
-    # search, and n_t = 0 divided the gains by zero
+    # search, n_t = 0 divided the gains by zero, n_t = 2.5 divided them
+    # by 2.5 and n_t = True was taken as 1
     ([2.0, math.nan], [2.0, 1.0], 2, "^singular values must be finite$"),
     ([2.0, 1.0], [math.inf, 1.0], 2, "^singular values must be finite$"),
-    ([2.0, 1.0], [2.0, 1.0], 0, "^n_t must be >= 1; got 0$"),
-], ids=["nan-receive", "inf-transmit", "n_t-zero"])
+    ([2.0, 1.0], [2.0, 1.0], 0, "^n_t must be an integer >= 1; got 0$"),
+    ([2.0, 1.0], [2.0, 1.0], 2.5, "^n_t must be an integer >= 1; got 2.5$"),
+    ([2.0, 1.0], [2.0, 1.0], True, "^n_t must be an integer >= 1; got True$"),
+], ids=["nan-receive", "inf-transmit", "n_t-zero", "n_t-fraction", "n_t-bool"])
 def test_allocation_refuses_non_finite_singular_values_and_no_antenna(
         d_r, d_t, n_t, message):
     with pytest.raises(ValueError, match=message):
         allocate_sca(d_r, d_t, 10.0, n_t)
+    # numpy integers are sizes too
+    assert allocate_sca([2.0, 1.0], [2.0, 1.0], 10.0, np.int64(2)).converged
 
 
 def test_a_non_finite_snr_is_refused_before_any_start():
     # inf gains used to make the proportional start NaN and end in an
-    # IndexError; NaN keeps the message the pinned nan-snr rows hold
+    # IndexError; NaN gives the message the pinned nan-snr rows hold
     for streams in (1, 3):
         d = np.arange(streams, 0, -1, dtype=float)
         with pytest.raises(ValueError, match="^snr must be finite; got inf$"):
             allocate_sca(d, d, math.inf, streams)
-        with pytest.raises(ValueError,
-                           match="^snr, epsilon, max_iters must be positive$"):
+        with pytest.raises(ValueError, match="^snr must be positive; got nan$"):
             allocate_sca(d, d, math.nan, streams)
 
 
@@ -211,17 +214,15 @@ def test_gains_too_small_for_a_step_are_a_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no feasible start"):
             allocate_sca([1.0, 1.0], [1.0, 1.0], 1e-30, 2)
-        with pytest.raises(ValueError, match="no feasible start"):
-            allocate_sca([1.0, 1e-9], [1.0, 1e-9], 1.0, 2, init=[0.0, 1.0])
 
 
 def best_single_start(d_r, d_t, snr, n_t):
-    """Oracle for allocate_sca's multi-start: one allocate_sca(init=p0) run
-    per documented start (uniform, each live single-stream corner, then
+    """Oracle for allocate_sca's multi-start: one _sca_from run per
+    documented start (uniform, each live single-stream corner, then
     gain-proportional), the incumbent replaced only on a strictly larger
     final objective.  Returns the winning plan and its kind of start."""
-    nmin = min(len(d_r), len(d_t))
-    a = 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
+    a = stream_gains(d_r, d_t, snr, n_t)
+    nmin = a.size
     starts = [("uniform", np.full(nmin, 1.0 / nmin ** 2))]
     for i in np.flatnonzero(a > 0):
         corner = np.zeros(nmin)
@@ -232,7 +233,8 @@ def best_single_start(d_r, d_t, snr, n_t):
         starts.append(("proportional", (w / w.sum()) ** 2))
     best = kind = None
     for name, p0 in starts:
-        plan = allocate_sca(d_r, d_t, snr, n_t, init=p0)
+        plan = capacity._sca_from(a, p0)
+        assert plan is not None, (name, p0)
         if best is None or plan.objective_trace[-1] > best.objective_trace[-1]:
             best, kind = plan, name
     return best, kind
@@ -241,10 +243,9 @@ def best_single_start(d_r, d_t, snr, n_t):
 def assert_same_plan(got, want):
     for field in ("fractions", "objective_trace"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert got.water_level == want.water_level
     assert got.iterations_used == want.iterations_used
     assert got.converged == want.converged
-    assert got.counts is None and got.index_sets is None
+    assert got.counts is None and want.counts is None
 
 
 def test_skipped_corners_leave_the_plan_bit_identical():
@@ -292,8 +293,7 @@ def test_corners_that_cannot_win_are_not_run(monkeypatch):
 
 def make_plan(fractions):
     return AllocationPlan(fractions=np.asarray(fractions, dtype=float),
-                          counts=None, index_sets=None, water_level=1.0,
-                          iterations_used=1,
+                          counts=None, iterations_used=1,
                           objective_trace=np.zeros(2), converged=True)
 
 
@@ -302,8 +302,6 @@ def test_rounding_largest_remainder_with_tie_to_lower_index():
     # remainders (0, .5, .5); the tie goes to the earlier stream
     plan = round_allocation(make_plan([0.36, 0.0625, 0.0225]), 10)
     assert plan.counts.tolist() == [6, 3, 1]
-    assert [s.tolist() for s in plan.index_sets] == [
-        list(range(0, 6)), list(range(6, 9)), [9]]
 
 
 def test_rounding_preserves_totals_and_disjointness():
@@ -312,18 +310,38 @@ def test_rounding_preserves_totals_and_disjointness():
     w /= w.sum()
     plan = round_allocation(make_plan(w ** 2), 101)
     assert plan.counts.sum() == 101
-    # stream i holds the i-th block of elements
-    assert np.array_equal(np.concatenate(plan.index_sets), np.arange(101))
-    for s, c in zip(plan.index_sets, plan.counts):
-        assert s.size == c
+    assert np.all(plan.counts >= 0)
 
 
-@pytest.mark.parametrize("n_ris", [-5, 0, 2.5, np.float64(8.0)])
+@pytest.mark.parametrize("n_ris", [-5, 0, 2.5, np.float64(8.0), True])
 def test_rounding_refuses_an_element_count_that_is_not_a_positive_integer(n_ris):
-    # -5 used to give the counts [-2, -3], and 2.5 was rounded as given
+    # -5 used to give the counts [-2, -3], 2.5 was rounded as given and
+    # True as 1
     with pytest.raises(ValueError, match="^n_ris must be an integer >= 1; got "):
         round_allocation(make_plan([0.25, 0.25]), n_ris)
     assert round_allocation(make_plan([0.25, 0.25]), np.int64(8)).counts.tolist() == [4, 4]
+
+
+@pytest.mark.parametrize("fractions", [
+    [math.nan, 0.25],       # counts [-9223372036854775808, 4]
+    [math.inf, 0.0],
+    [-0.25, 0.25],          # counts [1, 5]: 6 elements, one on a dead stream
+    [0.25, 0.16],           # square roots sum to 0.9
+    [0.25, 0.25 + 1e-8],    # ... to 1 + 1e-8
+    [],
+], ids=["nan", "inf", "negative", "short-budget", "over-budget", "empty"])
+def test_rounding_refuses_fractions_off_the_budget(fractions):
+    with pytest.raises(ValueError, match=r"^fractions must be finite, "
+                       r"non-negative and have square roots summing to 1; got \["):
+        round_allocation(make_plan(fractions), 8)
+    # within 1e-9 of the budget the counts still cover every element
+    assert round_allocation(make_plan([0.25, 0.25 + 1e-10]), 8).counts.tolist() == [4, 4]
+
+
+def blocks(counts):
+    """The element ranges of the streams' contiguous blocks."""
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    return [np.arange(edges[i], edges[i + 1]) for i in range(len(counts))]
 
 
 def test_configure_capacity_aligns_each_stream_on_its_block():
@@ -335,7 +353,7 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
     plan = round_allocation(make_plan([0.25, 0.09, 0.04]), n_s)
     cfg = configure_capacity(bundle_r, bundle_t, plan)
     cols = bundle_r.right[:, :n].conj() * bundle_t.left[:, :n]
-    for i, idx in enumerate(plan.index_sets):
+    for i, idx in enumerate(blocks(plan.counts)):
         b = cols[idx, i]
         aligned = abs(b @ cfg.states[idx])
         assert aligned >= 0.5 * np.sum(np.abs(b)) - 1e-12
@@ -343,19 +361,16 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
 
 def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
     """The earlier configure_capacity: every stream column over all
-    elements, each gathered at its index set and aligned."""
+    elements, each gathered at its block and aligned."""
     states = np.ones(bundle_r.right.shape[0])
     cols, _ = stream_columns(bundle_r, bundle_t)
-    for i, idx in enumerate(plan.index_sets):
+    for i, idx in enumerate(blocks(plan.counts)):
         if idx.size:
             states[idx] = sign_align(cols[idx, i]).phi
     return states
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "scattered"])
-def test_configure_capacity_matches_the_masked_column_oracle(layout):
-    # round_allocation lays the streams out in blocks; configure_capacity
-    # takes any disjoint index sets, so a scattered plan is built by hand
+def test_configure_capacity_matches_the_masked_column_oracle():
     rng = np.random.default_rng(11)
     for n_s, n_r, n_t in ((40, 3, 3), (257, 2, 5), (1000, 6, 4), (2048, 8, 8)):
         bundle_r = svd_bundle(complex_gaussian(rng, (n_r, n_s)))
@@ -364,10 +379,6 @@ def test_configure_capacity_matches_the_masked_column_oracle(layout):
         w[-1] = 0.0                 # a stream with no elements
         w /= w.sum()
         plan = round_allocation(make_plan(w ** 2), n_s)
-        if layout == "scattered":
-            perm = np.random.default_rng(n_s).permutation(n_s)
-            plan = dataclasses.replace(plan, index_sets=tuple(
-                np.sort(perm[idx]) for idx in plan.index_sets))
         got = configure_capacity(bundle_r, bundle_t, plan).states
         assert np.array_equal(got, masked_column_configuration(
             bundle_r, bundle_t, plan))
@@ -380,6 +391,26 @@ def test_configure_capacity_requires_rounded_plan():
     with pytest.raises(ValueError):
         configure_capacity(svd_bundle(h.conj().T), bundle,
                            make_plan([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("n_ris, streams, message", [
+    # rounded for 60 elements: elements 60-79 used to stay at +1
+    (60, 2, "^plan places 60 elements on 2 streams; the bundles have 80 "
+            "elements and 2 stream columns$"),
+    # rounded for 100 elements: an IndexError
+    (100, 2, "^plan places 100 elements on 2 streams; the bundles have 80 "),
+    # more streams than the bundles have columns
+    (80, 3, "^plan places 80 elements on 3 streams; the bundles have 80 "
+            "elements and 2 stream columns$"),
+], ids=["too-few-elements", "too-many-elements", "too-many-streams"])
+def test_configure_capacity_refuses_a_plan_for_other_bundles(n_ris, streams,
+                                                            message):
+    rng = np.random.default_rng(12)
+    bundle_r = svd_bundle(complex_gaussian(rng, (2, 80)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (80, 2)))
+    plan = round_allocation(make_plan(np.full(streams, 1.0 / streams ** 2)), n_ris)
+    with pytest.raises(ValueError, match=message):
+        configure_capacity(bundle_r, bundle_t, plan)
 
 
 def test_capacity_lower_bound_dispatch():

@@ -76,6 +76,36 @@ def test_spec_validation():
     assert spec.n_r == 5
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_t", 2.5, "^n_t must be an integer; got 2.5$"),      # TypeError in numpy
+    ("n_t", True, "^n_t must be an integer; got True$"),
+    ("n_r", 4.0, "^n_r must be an integer; got 4.0$"),
+    ("trials", 2.5, "^trials must be an integer; got 2.5$"),  # TypeError
+    ("seed", 1.5, "^seed must be an integer; got 1.5$"),      # TypeError
+    ("workers", 1.5, "^workers must be an integer; got 1.5$"),  # accepted
+    ("rmo_max_iters", 2.5,                    # every RMO row an error
+     "^rmo_max_iters must be an integer; got 2.5$"),
+    ("n_ris_list", (64.7,),                   # ran 64
+     r"^n_ris_list entries must be integers; got \[64.7\]$"),
+    ("n_ris_list", (64, False),
+     r"^n_ris_list entries must be integers; got \[64, False\]$"),
+], ids=["n_t-fraction", "n_t-bool", "n_r-float", "trials", "seed", "workers",
+        "rmo_max_iters", "n_ris-fraction", "n_ris-bool"])
+def test_spec_refuses_sizes_and_counts_that_are_not_integers(field, value,
+                                                             message):
+    with pytest.raises(ValueError, match=message):
+        tiny_capacity_spec(methods=("wsa", "rmo"), **{field: value})
+    # numpy integers are integers, held as Python ints for the JSON sidecar
+    spec = tiny_capacity_spec(
+        n_ris_list=(np.int64(64),), n_t=np.int32(4), n_r=np.int64(4),
+        trials=np.int64(3), seed=np.uint16(123), workers=np.int64(1),
+        rmo_max_iters=np.int64(200))
+    assert spec == tiny_capacity_spec()
+    assert all(type(getattr(spec, name)) is int for name in (
+        "n_t", "n_r", "trials", "seed", "workers", "rmo_max_iters"))
+    assert type(spec.n_ris_list[0]) is int
+
+
 def test_k_r_db_follows_k_t_db_unless_given():
     only_t = tiny_capacity_spec(k_t_db=5.0)
     assert (only_t.k_t_db, only_t.k_r_db) == (5.0, 5.0)

@@ -5,7 +5,8 @@ the last digits of some full-size runs depend on the BLAS thread count.
 OpenBLAS picks its kernel by CPU model, so the pins are keyed on the
 kernel lines that OpenBLAS prints at load (OPENBLAS_VERBOSE=2) and on the
 BLAS build numpy reports.  The test prints the key it compared; a key
-with no entry fails and prints the hashes to add.  A change that means to
+with no entry fails and prints the hashes to add, and a moved hash fails
+and prints the moved entries' new digests as JSON.  A change that means to
 move bytes updates golden_sha256.json and says which hashes moved and why.
 """
 
@@ -103,8 +104,9 @@ def test_pinned_output_hashes():
     if key not in pins:
         pytest.fail(f"no pins for key {key!r}; add to {GOLDEN.name}:\n"
                     + json.dumps({key: got}, indent=2, sort_keys=True))
-    moved = sorted(f"{name} {kind}" for name, files in pins[key].items()
-                   for kind, digest in files.items()
-                   if got.get(name, {}).get(kind) != digest)
-    assert not moved, f"key {key!r}: hashes moved: {moved}"
+    moved = {name: got.get(name) for name, files in pins[key].items()
+             if any(got.get(name, {}).get(kind) != digest
+                    for kind, digest in files.items())}
+    assert not moved, (f"key {key!r}: hashes moved; the moved entries now "
+                       f"read:\n" + json.dumps(moved, indent=2, sort_keys=True))
     assert sorted(got) == sorted(pins[key])

@@ -24,18 +24,13 @@ _finite = st.floats(-1e6, 1e6, allow_subnormal=False)
 @given(weights=_weights, n_ris=st.integers(1, 400))
 def test_rounding_is_a_disjoint_partition_with_exact_counts(weights, n_ris):
     w = np.asarray(weights) / np.sum(weights)        # sum(sqrt(p_i)) = 1
-    plan = AllocationPlan(fractions=w ** 2, counts=None, index_sets=None,
-                          water_level=1.0, iterations_used=0,
+    plan = AllocationPlan(fractions=w ** 2, counts=None, iterations_used=0,
                           objective_trace=np.zeros(1), converged=True)
     out = round_allocation(plan, n_ris)
     assert out.counts.sum() == n_ris
     # largest remainder: each count is the floor or the ceiling of its target
     assert np.all(np.abs(out.counts - w * n_ris) < 1.0)
     assert np.all(out.counts[w == 0.0] == 0)
-    for idx, count in zip(out.index_sets, out.counts):
-        assert idx.size == count
-    # contiguous blocks in stream order
-    assert np.array_equal(np.concatenate(out.index_sets), np.arange(n_ris))
 
 
 @_SETTINGS
