@@ -18,8 +18,7 @@ from .capacity import (AllocationPlan, CapacityReport, allocate_sca,
                        run_wsa, water_level_solve)
 from .channels import (LosSpec, RiceanChannel, RisConfig, cascaded_channel,
                        complex_gaussian, sample_ricean)
-from .gain import (channel_gain, configure_gain_los, gain_expansion,
-                   gain_lower_bound)
+from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, UpaGeometry, near_square_geometry, upa_steering
 from .harness import (ExperimentResult, ExperimentSpec, bench_runtime, db2lin,
                       nmse, preset_spec, run_experiment)
@@ -37,8 +36,7 @@ __all__ = [
     "round_allocation", "run_wsa", "water_level_solve",
     "LosSpec", "RiceanChannel", "RisConfig", "cascaded_channel",
     "complex_gaussian", "sample_ricean",
-    "channel_gain", "configure_gain_los", "gain_expansion",
-    "gain_lower_bound",
+    "channel_gain", "configure_gain_los", "gain_lower_bound",
     "AnglePair", "UpaGeometry", "near_square_geometry", "upa_steering",
     "ExperimentResult", "ExperimentSpec", "bench_runtime", "db2lin", "nmse",
     "preset_spec", "run_experiment",

@@ -10,7 +10,6 @@ continuous optimum once squared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -71,11 +70,3 @@ def sign_align(b) -> AlignmentResult:
     if val_re >= val_im:
         return AlignmentResult(phi_re.real.copy(), float(val_re), "real")
     return AlignmentResult(phi_im.real.copy(), float(val_im), "imaginary")
-
-
-def brute_force_value(b) -> float:
-    """Exhaustive 1-bit optimum max |b^T phi| over all 2^N sign patterns,
-    the reference sign_align is checked against (short vectors only)."""
-    b = np.asarray(b, dtype=complex).ravel()
-    return float(max(abs(b @ np.array(s))
-                     for s in product((1.0, -1.0), repeat=b.size)))

@@ -146,20 +146,6 @@ def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
     return 1.0 / s
 
 
-def water_level_bisect(gains, weights, budget: float) -> float:
-    """Reference for water_level_solve on gain and weight arrays: bisection
-    on the level s = 1/eta of the increasing budget residual, independent
-    of its active-set logic."""
-    lo, hi = 0.0, 1e9
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(weights * np.clip(mid / weights - 1.0 / gains, 0.0, None))) > budget:
-            hi = mid
-        else:
-            lo = mid
-    return 1.0 / lo
-
-
 def _is_count(value) -> bool:
     """True for a Python or numpy integer that is not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -81,16 +81,6 @@ class RiceanChannel:
         """The channel as seen from the array side (n_array x n_ris)."""
         return self.matrix.conj().T
 
-    def los_part(self) -> np.ndarray:
-        """The weighted deterministic component sqrt(K/(K+1)) * los."""
-        w = 1.0 if math.isinf(self.k_factor) else math.sqrt(
-            self.k_factor / (self.k_factor + 1.0))
-        return w * self.los.los_matrix()
-
-    def scattered_part(self) -> np.ndarray:
-        """The weighted random component, matrix minus los_part."""
-        return self.matrix - self.los_part()
-
 
 @dataclass(frozen=True)
 class RisConfig:
@@ -106,10 +96,6 @@ class RisConfig:
         if not np.all(np.abs(np.abs(s) - 1.0) == 0.0):
             raise ValueError("discrete states must be exactly +1 or -1")
         object.__setattr__(self, "states", s)
-
-    @property
-    def n_elements(self) -> int:
-        return self.states.size
 
 
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:

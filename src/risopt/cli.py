@@ -1,21 +1,19 @@
 """Command line front end for the experiment harness.
 
 Subcommands: figure (named preset), spectrum / gain / capacity (custom
-grids), bench-runtime, and validate (fast self-checks).  An argument
-`@FILE` stands for the arguments in FILE, split on whitespace, and a
-later argument overrides an earlier one.  All angles of randomness
-flow from --seed, so a command line is a reproducible artifact.  Usage
-errors print a single machine-parsable line `error: <msg>` on stderr
-and exit with status 2.  A run whose rows record a trial error writes
-its files, then prints one such line and exits with status 1.
+grids) and bench-runtime.  An argument `@FILE` stands for the arguments
+in FILE, split on whitespace, and a later argument overrides an earlier
+one.  All angles of randomness flow from --seed, so a command line is a
+reproducible artifact.  Usage errors print a single machine-parsable
+line `error: <msg>` on stderr and exit with status 2.  A run whose rows
+record a trial error writes its files, then prints one such line and
+exits with status 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 from .harness import bench_runtime, preset_names, preset_spec, run_experiment
 
@@ -72,10 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="multiplier on the element-count grid")
         _add_common(p, runs_trials=command != "bench-runtime")
         _add_grid(p)
-
-    p_val = sub.add_parser("validate",
-                           help="fast numerical self-checks (no files)")
-    p_val.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -94,76 +88,8 @@ def _spec_and_out(args: argparse.Namespace):
     return preset_spec(preset, **opts), out_dir
 
 
-def _cmd_validate(seed: int) -> int:
-    """Small oracle suite; prints one line per check."""
-    from .alignment import brute_force_value, sign_align
-    from .capacity import allocate_sca, water_level_bisect, water_level_solve
-    from .manifold import (euclidean_gradient, finite_difference_error,
-                           riemannian_gradient)
-    from .spectral import laguerre_top_roots
-
-    rng = np.random.default_rng(seed)
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'ok' if ok else 'FAIL'}: {name}")
-        failures += 0 if ok else 1
-
-    # sign alignment vs exhaustive search on short vectors
-    ok = True
-    for _ in range(20):
-        n = int(rng.integers(2, 9))
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        best = brute_force_value(b)
-        got = sign_align(b).achieved_value
-        ok &= got <= best + 1e-9 and got >= 0.5 * np.sum(np.abs(b)) - 1e-9
-    check("sign alignment within brute-force envelope", ok)
-
-    # closed-form quadrature roots for the (4, 2) pair: 6 - 4y + y^2/2
-    # has roots y in {2, 6}, mapped through (y - 4) / (2 sqrt(8))
-    roots = laguerre_top_roots(4, 2)
-    expect = np.array([-1.0, 1.0]) / (2.0 * 2.0 ** 0.5)
-    check("quadrature roots (4,2) match closed form",
-          bool(np.allclose(np.sort(roots), np.sort(expect), atol=1e-12)))
-
-    # water level against bisection on the weighted budget equation
-    gains = rng.uniform(0.5, 4.0, size=6)
-    weights = rng.uniform(0.1, 1.0, size=6)
-    budget = 2.0
-    eta = water_level_solve(gains, weights, budget)
-    reference = water_level_bisect(gains, weights, budget)
-    check("water level matches bisection",
-          abs(1.0 / eta - 1.0 / reference) < 1e-6)
-
-    # sqrt-allocation fixed point keeps the budget feasible
-    plan = allocate_sca(np.array([3.0, 2.0, 1.0]),
-                        np.array([2.5, 1.5, 1.0]), 10.0, 4)
-    check("sqrt allocation satisfies its budget",
-          float(np.sum(np.sqrt(plan.fractions))) <= 1.0 + 1e-9)
-
-    # gradients against central finite differences
-    n_r, n_s, n_t = 4, 5, 4
-    a = rng.normal(size=(n_r, n_s)) + 1j * rng.normal(size=(n_r, n_s))
-    t = rng.normal(size=(n_s, n_t)) + 1j * rng.normal(size=(n_s, n_t))
-    theta = rng.uniform(-np.pi, np.pi, size=n_s)
-    phi = np.exp(1j * theta)
-    for objective in ("gain", "capacity_exact", "capacity_surrogate"):
-        rel = finite_difference_error(objective, a, t, phi, snr=5.0)
-        check(f"{objective} gradient matches finite differences", rel < 1e-5)
-        g = euclidean_gradient(objective, a, t, phi, snr=5.0)
-        xi = riemannian_gradient(g, phi)
-        tangency = float(np.max(np.abs((xi * phi.conj()).real)))
-        check(f"{objective} projected gradient is tangent", tangency < 1e-9)
-
-    print(f"validate: {'all checks passed' if failures == 0 else f'{failures} check(s) failed'}")
-    return 0 if failures == 0 else 1
-
-
 def parse_and_dispatch(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args.seed)
     spec, out_dir = _spec_and_out(args)
     runtime = args.command == "bench-runtime"
     result = bench_runtime(spec) if runtime else run_experiment(spec)

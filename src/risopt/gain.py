@@ -14,30 +14,13 @@ import math
 import numpy as np
 
 from .alignment import sign_align
-from .channels import LosSpec, RisConfig, _phase_vector
-from .spectral import SvdBundle
+from .channels import LosSpec, RisConfig
 
 
 def channel_gain(h_tilde: np.ndarray) -> float:
     """Squared Frobenius norm of the end-to-end channel."""
     h = np.asarray(h_tilde)
     return float(np.sum(np.abs(h) ** 2))
-
-
-def gain_expansion(bundle_r: SvdBundle, bundle_t: SvdBundle, phi) -> float:
-    """Diagnostic evaluation of the gain as the double sum over SVD terms.
-
-    Equals channel_gain of the cascade (same phi) up to roundoff; kept as
-    an independent oracle, not used on the production path.
-    """
-    v = _phase_vector(phi)
-    d_r = bundle_r.singular_values
-    d_t = bundle_t.singular_values
-    # columns: v_R,i in bundle_r.right, u_T,j in bundle_t.left
-    zr = bundle_r.right.conj() * v[:, None]          # conj(v_R,i) * phi
-    inner = zr.T @ bundle_t.left                     # (i, j) -> (conj(v_i) * u_j)^T phi
-    return float(np.sum((d_r[:, None] ** 2) * (d_t[None, :] ** 2)
-                        * np.abs(inner) ** 2))
 
 
 def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:

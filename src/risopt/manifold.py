@@ -142,27 +142,6 @@ def euclidean_gradient(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     return g
 
 
-def finite_difference_error(objective: str, h_r_herm: np.ndarray,
-                            h_t: np.ndarray, phi,
-                            snr: float | None = None) -> float:
-    """Gradient oracle: largest entrywise gap between the Euclidean gradient
-    and central differences of the value along the real and imaginary
-    axes (combined as d/dRe + j d/dIm, the g = 2 df/d(conj phi)
-    convention), relative to the largest gradient entry."""
-    eps = 1e-6
-    phi = np.asarray(phi, dtype=complex).ravel()
-    evaluate, grad = _objective(objective, h_r_herm, h_t, snr)
-    g = grad(phi, evaluate(phi)[1])
-    fd = np.zeros(phi.size, dtype=complex)
-    for i in range(phi.size):
-        for unit in (1.0, 1.0j):
-            e = np.zeros(phi.size, dtype=complex)
-            e[i] = unit * eps
-            d = (evaluate(phi + e)[0] - evaluate(phi - e)[0]) / (2.0 * eps)
-            fd[i] += d if unit == 1.0 else 1.0j * d
-    return float(np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12))
-
-
 def riemannian_gradient(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Project g onto the tangent space: xi = g - Re{g conj(phi)} phi."""
     radial = g.real * phi.real + g.imag * phi.imag

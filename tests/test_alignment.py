@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from risopt.alignment import brute_force_value, sign_align
+from risopt.alignment import sign_align
+from tests.oracles import brute_force_value
 
 
 def test_brute_force_value_on_real_input_is_the_absolute_sum():

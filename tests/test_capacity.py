@@ -11,9 +11,10 @@ from risopt.capacity import (AllocationPlan, allocate_sca,
                              capacity_lower_bound, configure_capacity,
                              effective_channel, offdiag_ratio,
                              round_allocation, run_wsa, stream_columns,
-                             water_level_bisect, water_level_solve)
+                             water_level_solve)
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.spectral import asymptotic_spectrum, svd_bundle
+from tests.oracles import water_level_bisect
 from tests.test_channels import make_los
 
 

@@ -8,9 +8,9 @@ from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.gain import channel_gain
 from risopt import manifold
 from risopt.manifold import (OBJECTIVES, RmoSettings, euclidean_gradient,
-                             finite_difference_error, quantize_1bit,
-                             riemannian_gradient, rmo_optimize)
+                             quantize_1bit, riemannian_gradient, rmo_optimize)
 from risopt.spectral import svd_bundle
+from tests.oracles import finite_difference_error
 from tests.test_channels import make_los
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from risopt.alignment import brute_force_value, sign_align
+from risopt.alignment import sign_align
 from risopt.capacity import (AllocationPlan, _water_level,
                              allocate_sca, round_allocation, water_level_solve)
 from risopt.channels import RisConfig
+from tests.oracles import brute_force_value
 from tests.test_capacity import assert_same_plan, best_single_start
 
 _SETTINGS = settings(max_examples=200, deadline=None)
