@@ -98,7 +98,7 @@ def stream_bits(rho_w: np.ndarray, q: np.ndarray) -> float:
     """sum_i log2(1 + rho_w_i * q_i): the diagonal surrogate from the
     scaled stream weights rho * w_i and the stream powers q_i = |z_i|^2
     of the projections z = cols.T @ phi."""
-    return float(np.sum(np.log1p(rho_w * q)) / _LN2)
+    return float(np.log1p(rho_w * q).sum() / _LN2)
 
 
 def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,

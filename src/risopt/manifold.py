@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import stream_bits, stream_columns
+from .capacity import _is_count, stream_bits, stream_columns
 from .channels import RisConfig
 from .spectral import svd_bundle
 
@@ -37,8 +37,9 @@ class RmoSettings:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not _is_count(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1; "
+                             f"got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,21 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     tested, and the gradient is scanned only when it fails.
 
     Cost: one cascade product (or stream projection for the surrogate)
-    per line-search trial, each trial retracted in one buffer; the
-    gradient reuses the accepted trial's cascade (or projections and
-    their powers) and makes no conjugate copy of the channels.
+    per line-search trial, each trial retracted by one reciprocal of its
+    moduli and one multiply, not numpy's complex division; the gradient
+    reuses the accepted trial's cascade (or projections and their
+    powers) and makes no conjugate copy of the channels.
+
+    The retraction is the division z / |z| bit for bit except in the
+    sign of a part that is exactly zero.  numpy divides by r + 0j as
+    ((x + y*0) * (1/r), (y - x*0) * (1/r)), and multiplying by s + 0j,
+    s = 1/r, gives (x*s - y*0, x*0 + y*s), rounded once also where its
+    SIMD loop fuses the multiply-add; both round x/r and y/r the same.
+    1/r is finite because |z| >= 1 up to rounding.  A part that is
+    exactly zero may come out with the other sign: complex(-0.5, -0.0)
+    gives -1+0j by division and -1-0j by the product.  The sign of a
+    zero changes no nonzero value that sums and products make from it,
+    and quantize_1bit tests Re >= 0, true for both zeros.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
@@ -212,7 +225,9 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             # >= 1 entrywise, so no zero guard is needed
             cand = mu * xi
             cand += phi
-            cand /= np.abs(cand)
+            scale = np.abs(cand)
+            np.divide(1.0, scale, out=scale)
+            cand *= scale
             f_new, cand_state = evaluate(cand)
             target = f + 1e-4 * mu * sq_norm
             if f_new >= target and f_new > f:
@@ -237,6 +252,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
 def quantize_1bit(phi_continuous) -> RisConfig:
     """Nearest point of {+1, -1} per element: +1 iff Re >= 0 (ties to +1)."""
     phi = np.asarray(phi_continuous, dtype=complex).ravel()
-    if phi.size == 0 or np.max(np.abs(np.abs(phi) - 1.0)) > 1e-6:
+    # written so that a NaN modulus fails the test: NaN > 1e-6 is False
+    if phi.size == 0 or not np.all(np.abs(np.abs(phi) - 1.0) <= 1e-6):
         raise ValueError("input must be unit modulus")
     return RisConfig(np.where(phi.real >= 0.0, 1.0, -1.0))

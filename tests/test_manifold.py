@@ -14,6 +14,12 @@ from tests.oracles import finite_difference_error
 from tests.test_channels import make_los
 
 
+def bits(x):
+    """The IEEE bit patterns of a float or complex array, so that equal
+    bits means equal values and equal signs of zero."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
 def random_instance(seed, n_r=8, n_s=4, n_t=8):
     rng = np.random.default_rng(seed)
     a = complex_gaussian(rng, (n_r, n_s))
@@ -168,6 +174,35 @@ def test_riemannian_projection_is_tangent_and_idempotent():
     assert np.allclose(riemannian_gradient(xi, phi), xi)
 
 
+def retract(z):
+    """rmo_optimize's retraction: one reciprocal of the moduli, one multiply."""
+    z = z.copy()
+    scale = np.abs(z)
+    np.divide(1.0, scale, out=scale)
+    z *= scale
+    return z
+
+
+@pytest.mark.parametrize("n_s", [1, 3, 7, 64, 1001, 4096])
+def test_retraction_is_the_division_bit_for_bit(n_s):
+    # the line search's candidates phi + mu*xi, xi tangent, over step
+    # sizes from far below to far above one radian; odd sizes reach the
+    # scalar tails of numpy's vector loops
+    rng = np.random.default_rng(n_s)
+    for _ in range(5):
+        phi = np.exp(1j * rng.uniform(-math.pi, math.pi, n_s))
+        g = complex_gaussian(rng, (n_s,)) * 10.0 ** rng.uniform(-3, 3)
+        xi = riemannian_gradient(g, phi)
+        for mu in 10.0 ** np.arange(-12.0, 4.0):
+            z = phi + mu * xi
+            assert np.all(np.abs(z) >= 1.0 - 1e-12)  # 1 but for rounding
+            assert np.array_equal(bits(retract(z)), bits(z / np.abs(z)))
+    # the one difference: a part that is exactly zero may flip its sign
+    z = np.array([complex(-0.5, -0.0)])
+    assert np.array_equal(bits(z / np.abs(z)), bits(np.array([complex(-1, 0.0)])))
+    assert np.array_equal(bits(retract(z)), bits(np.array([complex(-1, -0.0)])))
+
+
 def test_optimizer_trace_monotone_and_unit_modulus():
     a, t, _ = random_instance(2, n_r=6, n_s=24, n_t=6)
     res = rmo_optimize(a, t, RmoSettings(objective="gain", max_iters=80))
@@ -221,6 +256,11 @@ def test_settings_validation():
         RmoSettings(objective="throughput")
     with pytest.raises(ValueError):
         RmoSettings(max_iters=0)
+    # a count the loop can run: no bool, float or string
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            RmoSettings(max_iters=bad)
+    assert RmoSettings(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_quantize_1bit():
@@ -231,6 +271,10 @@ def test_quantize_1bit():
         quantize_1bit(np.array([0.5 + 0.0j]))
     # boundary: Re == 0 quantizes to +1
     assert quantize_1bit(np.array([1j])).states[0] == 1.0
+    # a NaN part is not unit modulus, whichever part holds it
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.nan)):
+        with pytest.raises(ValueError, match="unit modulus"):
+            quantize_1bit(np.array([bad, 1 + 0j]))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -245,8 +289,9 @@ def test_given_bundles_change_no_bit(monkeypatch, objective):
         with monkeypatch.context() as m:
             m.setattr(manifold, "svd_bundle", None)  # any call would raise
             given = rmo_optimize(a, t, settings, snr=10.0, bundles=bundles)
-        assert np.array_equal(given.phi, plain.phi)
-        assert np.array_equal(given.objective_trace, plain.objective_trace)
+        assert np.array_equal(bits(given.phi), bits(plain.phi))
+        assert np.array_equal(bits(given.objective_trace),
+                              bits(plain.objective_trace))
         assert given.iterations == plain.iterations
         assert given.final_grad_norm == plain.final_grad_norm
 
@@ -378,8 +423,8 @@ def test_trajectory_is_the_reference_loop_bit_for_bit(objective):
         got = rmo_optimize(a, t, RmoSettings(objective=objective), snr=10.0)
         phi, trace, iters, converged, grad_norm, stop = reference_rmo(
             a, t, objective, 500, 10.0)
-        assert np.array_equal(got.phi, phi)
-        assert np.array_equal(got.objective_trace, trace)
+        assert np.array_equal(bits(got.phi), bits(phi))
+        assert np.array_equal(bits(got.objective_trace), bits(trace))
         assert got.iterations == iters and got.converged == converged
         assert got.final_grad_norm == grad_norm
         assert got.stop_reason == stop
