@@ -59,12 +59,15 @@ class CapacityReport:
 
 def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     """log2 det(I + snr/n_t * H H^H) in bits, via singular values; n_t is
-    the column count of the n_r x n_t cascade H."""
+    the column count of the n_r x n_t cascade H, and snr is linear,
+    positive and finite."""
     h = np.asarray(h_tilde, dtype=complex)
     if not np.isfinite(h).all():
         raise ValueError("non-finite channel")
     if not snr > 0:
         raise ValueError("snr must be positive (linear)")
+    if math.isinf(snr):
+        raise ValueError(f"snr must be finite; got {snr!r}")
     s = np.linalg.svd(h, compute_uv=False)
     return float(np.sum(np.log1p((snr / h.shape[1]) * s ** 2)) / _LN2)
 
@@ -81,15 +84,24 @@ def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarr
     v = _phase_vector(phi)
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
-    core = bundle_r.right.conj().T @ (v[:, None] * bundle_t.left)
+    core = bundle_r.right_h @ (v[:, None] * bundle_t.left)
     return d_r[:, None] * core * d_t[None, :]
 
 
 def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray, np.ndarray]:
     """Per-stream targets conj(v_R,i) * u_T,i (as columns) and weights
-    d_R,i^2 d_T,i^2, for the min(n_r, n_t) streams."""
+    d_R,i^2 d_T,i^2, for the min(n_r, n_t) streams.
+
+    conj(v_R,i) is row i of V_R^H.  The product starts from a copy of
+    those rows in the F-ordered layout of their transpose, a temporary
+    that numpy multiplies in place once it reaches 256 KiB (temporary
+    elision): cols is F-ordered from there and C-ordered below.  That
+    layout picks BLAS's kernel for cols.T @ phi and so fixes the bits of
+    the stream projections; the view right_h[:nmin].T alone would give
+    C order at every size.
+    """
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    cols = bundle_r.right_h[:nmin].T.copy(order="K") * bundle_t.left[:, :nmin]
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
     return cols, w
 
@@ -106,7 +118,7 @@ def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
     """Diagonal surrogate: per-stream terms only, in bits."""
     cols, w = stream_columns(bundle_r, bundle_t)
     z = cols.T @ _phase_vector(phi)
-    return stream_bits((snr / bundle_t.right.shape[0]) * w, np.abs(z) ** 2)
+    return stream_bits((snr / bundle_t.right_h.shape[1]) * w, np.abs(z) ** 2)
 
 
 def water_level_solve(gains, weights, budget: float) -> float:
@@ -302,8 +314,8 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     """
     if plan.counts is None:
         raise ValueError("plan has no counts; round it first")
-    n_s = bundle_r.right.shape[0]
-    columns = min(bundle_r.right.shape[1], bundle_t.left.shape[1])
+    n_s = bundle_r.right_h.shape[1]
+    columns = min(bundle_r.right_h.shape[0], bundle_t.left.shape[1])
     placed = int(plan.counts.sum())
     if placed != n_s or plan.counts.size > columns:
         raise ValueError(f"plan places {placed} elements on {plan.counts.size} "
@@ -315,7 +327,7 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     start = 0
     for i, end in enumerate(np.cumsum(plan.counts).tolist()):
         if end > start:
-            states[start:end] = sign_align(bundle_r.right[start:end, i].conj()
+            states[start:end] = sign_align(bundle_r.right_h[i, start:end]
                                            * bundle_t.left[start:end, i]).phi
         start = end
     return RisConfig(states)
@@ -338,7 +350,7 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
     sq_r = squared(side_r)
     sq_t = squared(side_t)
     n_t = side_t.dims[1] if isinstance(side_t, AsymptoticSpectrum) \
-        else side_t.right.shape[0]
+        else side_t.right_h.shape[1]
     p = np.asarray(fractions, dtype=float)
     nmin = min(p.size, sq_r.size, sq_t.size)
     terms = 0.25 * (snr / n_t) * sq_r[:nmin] * sq_t[:nmin] * p[:nmin]
@@ -370,7 +382,7 @@ def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
         sv_r, sv_t = (np.sqrt(side.predicted_sq_singular_values) for side in spectra)
     else:
         sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
-    plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right.shape[0])
+    plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right_h.shape[1])
     plan = round_allocation(plan, bundle_t.left.shape[0])
     return configure_capacity(bundle_r, bundle_t, plan), plan
 

@@ -481,16 +481,21 @@ def _grid(spec: ExperimentSpec) -> list:
 class _Link:
     """One channel pair sampled at a grid point, with what its methods
     read: a is the receive side as it enters the cascade (n_r x n_ris),
-    t the transmit side (n_ris x n_t), snr the point's linear SNR,
-    bundles the SVDs of a, t and gain_bound the asymptotic gain bound."""
+    t the transmit side (n_ris x n_t), los_t, los_r and k_t, k_r each
+    side's LoS spec and linear K-factor, snr the point's linear SNR,
+    bundles the SVDs of a, t and gain_bound the asymptotic gain bound.
+    Each channel array is held once: the sampled receive matrix is
+    dropped once a, its conjugate transpose, is formed."""
 
     def __init__(self, spec: ExperimentSpec, point: dict,
                  rng: np.random.Generator):
         self.spec = spec
-        self.ch_t = _sample_side(rng, point["n_ris"], spec.n_t, point["k_t_db"])
-        self.ch_r = _sample_side(rng, point["n_ris"], spec.n_r, point["k_r_db"])
-        self.a = self.ch_r.hermitian
-        self.t = self.ch_t.matrix
+        ch_t = _sample_side(rng, point["n_ris"], spec.n_t, point["k_t_db"])
+        ch_r = _sample_side(rng, point["n_ris"], spec.n_r, point["k_r_db"])
+        self.los_t, self.k_t = ch_t.los, ch_t.k_factor
+        self.los_r, self.k_r = ch_r.los, ch_r.k_factor
+        self.a = ch_r.hermitian
+        self.t = ch_t.matrix
         self.snr = db2lin(point["snr_db"])
 
     @cached_property
@@ -500,7 +505,7 @@ class _Link:
     @cached_property
     def gain_bound(self) -> float:
         return gain_lower_bound(self.t.shape[0], self.spec.n_t, self.spec.n_r,
-                                self.ch_t.k_factor, self.ch_r.k_factor)
+                                self.k_t, self.k_r)
 
 
 @dataclass(frozen=True)
@@ -523,8 +528,8 @@ def _score_sa(link: _Link, cfg) -> dict:
 
 def _bench_sa(link: _Link):
     # the alignment alone: steering vectors are CSI, common to all methods
-    a_t = link.ch_t.los.ris_steering()
-    a_r = link.ch_r.los.ris_steering()
+    a_t = link.los_t.ris_steering()
+    a_r = link.los_r.ris_steering()
     return lambda: sign_align(a_r.conj() * a_t)
 
 
@@ -565,7 +570,7 @@ def _rmo(objective: str, column: str) -> _Method:
 # alignment alone.
 _METHODS = {
     "gain": {
-        "sa": _Method(lambda link: configure_gain_los(link.ch_t.los, link.ch_r.los),
+        "sa": _Method(lambda link: configure_gain_los(link.los_t, link.los_r),
                       _score_sa, _bench_sa, (3, 5)),
         "rmo": _rmo("gain", "gain_rmo"),
     },
@@ -643,7 +648,7 @@ def _trial_methods(spec, point, trial, rng):
     link = _Link(spec, point, rng)
     row = {"trial": trial, **point, "n_t": spec.n_t, "n_r": spec.n_r,
            "flag_hardening": _flag_hardening(
-               [(link.ch_t.k_factor, spec.n_t), (link.ch_r.k_factor, spec.n_r)]),
+               [(link.k_t, spec.n_t), (link.k_r, spec.n_r)]),
            "flag_diag": _flag_diag(point["n_ris"], spec.n_t, spec.n_r),
            "lower_bound": link.gain_bound, "error": ""}
     timings = {}

@@ -59,8 +59,9 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
 
     The capacity objectives scale by snr / n_t, n_t the column count of
-    h_t (n_ris x n_t).  The surrogate reads its stream columns from
-    bundles, the SVDs of (h_r_herm, h_t), and makes them itself if None.
+    h_t (n_ris x n_t), and refuse an snr that is not positive and
+    finite.  The surrogate reads its stream columns from bundles, the
+    SVDs of (h_r_herm, h_t), and makes them itself if None.
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or for the surrogate the stream projections
@@ -92,6 +93,8 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
     if snr is None or not snr > 0:
         raise ValueError("capacity objectives need a positive linear snr")
+    if math.isinf(snr):            # inf values, NaN gradients
+        raise ValueError(f"snr must be finite; got {snr!r}")
     rho = snr / t.shape[1]
 
     if objective == "capacity_exact":

@@ -25,11 +25,13 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SvdBundle:
-    """Full SVD of a channel: columns of left/right are u_i / v_i."""
+    """Thin SVD h = left @ diag(singular_values) @ right_h of an m x n
+    channel, k = min(m, n): the columns of left (m x k) are u_i and the
+    rows of right_h (k x n) are v_i^H, as LAPACK returns V^H."""
 
     left: np.ndarray
     singular_values: np.ndarray
-    right: np.ndarray
+    right_h: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -47,12 +49,13 @@ class AsymptoticSpectrum:
 
 
 def svd_bundle(h: np.ndarray) -> SvdBundle:
-    """Dense SVD with descending singular values."""
+    """Thin dense SVD with descending singular values; V^H is kept as
+    LAPACK returns it, with no conjugate-transposed copy."""
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
         raise ValueError("non-finite entries")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
-    return SvdBundle(u, s, vh.conj().T)
+    return SvdBundle(u, s, vh)
 
 
 def laguerre_top_roots(n_big: int, n_small: int) -> np.ndarray:

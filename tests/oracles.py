@@ -69,8 +69,8 @@ def gain_expansion(bundle_r: SvdBundle, bundle_t: SvdBundle, phi) -> float:
     v = _phase_vector(phi)
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
-    # columns: v_R,i in bundle_r.right, u_T,j in bundle_t.left
-    zr = bundle_r.right.conj() * v[:, None]          # conj(v_R,i) * phi
+    # rows: v_R,i^H in bundle_r.right_h; columns: u_T,j in bundle_t.left
+    zr = bundle_r.right_h.T * v[:, None]             # conj(v_R,i) * phi
     inner = zr.T @ bundle_t.left                     # (i, j) -> (conj(v_i) * u_j)^T phi
     return float(np.sum((d_r[:, None] ** 2) * (d_t[None, :] ** 2)
                         * np.abs(inner) ** 2))

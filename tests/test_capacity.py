@@ -67,6 +67,8 @@ def test_capacity_exact_against_logdet():
     assert capacity_exact(h, snr) == pytest.approx(logdet / math.log(2.0))
     with pytest.raises(ValueError):
         capacity_exact(h, 0.0)
+    with pytest.raises(ValueError, match="^snr must be finite; got inf$"):
+        capacity_exact(h, math.inf)
     with pytest.raises(ValueError):
         capacity_exact(np.array([[np.nan + 0j]]), 1.0)
 
@@ -98,7 +100,7 @@ def test_effective_channel_entrywise_rank_one_expansion(n_r, n_t):
     for i in range(n_r):
         for j in range(n_t):
             expect = (br.singular_values[i] * bt.singular_values[j]
-                      * ((br.right[:, i].conj() * bt.left[:, j]) @ phi))
+                      * ((br.right_h[i] * bt.left[:, j]) @ phi))
             assert abs(h_eff[i, j] - expect) <= 1e-10 * max(1.0, abs(expect))
 
 
@@ -353,17 +355,35 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
     bundle_r, bundle_t = svd_bundle(h_r_herm), svd_bundle(h_t)
     plan = round_allocation(make_plan([0.25, 0.09, 0.04]), n_s)
     cfg = configure_capacity(bundle_r, bundle_t, plan)
-    cols = bundle_r.right[:, :n].conj() * bundle_t.left[:, :n]
+    cols = bundle_r.right_h[:n].T * bundle_t.left[:, :n]
     for i, idx in enumerate(blocks(plan.counts)):
         b = cols[idx, i]
         aligned = abs(b @ cfg.states[idx])
         assert aligned >= 0.5 * np.sum(np.abs(b)) - 1e-12
 
 
+@pytest.mark.parametrize("n_s,n", [(1024, 8), (2048, 8), (5000, 10)])
+def test_stream_columns_keep_the_layout_of_the_product_with_v(n_s, n):
+    # numpy multiplies the conjugate temporary of V in place from 256 KiB
+    # (2048x8 on), which makes that product F-ordered; BLAS then takes
+    # another kernel for cols.T @ phi, so the layout fixes the bits of the
+    # surrogate and of cap_diag at the full-size presets
+    rng = np.random.default_rng(n_s)
+    bundle_r = svd_bundle(complex_gaussian(rng, (n, n_s)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (n_s, n)))
+    right = bundle_r.right_h.conj().T                 # V_R
+    want = right[:, :n].conj() * bundle_t.left[:, :n]
+    cols, _ = stream_columns(bundle_r, bundle_t)
+    assert cols.strides == want.strides
+    phi = np.exp(1j * rng.uniform(-math.pi, math.pi, n_s))
+    assert np.array_equal((cols.T @ phi).view(np.uint64),
+                          (want.T @ phi).view(np.uint64))
+
+
 def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
     """The earlier configure_capacity: every stream column over all
     elements, each gathered at its block and aligned."""
-    states = np.ones(bundle_r.right.shape[0])
+    states = np.ones(bundle_r.right_h.shape[1])
     cols, _ = stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(blocks(plan.counts)):
         if idx.size:

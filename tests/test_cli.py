@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -479,14 +480,19 @@ def test_a_trial_error_exits_1_after_writing_the_files(tmp_path, capsys):
 
 
 def test_an_infinite_snr_is_named_in_the_row_error(tmp_path, capsys):
-    # W-SA used to end with "list index out of range"
-    code = run_main(["capacity", "--n-ris", "32", "--nt", "4", "--snr-db", "inf",
-                     "--trials", "1", "--methods", "wsa", "lb",
-                     "--out", str(tmp_path)])
+    # W-SA used to end with "list index out of range", and both RMOs with
+    # numpy's RuntimeWarnings and a non-finite gradient at iteration 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run_main(["capacity", "--n-ris", "32", "--nt", "4",
+                         "--snr-db", "inf", "--trials", "1",
+                         "--methods", "wsa", "rmo", "rmo-surrogate", "lb",
+                         "--out", str(tmp_path)])
     assert code == 1
+    refused = "snr must be finite; got inf"
     assert capsys.readouterr().err.splitlines() == [
-        "error: 1 of 1 trials recorded an error; first: wsa: snr must be "
-        "finite; got inf"]
+        f"error: 1 of 1 trials recorded an error; first: wsa: {refused}; "
+        f"rmo: {refused}; rmo-surrogate: {refused}"]
 
 
 def test_bad_k_db_count(tmp_path):

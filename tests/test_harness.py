@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -646,6 +647,32 @@ def test_wsa_columns_are_run_wsa_bit_for_bit():
         assert got == (report.capacity_exact, report.capacity_diag,
                        report.capacity_lb, report.offdiag_ratio,
                        plan.iterations_used)
+
+
+@pytest.mark.parametrize("preset,n_ris,n,methods,fields,bound", [
+    # fig2a's middle point and fig2b's first.  Each bound sits between
+    # the peak with each channel-sized array held once (6.36, 4.00 units)
+    # and the one with the sampled receive matrix kept next to its
+    # conjugate a and V kept next to LAPACK's V^H (7.87, 5.00)
+    ("custom-capacity", 2048, 8, ("wsa", "lb"), {}, 7.0),
+    ("custom-gain", 1024, 16, ("sa", "rmo", "lb"), {"rmo_max_iters": 5}, 4.5),
+])
+def test_a_trial_holds_each_channel_sized_array_once(preset, n_ris, n, methods,
+                                                     fields, bound):
+    # traced peak of one warm trial in units of one n_ris x n complex array
+    spec = preset_spec(preset, n_ris_list=(n_ris,), n_t=n, methods=methods,
+                       trials=1, **fields)
+    point = harness._grid(spec)[0]
+    harness._trial_methods(spec, point, 0, harness._trial_rng(spec, 0, 0))
+    tracemalloc.start()
+    try:
+        row, _ = harness._trial_methods(spec, point, 0,
+                                        harness._trial_rng(spec, 0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["error"] == ""
+    assert peak / (n_ris * n * 16) <= bound
 
 
 def count_calls(monkeypatch, home, fn_name, record) -> list:

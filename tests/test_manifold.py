@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,7 +50,8 @@ def textbook_gradient(objective, a, t, phi, snr):
                                                     axis=1)
     bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    right = bundle_r.right_h.conj().T                 # V_R
+    cols = right[:, :nmin].conj() * bundle_t.left[:, :nmin]
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
     z = cols.T @ phi
     coef = (2.0 * rho / math.log(2.0)) * w / (1.0 + rho * w * np.abs(z) ** 2)
@@ -145,11 +147,16 @@ def test_capacity_objectives_require_snr():
 
 
 @pytest.mark.parametrize("objective", ["capacity_exact", "capacity_surrogate"])
-@pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("snr", [float("nan"), 0.0, -1.0, math.inf])
 def test_capacity_objectives_refuse_a_non_positive_or_nan_snr(objective, snr):
+    # an infinite snr used to pass with RuntimeWarnings and a NaN gradient
     a, t, phi = random_instance(0)
-    with pytest.raises(ValueError, match="positive linear snr"):
-        euclidean_gradient(objective, a, t, phi, snr=snr)
+    message = ("^snr must be finite; got inf$" if math.isinf(snr)
+               else "positive linear snr")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            euclidean_gradient(objective, a, t, phi, snr=snr)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -333,7 +340,8 @@ def reference_objective(objective, a, t, snr):
 
     bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    right = bundle_r.right_h.conj().T                 # V_R
+    cols = right[:, :nmin].conj() * bundle_t.left[:, :nmin]
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
 
     def evaluate(phi):

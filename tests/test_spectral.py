@@ -35,13 +35,13 @@ def test_svd_bundle_reconstruction_and_orientation():
     h = complex_gaussian(rng, (12, 5))
     b = svd_bundle(h)
     assert b.left.shape == (12, 5)
-    assert b.right.shape == (5, 5)
+    assert b.right_h.shape == (5, 5)
     assert np.all(np.diff(b.singular_values) <= 0)
-    rebuilt = (b.left * b.singular_values) @ b.right.conj().T
+    rebuilt = (b.left * b.singular_values) @ b.right_h
     assert np.allclose(rebuilt, h)
-    # columns orthonormal on both sides
+    # orthonormal columns of U and rows of V^H
     assert np.allclose(b.left.conj().T @ b.left, np.eye(5), atol=1e-12)
-    assert np.allclose(b.right.conj().T @ b.right, np.eye(5), atol=1e-12)
+    assert np.allclose(b.right_h @ b.right_h.conj().T, np.eye(5), atol=1e-12)
 
 
 def test_svd_bundle_rejects_nonfinite():
