@@ -25,11 +25,11 @@ def sample_side(rng, n_ris, n_array):
 # one instance, spelled out
 rng = np.random.default_rng(7)
 n_ris = 1000
-ch_t = sample_side(rng, n_ris, N_T)
-ch_r = sample_side(rng, n_ris, N_R)
+h_t = sample_side(rng, n_ris, N_T)
+h_r = sample_side(rng, n_ris, N_R)
 snr = 10.0 ** (SNR_DB / 10.0)
 
-report, plan = run_wsa(ch_r.hermitian, ch_t.matrix, snr)
+report, plan = run_wsa(h_r.conj().T, h_t, snr)
 print(f"single instance, N_S = {n_ris}:")
 print("  element split over streams:", plan.counts.tolist())
 print("  SCA iterations:", plan.iterations_used, "converged:", plan.converged)
@@ -45,9 +45,9 @@ for n_ris in (640, 2000, 6400):
     ratios, caps, diags = [], [], []
     for trial in range(10):
         rng = np.random.default_rng(np.random.SeedSequence((7, n_ris, trial)))
-        ch_t = sample_side(rng, n_ris, N_T)
-        ch_r = sample_side(rng, n_ris, N_R)
-        rep, _ = run_wsa(ch_r.hermitian, ch_t.matrix, snr)
+        h_t = sample_side(rng, n_ris, N_T)
+        h_r = sample_side(rng, n_ris, N_R)
+        rep, _ = run_wsa(h_r.conj().T, h_t, snr)
         ratios.append(rep.offdiag_ratio)
         caps.append(rep.capacity_exact)
         diags.append(rep.capacity_diag)

@@ -10,14 +10,14 @@ and a seeded Monte Carlo harness with figure presets.
 
 __version__ = "0.1.0"
 
-from .alignment import AlignmentResult, sign_align
+from .alignment import sign_align
 from .capacity import (AllocationPlan, CapacityReport, allocate_sca,
                        capacity_diag_approx, capacity_exact,
                        capacity_lower_bound, configure_capacity,
                        effective_channel, offdiag_ratio, round_allocation,
-                       run_wsa, water_level_solve)
-from .channels import (LosSpec, RiceanChannel, RisConfig, cascaded_channel,
-                       complex_gaussian, sample_ricean)
+                       run_wsa)
+from .channels import (LosSpec, RisConfig, cascaded_channel, complex_gaussian,
+                       sample_ricean)
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, UpaGeometry, near_square_geometry, upa_steering
 from .harness import (ExperimentResult, ExperimentSpec, bench_runtime, db2lin,
@@ -29,12 +29,12 @@ from .spectral import (AsymptoticSpectrum, SvdBundle, asymptotic_spectrum,
 
 __all__ = [
     "__version__",
-    "AlignmentResult", "sign_align",
+    "sign_align",
     "AllocationPlan", "CapacityReport", "allocate_sca",
     "capacity_diag_approx", "capacity_exact", "capacity_lower_bound",
     "configure_capacity", "effective_channel", "offdiag_ratio",
-    "round_allocation", "run_wsa", "water_level_solve",
-    "LosSpec", "RiceanChannel", "RisConfig", "cascaded_channel",
+    "round_allocation", "run_wsa",
+    "LosSpec", "RisConfig", "cascaded_channel",
     "complex_gaussian", "sample_ricean",
     "channel_gain", "configure_gain_los", "gain_lower_bound",
     "AnglePair", "UpaGeometry", "near_square_geometry", "upa_steering",

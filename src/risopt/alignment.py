@@ -9,22 +9,7 @@ continuous optimum once squared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Outcome of sign alignment on a vector.
-
-    phi holds the pattern as +/-1 floats; achieved_value is
-    |sum b_n phi_n|; branch records which of the two sign patterns won.
-    """
-
-    phi: np.ndarray
-    achieved_value: float
-    branch: str
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
@@ -33,7 +18,7 @@ def _signs(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0.0, 1.0 + 0.0j, -1.0 + 0.0j)
 
 
-def sign_align(b) -> AlignmentResult:
+def sign_align(b) -> np.ndarray:
     """Best of the two 1-bit patterns sign(Re b) and sign(Im b).
 
     Parameters
@@ -43,9 +28,9 @@ def sign_align(b) -> AlignmentResult:
 
     Returns
     -------
-    AlignmentResult
-        The winning pattern, its |b^T phi| value, and the branch name.
-        Guarantee: achieved_value >= 0.5 * sum(|b_n|).
+    numpy.ndarray
+        The winning pattern as +/-1 floats, sign(Re b) on a tie.
+        Guarantee: abs(b @ phi) >= 0.5 * sum(|b_n|).
 
     Raises
     ------
@@ -65,8 +50,4 @@ def sign_align(b) -> AlignmentResult:
         sum_im = bm @ phi_im
     if not (np.isfinite(sum_re) and np.isfinite(sum_im)):
         raise ValueError("input must be finite")
-    val_re = abs(sum_re)
-    val_im = abs(sum_im)
-    if val_re >= val_im:
-        return AlignmentResult(phi_re.real.copy(), float(val_re), "real")
-    return AlignmentResult(phi_im.real.copy(), float(val_im), "imaginary")
+    return (phi_re if abs(sum_re) >= abs(sum_im) else phi_im).real.copy()

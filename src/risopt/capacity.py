@@ -57,6 +57,14 @@ class CapacityReport:
     offdiag_ratio: float
 
 
+def _check_snr(snr: float) -> None:
+    """Refuse a linear snr that is not positive (NaN included) or not finite."""
+    if not snr > 0:
+        raise ValueError("snr must be positive (linear)")
+    if math.isinf(snr):
+        raise ValueError(f"snr must be finite; got {snr!r}")
+
+
 def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     """log2 det(I + snr/n_t * H H^H) in bits, via singular values; n_t is
     the column count of the n_r x n_t cascade H, and snr is linear,
@@ -64,10 +72,7 @@ def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     h = np.asarray(h_tilde, dtype=complex)
     if not np.isfinite(h).all():
         raise ValueError("non-finite channel")
-    if not snr > 0:
-        raise ValueError("snr must be positive (linear)")
-    if math.isinf(snr):
-        raise ValueError(f"snr must be finite; got {snr!r}")
+    _check_snr(snr)
     s = np.linalg.svd(h, compute_uv=False)
     return float(np.sum(np.log1p((snr / h.shape[1]) * s ** 2)) / _LN2)
 
@@ -115,36 +120,24 @@ def stream_bits(rho_w: np.ndarray, q: np.ndarray) -> float:
 
 def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
                          snr: float) -> float:
-    """Diagonal surrogate: per-stream terms only, in bits."""
+    """Diagonal surrogate: per-stream terms only, in bits; snr is linear,
+    positive and finite."""
+    _check_snr(snr)
     cols, w = stream_columns(bundle_r, bundle_t)
     z = cols.T @ _phase_vector(phi)
     return stream_bits((snr / bundle_t.right_h.shape[1]) * w, np.abs(z) ** 2)
 
 
-def water_level_solve(gains, weights, budget: float) -> float:
-    """Solve sum_i weights_i * max(1/(eta*weights_i) - 1/gains_i, 0) = budget.
+def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
+    """Solve sum_i c_i * max(1/(eta*c_i) - 1/a_i, 0) = budget for eta.
 
     Exact active-set solve: in the variable s = 1/eta the residual is
-    piecewise linear and increasing with breakpoints at weights_i/gains_i,
-    so sorting the breakpoints gives the active segment in closed form.
-    """
-    a = np.asarray(gains, dtype=float)
-    c = np.asarray(weights, dtype=float)
-    if a.ndim != 1 or a.size == 0 or c.shape != a.shape:
-        raise ValueError(f"gains and weights must be nonempty 1-D arrays of "
-                         f"one length; got shapes {a.shape} and {c.shape}")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive; got {budget!r}")
-    if not (np.all(c > 0) and np.all(a > 0)):      # NaN fails too
-        raise ValueError("gains and weights must be positive")
-    return _water_level(a, c, budget)
-
-
-def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
-    """water_level_solve without its checks, for the SCA step, whose
-    gains, weights and budget are positive by construction.  The segment
-    search walks Python floats; cumsum adds in order, so every value is
-    the one numpy scalars would give."""
+    piecewise linear and increasing with breakpoints at c_i/a_i, so
+    sorting the breakpoints gives the active segment in closed form.
+    The SCA step's gains a, weights c and budget are positive by
+    construction, so none is checked.  The segment search walks Python
+    floats; cumsum adds in order, so every value is the one numpy
+    scalars would give."""
     cut = np.sort(c / a)
     prefix = cut.cumsum().tolist()
     cut_sorted = cut.tolist()
@@ -328,7 +321,7 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     for i, end in enumerate(np.cumsum(plan.counts).tolist()):
         if end > start:
             states[start:end] = sign_align(bundle_r.right_h[i, start:end]
-                                           * bundle_t.left[start:end, i]).phi
+                                           * bundle_t.left[start:end, i])
         start = end
     return RisConfig(states)
 
@@ -338,8 +331,11 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
 
     side_r / side_t are either SvdBundle (instantaneous squared singular
     values) or AsymptoticSpectrum (statistical mode, no instantaneous
-    CSI needed); n_t is the array size of side_t.
+    CSI needed); n_t is the array size of side_t.  snr is linear,
+    positive and finite.
     """
+    _check_snr(snr)
+
     def squared(side):
         if isinstance(side, AsymptoticSpectrum):
             return side.predicted_sq_singular_values

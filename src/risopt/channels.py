@@ -22,8 +22,9 @@ from .geometry import AnglePair, UpaGeometry, upa_steering
 class LosSpec:
     """Deterministic-path description between one array and the RIS.
 
-    Each steering vector is built once per spec and kept read-only, so
-    sampling and the LoS configuration read the same array.  The cache
+    Each steering vector, ris_steering (n_ris) and array_steering
+    (n_array), is built once per spec and kept read-only, so sampling
+    and the LoS configuration read the same array.  The cache
     lives in the instance __dict__, outside the four fields that make
     equality, hash and repr, and is left out of the pickled state.
     """
@@ -34,24 +35,18 @@ class LosSpec:
     array_side_angles: AnglePair
 
     @cached_property
-    def _ris_steering(self) -> np.ndarray:
+    def ris_steering(self) -> np.ndarray:
         return _read_only(upa_steering(self.ris_geometry, self.ris_side_angles))
 
     @cached_property
-    def _array_steering(self) -> np.ndarray:
+    def array_steering(self) -> np.ndarray:
         return _read_only(upa_steering(self.array_geometry,
                                        self.array_side_angles))
-
-    def ris_steering(self) -> np.ndarray:
-        return self._ris_steering
-
-    def array_steering(self) -> np.ndarray:
-        return self._array_steering
 
     def los_matrix(self) -> np.ndarray:
         """Rank-1 deterministic component a_ris a_array^H (n_ris x n_array),
         a fresh writable array on every call."""
-        return np.outer(self.ris_steering(), self.array_steering().conj())
+        return np.outer(self.ris_steering, self.array_steering.conj())
 
     def __getstate__(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -60,26 +55,6 @@ class LosSpec:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class RiceanChannel:
-    """A sampled n_ris x n_array channel with its K-factor and geometry.
-
-    matrix = sqrt(K/(K+1)) * los + sqrt(1/(K+1)) * B with B i.i.d.
-    circular complex Gaussian of unit variance, so E[tr(H H^H)] equals
-    n_ris * n_array for every K.  k_factor is linear (not dB); +inf is
-    allowed and gives the deterministic component exactly.
-    """
-
-    matrix: np.ndarray
-    k_factor: float
-    los: LosSpec
-
-    @property
-    def hermitian(self) -> np.ndarray:
-        """The channel as seen from the array side (n_array x n_ris)."""
-        return self.matrix.conj().T
 
 
 @dataclass(frozen=True)
@@ -107,12 +82,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
-                  rng: np.random.Generator) -> RiceanChannel:
-    """Draw one Ricean channel realization.
+                  rng: np.random.Generator) -> np.ndarray:
+    """Draw one Ricean channel realization, an n_ris x n_array matrix.
 
-    k_factor is linear and must be >= 0; +inf returns the pure
-    deterministic matrix with no Gaussian draw (identical rng state
-    consumption is not preserved in that case).
+    matrix = sqrt(K/(K+1)) * los + sqrt(1/(K+1)) * B with B i.i.d.
+    circular complex Gaussian of unit variance, so E[tr(H H^H)] equals
+    n_ris * n_array for every K.  k_factor is linear (not dB) and must
+    be >= 0; +inf returns the pure deterministic matrix with no Gaussian
+    draw (identical rng state consumption is not preserved in that case).
     """
     if math.isnan(k_factor) or k_factor < 0:
         raise ValueError("k_factor must be non-negative")
@@ -120,7 +97,7 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
         raise ValueError("LoS geometry sizes do not match requested dims")
     los_mat = los.los_matrix()
     if math.isinf(k_factor):
-        return RiceanChannel(los_mat, k_factor, los)
+        return los_mat
     # The textbook w_los * los + w_sc * complex_gaussian(rng, shape),
     # built in the LoS buffer that np.outer allocated, with one draw as
     # the only temporary array.  The draw is the stream of the real-part
@@ -136,7 +113,7 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
     draw *= math.sqrt(1.0 / (k_factor + 1.0))
     los_mat.real += draw[0]
     los_mat.imag += draw[1]
-    return RiceanChannel(los_mat, k_factor, los)
+    return los_mat
 
 
 def _phase_vector(phi) -> np.ndarray:

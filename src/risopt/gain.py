@@ -35,8 +35,8 @@ def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:
     """
     if los_t.ris_geometry != los_r.ris_geometry:
         raise ValueError("LoS specs must share the RIS geometry")
-    b = los_r.ris_steering().conj() * los_t.ris_steering()
-    return RisConfig(sign_align(b).phi)
+    b = los_r.ris_steering.conj() * los_t.ris_steering
+    return RisConfig(sign_align(b))
 
 
 def gain_lower_bound(n_ris: int, n_t: int, n_r: int,

@@ -16,7 +16,6 @@ import os
 import statistics
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cache, cached_property, partial
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .alignment import sign_align
 from .capacity import _is_count, capacity_exact, configure_wsa, wsa_report
-from .channels import LosSpec, RiceanChannel, cascaded_channel, sample_ricean
+from .channels import LosSpec, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
 from .manifold import RmoSettings, quantize_1bit, rmo_optimize
@@ -60,7 +59,8 @@ class ExperimentSpec:
     none.  A field none of whose _READERS run, or that a K sweep replaces,
     keeps its preset's value.  Sizes, counts and the seed are integers
     (numpy integers too, not bools).  workers is capped at the trial and
-    CPU counts.
+    CPU counts.  scale, finite and > 0, records the factor preset_spec
+    applied to the preset's size grid.
     """
 
     preset: str
@@ -80,6 +80,8 @@ class ExperimentSpec:
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and > 0; got {self.scale!r}")
         for name in ("n_t", "n_r", "trials", "seed", "workers", "rmo_max_iters"):
             value = getattr(self, name)
             if not _is_count(value):
@@ -373,10 +375,11 @@ def _random_angles(rng: np.random.Generator) -> AnglePair:
 
 
 def _sample_side(rng: np.random.Generator, n_ris: int, n_array: int,
-                 k_db: float) -> RiceanChannel:
+                 k_db: float) -> tuple[LosSpec, np.ndarray]:
+    """One side's LoS spec, drawn first, and its n_ris x n_array channel."""
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   _random_angles(rng), _random_angles(rng))
-    return sample_ricean(n_ris, n_array, db2lin(k_db), los, rng)
+    return los, sample_ricean(n_ris, n_array, db2lin(k_db), los, rng)
 
 
 def _flag_hardening(sides) -> int:
@@ -458,8 +461,6 @@ def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
     del params["family"]
     if "n_ris_list" not in params:
         raise ValueError(f"preset {name!r} needs n_ris_list (--n-ris)")
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be finite and > 0; got {scale!r}")
     # the unscaled spec refuses sizes below 1 before the floor can hide them
     spec = ExperimentSpec(preset=name, scale=scale, **params)
     return replace(spec, n_ris_list=tuple(max(2, int(round(n * scale)))
@@ -490,12 +491,12 @@ class _Link:
     def __init__(self, spec: ExperimentSpec, point: dict,
                  rng: np.random.Generator):
         self.spec = spec
-        ch_t = _sample_side(rng, point["n_ris"], spec.n_t, point["k_t_db"])
-        ch_r = _sample_side(rng, point["n_ris"], spec.n_r, point["k_r_db"])
-        self.los_t, self.k_t = ch_t.los, ch_t.k_factor
-        self.los_r, self.k_r = ch_r.los, ch_r.k_factor
-        self.a = ch_r.hermitian
-        self.t = ch_t.matrix
+        self.los_t, self.t = _sample_side(rng, point["n_ris"], spec.n_t,
+                                          point["k_t_db"])
+        self.los_r, h_r = _sample_side(rng, point["n_ris"], spec.n_r,
+                                       point["k_r_db"])
+        self.k_t, self.k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
+        self.a = h_r.conj().T
         self.snr = db2lin(point["snr_db"])
 
     @cached_property
@@ -528,8 +529,8 @@ def _score_sa(link: _Link, cfg) -> dict:
 
 def _bench_sa(link: _Link):
     # the alignment alone: steering vectors are CSI, common to all methods
-    a_t = link.los_t.ris_steering()
-    a_r = link.los_r.ris_steering()
+    a_t = link.los_t.ris_steering
+    a_r = link.los_r.ris_steering
     return lambda: sign_align(a_r.conj() * a_t)
 
 
@@ -627,8 +628,8 @@ def _trial_side(spec, point, trial, rng):
     asymptotic prediction; _columns decides which of them the CSVs show."""
     n_ris, k_db = point["n_ris"], point["k_t_db"]
     k_lin = db2lin(k_db)
-    ch = _sample_side(rng, n_ris, spec.n_t, k_db)
-    eig = np.linalg.eigvalsh(ch.matrix.conj().T @ ch.matrix)[::-1]
+    _, h = _sample_side(rng, n_ris, spec.n_t, k_db)
+    eig = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
            "flag_hardening": _flag_hardening([(k_lin, spec.n_t)]),
            "lambda_1": float(eig[0]),
@@ -796,6 +797,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if workers == 1:
         done = [one(task) for task in tasks]
     else:                          # map yields in task order
+        # imported here: a one-worker run never loads the pool's modules
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(one, tasks))
     rows = [row for row, _ in done]

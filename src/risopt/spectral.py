@@ -38,12 +38,11 @@ class SvdBundle:
 class AsymptoticSpectrum:
     """Predicted squared singular values for an (n_ris, n_array) channel.
 
-    bulk_regime flags k_factor < 1/n_array, where the spike formula for
-    entry 1 is not trusted and the bulk value is reported instead.
+    bulk_regime flags a K-factor below 1/n_array, where the spike formula
+    for entry 1 is not trusted and the bulk value is reported instead.
     """
 
     predicted_sq_singular_values: np.ndarray
-    k_factor: float
     dims: tuple[int, int]
     bulk_regime: bool
 
@@ -108,5 +107,4 @@ def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> Asymptotic
     if n_array > 1:
         pred[1:] = bulk[::-1][: n_array - 1]
     pred[0] = bulk[-1] if bulk_regime else spike
-    return AsymptoticSpectrum(pred, float(k_factor), (int(n_ris), int(n_array)),
-                              bulk_regime)
+    return AsymptoticSpectrum(pred, (int(n_ris), int(n_array)), bulk_regime)

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from risopt.channels import RiceanChannel, _phase_vector
+from risopt.channels import LosSpec, _phase_vector
 from risopt.manifold import _objective
 from risopt.spectral import SvdBundle
 
@@ -26,7 +26,7 @@ def brute_force_value(b) -> float:
 
 
 def water_level_bisect(gains, weights, budget: float) -> float:
-    """Reference for water_level_solve on gain and weight arrays: bisection
+    """Reference for capacity._water_level on gain and weight arrays: bisection
     on the level s = 1/eta of the increasing budget residual, independent
     of its active-set logic."""
     lo, hi = 0.0, 1e9
@@ -76,13 +76,14 @@ def gain_expansion(bundle_r: SvdBundle, bundle_t: SvdBundle, phi) -> float:
                         * np.abs(inner) ** 2))
 
 
-def los_part(ch: RiceanChannel) -> np.ndarray:
-    """The weighted deterministic component sqrt(K/(K+1)) * los."""
-    w = 1.0 if math.isinf(ch.k_factor) else math.sqrt(
-        ch.k_factor / (ch.k_factor + 1.0))
-    return w * ch.los.los_matrix()
+def los_part(k_factor: float, los: LosSpec) -> np.ndarray:
+    """The weighted deterministic component sqrt(K/(K+1)) * los of a
+    channel sampled with linear K-factor k_factor from los."""
+    w = 1.0 if math.isinf(k_factor) else math.sqrt(k_factor / (k_factor + 1.0))
+    return w * los.los_matrix()
 
 
-def scattered_part(ch: RiceanChannel) -> np.ndarray:
-    """The weighted random component, matrix minus los_part."""
-    return ch.matrix - los_part(ch)
+def scattered_part(matrix: np.ndarray, k_factor: float, los: LosSpec) -> np.ndarray:
+    """The weighted random component of a channel matrix sampled with
+    k_factor from los: the matrix minus los_part."""
+    return matrix - los_part(k_factor, los)

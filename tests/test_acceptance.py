@@ -15,8 +15,8 @@ import time
 import numpy as np
 
 from risopt.alignment import sign_align
-from risopt.capacity import (_sca_from, allocate_sca, effective_channel,
-                             run_wsa, water_level_solve)
+from risopt.capacity import (_sca_from, _water_level, allocate_sca,
+                             effective_channel, run_wsa)
 from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
                              sample_ricean)
 from risopt.gain import channel_gain, configure_gain_los
@@ -45,9 +45,10 @@ def random_angles(rng):
 
 
 def random_side(rng, n_ris, n_array, k_lin):
+    """One side's LoS spec and its sampled n_ris x n_array channel."""
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   random_angles(rng), random_angles(rng))
-    return sample_ricean(n_ris, n_array, k_lin, los, rng)
+    return los, sample_ricean(n_ris, n_array, k_lin, los, rng)
 
 
 def test_c01_sign_alignment_exhaustive_bound(capsys):
@@ -57,7 +58,7 @@ def test_c01_sign_alignment_exhaustive_bound(capsys):
     for _ in range(500):
         n = int(rng.integers(1, 13))
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        got = sign_align(b).achieved_value
+        got = abs(b @ sign_align(b))
         best = brute_force_value(b)
         assert got <= best + 1e-9
         assert got >= 0.5 * best - 1e-12
@@ -76,10 +77,10 @@ def test_c02_quarter_gain_guarantee_pure_los(capsys):
     for n_s in (64, 256):
         for seed in range(30):
             rng = np.random.default_rng(np.random.SeedSequence((202, n_s, seed)))
-            ch_t = random_side(rng, n_s, n_t, math.inf)
-            ch_r = random_side(rng, n_s, n_r, math.inf)
-            cfg = configure_gain_los(ch_t.los, ch_r.los)
-            g = channel_gain(cascaded_channel(ch_r.hermitian, cfg, ch_t.matrix))
+            los_t, h_t = random_side(rng, n_s, n_t, math.inf)
+            los_r, h_r = random_side(rng, n_s, n_r, math.inf)
+            cfg = configure_gain_los(los_t, los_r)
+            g = channel_gain(cascaded_channel(h_r.conj().T, cfg, h_t))
             full = n_r * n_t * n_s ** 2
             assert g >= 0.25 * full - 1e-6
             assert g <= full * (1 + 1e-12)
@@ -130,16 +131,16 @@ def test_c05_weyl_and_interlacing_invariants(capsys):
     n_s, n_a = 128, 6
     for _ in range(100):
         k = float(10.0 ** rng.uniform(-1.0, 1.0))
-        ch = random_side(rng, n_s, n_a, k)
-        s_full = np.linalg.svd(ch.matrix, compute_uv=False)
-        s_los = np.linalg.svd(los_part(ch), compute_uv=False)
-        s_sc = np.linalg.svd(scattered_part(ch), compute_uv=False)
+        los, h = random_side(rng, n_s, n_a, k)
+        s_full = np.linalg.svd(h, compute_uv=False)
+        s_los = np.linalg.svd(los_part(k, los), compute_uv=False)
+        s_sc = np.linalg.svd(scattered_part(h, k, los), compute_uv=False)
         slack = 1e-8 * s_full[0]
         # additive perturbation bound on every singular value
         assert np.all(np.abs(s_full - s_los) <= s_sc[0] + slack)
         assert s_full[0] <= s_los[0] + s_sc[0] + slack
         # Cauchy interlacing: Gram of the channel minus one antenna
-        g_full = ch.matrix.conj().T @ ch.matrix
+        g_full = h.conj().T @ h
         eig = np.linalg.eigvalsh(g_full)[::-1]
         sub = np.linalg.eigvalsh(g_full[:-1, :-1])[::-1]
         eslack = 1e-8 * eig[0]
@@ -229,7 +230,7 @@ def test_c10_allocation_properties(capsys):
         gains = rng.uniform(0.2, 8.0, m)
         weights = rng.uniform(0.05, 2.0, m)
         budget = float(rng.uniform(0.1, 4.0))
-        eta = water_level_solve(gains, weights, budget)
+        eta = _water_level(gains, weights, budget)
         per = np.clip(1.0 / (eta * weights) - 1.0 / gains, 0.0, None)
         worst_resid = max(worst_resid, abs(np.sum(weights * per) - budget))
     assert worst_resid <= 1e-10
@@ -283,14 +284,15 @@ def test_c12_diagonalization_trend(capsys):
         vals = []
         for trial in range(20):
             rng = np.random.default_rng(np.random.SeedSequence((1212, n_s, trial)))
-            ch_t = random_side(rng, n_s, n, 1.0)
-            ch_r = random_side(rng, n_s, n, 1.0)
-            rep, _ = run_wsa(ch_r.hermitian, ch_t.matrix, 10.0)
+            _, h_t = random_side(rng, n_s, n, 1.0)
+            _, h_r = random_side(rng, n_s, n, 1.0)
+            h_r_herm = h_r.conj().T
+            rep, _ = run_wsa(h_r_herm, h_t, 10.0)
             vals.append(rep.offdiag_ratio)
             # singular values of the effective channel vs its diagonal:
             # the shift is bounded by the off-diagonal Frobenius mass
-            bundle_r = svd_bundle(ch_r.hermitian)
-            bundle_t = svd_bundle(ch_t.matrix)
+            bundle_r = svd_bundle(h_r_herm)
+            bundle_t = svd_bundle(h_t)
             h_eff = effective_channel(bundle_r, rep.phi, bundle_t)
             diag = np.diag(np.diagonal(h_eff))
             s_h = np.linalg.svd(h_eff, compute_uv=False)

@@ -10,8 +10,7 @@ from risopt.capacity import (AllocationPlan, allocate_sca,
                              capacity_diag_approx, capacity_exact,
                              capacity_lower_bound, configure_capacity,
                              effective_channel, offdiag_ratio,
-                             round_allocation, run_wsa, stream_columns,
-                             water_level_solve)
+                             round_allocation, run_wsa, stream_columns)
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.spectral import asymptotic_spectrum, svd_bundle
 from tests.oracles import water_level_bisect
@@ -25,37 +24,12 @@ def test_water_level_matches_bisection():
         gains = rng.uniform(0.2, 8.0, n)
         weights = rng.uniform(0.05, 2.0, n)
         budget = float(rng.uniform(0.1, 5.0))
-        eta = water_level_solve(gains, weights, budget)
+        eta = capacity._water_level(gains, weights, budget)
         assert eta == pytest.approx(water_level_bisect(gains, weights, budget),
                                     rel=1e-6)
         # residual of the budget equation at the returned level
         per = np.clip(1.0 / (eta * weights) - 1.0 / gains, 0.0, None)
         assert abs(np.sum(weights * per) - budget) < 1e-10
-
-
-def test_water_level_validation():
-    with pytest.raises(ValueError):
-        water_level_solve([1.0], [1.0], 0.0)
-    with pytest.raises(ValueError):
-        water_level_solve([-1.0], [1.0], 1.0)
-    with pytest.raises(ValueError):
-        water_level_solve([1.0], [0.0], 1.0)
-
-
-@pytest.mark.parametrize("gains, weights, budget, message", [
-    # an IndexError in the segment search
-    ([], [], 1.0, "nonempty 1-D arrays"),
-    # each of these returned nan
-    ([1.0, 2.0], [1.0, 1.0], math.nan, "budget must be positive; got nan"),
-    ([1.0, math.nan], [1.0, 1.0], 1.0, "gains and weights must be positive"),
-    ([1.0, 2.0], [math.nan, 1.0], 1.0, "gains and weights must be positive"),
-    # the weight broadcast and the level came out 0.8
-    ([1.0, 2.0], [1.0], 1.0, r"got shapes \(2,\) and \(1,\)"),
-], ids=["empty", "nan-budget", "nan-gain", "nan-weight", "length-mismatch"])
-def test_water_level_refuses_input_it_cannot_solve(gains, weights, budget,
-                                                   message):
-    with pytest.raises(ValueError, match=message):
-        water_level_solve(gains, weights, budget)
 
 
 def test_capacity_exact_against_logdet():
@@ -71,6 +45,29 @@ def test_capacity_exact_against_logdet():
         capacity_exact(h, math.inf)
     with pytest.raises(ValueError):
         capacity_exact(np.array([[np.nan + 0j]]), 1.0)
+
+
+@pytest.mark.parametrize("snr, message", [
+    (math.inf, "^snr must be finite; got inf$"),
+    (math.nan, r"^snr must be positive \(linear\)$"),
+    (0.0, r"^snr must be positive \(linear\)$"),
+    (-1.0, r"^snr must be positive \(linear\)$"),
+], ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("evaluate", [
+    lambda r, t, snr: capacity_diag_approx(r, t, np.ones(64), snr),
+    lambda r, t, snr: capacity_lower_bound(np.full(4, 1.0 / 16.0), r, t, snr),
+], ids=["capacity_diag_approx", "capacity_lower_bound"])
+def test_capacity_bounds_refuse_the_snr_capacity_exact_refuses(evaluate, snr,
+                                                               message):
+    # on this 4x64 pair both used to return inf, nan, 0.0, and nan with a
+    # RuntimeWarning
+    rng = np.random.default_rng(13)
+    bundle_r = svd_bundle(complex_gaussian(rng, (4, 64)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (64, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            evaluate(bundle_r, bundle_t, snr)
 
 
 def test_effective_channel_shares_singular_values_with_cascade():
@@ -387,7 +384,7 @@ def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
     cols, _ = stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(blocks(plan.counts)):
         if idx.size:
-            states[idx] = sign_align(cols[idx, i]).phi
+            states[idx] = sign_align(cols[idx, i])
     return states
 
 
@@ -463,15 +460,15 @@ def test_run_wsa_end_to_end():
     los_t = make_los(n_ris=n_s, n_array=n, seed=20)
     los_r = make_los(n_ris=n_s, n_array=n, seed=21)
     rng = np.random.default_rng(22)
-    ch_t = sample_ricean(n_s, n, 1.0, los_t, rng)
-    ch_r = sample_ricean(n_s, n, 1.0, los_r, rng)
-    report, plan = run_wsa(ch_r.hermitian, ch_t.matrix, snr=10.0)
+    h_t = sample_ricean(n_s, n, 1.0, los_t, rng)
+    h_r = sample_ricean(n_s, n, 1.0, los_r, rng)
+    report, plan = run_wsa(h_r.conj().T, h_t, snr=10.0)
     assert plan.counts.sum() == n_s
     assert report.capacity_exact > 0
     assert 0.0 <= report.offdiag_ratio <= 1.0
     assert report.capacity_diag == pytest.approx(
-        capacity_diag_approx(svd_bundle(ch_r.hermitian),
-                             svd_bundle(ch_t.matrix),
+        capacity_diag_approx(svd_bundle(h_r.conj().T),
+                             svd_bundle(h_t),
                              report.phi, 10.0))
     assert report.capacity_lb > 0
 
@@ -481,9 +478,9 @@ def test_run_wsa_statistical_mode_and_continuous():
     los_t = make_los(n_ris=n_s, n_array=n, seed=30)
     los_r = make_los(n_ris=n_s, n_array=n, seed=31)
     rng = np.random.default_rng(32)
-    ch_t = sample_ricean(n_s, n, 2.0, los_t, rng)
-    ch_r = sample_ricean(n_s, n, 2.0, los_r, rng)
+    h_t = sample_ricean(n_s, n, 2.0, los_t, rng)
+    h_r = sample_ricean(n_s, n, 2.0, los_r, rng)
     spec = asymptotic_spectrum(n_s, n, 2.0)
-    report, plan = run_wsa(ch_r.hermitian, ch_t.matrix, snr=10.0,
+    report, plan = run_wsa(h_r.conj().T, h_t, snr=10.0,
                            spectra=(spec, spec))
     assert plan.counts.sum() == n_s

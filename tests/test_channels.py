@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import risopt.harness as harness
 from risopt.channels import (LosSpec, RisConfig, cascaded_channel,
                              complex_gaussian, sample_ricean)
 from risopt.geometry import AnglePair, UpaGeometry, near_square_geometry
+from risopt.harness import db2lin, preset_spec
 from tests.oracles import los_part, scattered_part
 
 
@@ -25,18 +27,21 @@ def test_los_matrix_is_rank_one_outer_product():
     los = make_los()
     m = los.los_matrix()
     assert m.shape == (16, 4)
-    assert np.allclose(m, np.outer(los.ris_steering(),
-                                   los.array_steering().conj()))
+    assert np.allclose(m, np.outer(los.ris_steering,
+                                   los.array_steering.conj()))
     s = np.linalg.svd(m, compute_uv=False)
     assert s[0] == pytest.approx(math.sqrt(16 * 4))
     assert np.all(s[1:] < 1e-12)
 
 
 def test_steering_vectors_are_built_once_and_read_only():
+    # one name per vector: the cached attribute itself
+    assert [name for name in dir(LosSpec) if "steering" in name] == [
+        "array_steering", "ris_steering"]
     los = make_los()
-    for steering in (los.ris_steering, los.array_steering):
-        a = steering()
-        assert steering() is a
+    for name in ("ris_steering", "array_steering"):
+        a = getattr(los, name)
+        assert getattr(los, name) is a
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -48,19 +53,19 @@ def test_los_matrix_is_a_fresh_writable_array_per_call():
     m1, m2 = los.los_matrix(), los.los_matrix()
     assert not np.shares_memory(m1, m2)
     assert m1.flags.writeable and m2.flags.writeable
-    assert not np.shares_memory(m1, los.ris_steering())
+    assert not np.shares_memory(m1, los.ris_steering)
 
 
 def test_cached_vectors_leave_equality_hash_and_pickle_alone():
     los, twin = make_los(seed=3), make_los(seed=3)
-    a = los.ris_steering().copy()
-    los.array_steering()
+    a = los.ris_steering.copy()
+    los.array_steering
     assert los == twin and hash(los) == hash(twin)
     assert repr(los) == repr(twin)
     back = pickle.loads(pickle.dumps(los))
     assert back == los and hash(back) == hash(los)
-    assert np.array_equal(back.ris_steering(), a)
-    assert not back.ris_steering().flags.writeable
+    assert np.array_equal(back.ris_steering, a)
+    assert not back.ris_steering.flags.writeable
     assert np.array_equal(back.los_matrix(), los.los_matrix())
 
 
@@ -68,24 +73,25 @@ def test_pure_los_limit_draws_nothing_random():
     los = make_los()
     a = sample_ricean(16, 4, math.inf, los, np.random.default_rng(0))
     b = sample_ricean(16, 4, math.inf, los, np.random.default_rng(99))
-    assert np.array_equal(a.matrix, b.matrix)
-    assert np.array_equal(a.matrix, los.los_matrix())
-    assert np.all(scattered_part(a) == 0)
+    assert np.array_equal(a, b)
+    assert np.array_equal(a, los.los_matrix())
+    assert np.all(scattered_part(a, math.inf, los) == 0)
 
 
 def test_rayleigh_limit_has_no_deterministic_part():
     los = make_los()
-    ch = sample_ricean(16, 4, 0.0, los, np.random.default_rng(1))
-    assert np.allclose(los_part(ch), 0.0)
-    assert np.array_equal(scattered_part(ch), ch.matrix)
+    h = sample_ricean(16, 4, 0.0, los, np.random.default_rng(1))
+    assert np.allclose(los_part(0.0, los), 0.0)
+    assert np.array_equal(scattered_part(h, 0.0, los), h)
 
 
 def test_parts_sum_to_matrix():
     los = make_los()
     for k in (0.0, 0.3, 1.0, 10.0):
-        ch = sample_ricean(16, 4, k, los, np.random.default_rng(5))
-        assert np.allclose(los_part(ch) + scattered_part(ch), ch.matrix)
-        assert los_part(ch) == pytest.approx(
+        h = sample_ricean(16, 4, k, los, np.random.default_rng(5))
+        assert h.shape == (16, 4)
+        assert np.allclose(los_part(k, los) + scattered_part(h, k, los), h)
+        assert los_part(k, los) == pytest.approx(
             math.sqrt(k / (k + 1.0)) * los.los_matrix())
 
 
@@ -97,8 +103,7 @@ def test_unit_average_entry_power():
         total = 0.0
         trials = 60
         for _ in range(trials):
-            ch = sample_ricean(64, 8, k, los, rng)
-            total += np.sum(np.abs(ch.matrix) ** 2)
+            total += np.sum(np.abs(sample_ricean(64, 8, k, los, rng)) ** 2)
         avg = total / (trials * 64 * 8)
         assert avg == pytest.approx(1.0, rel=0.05)
 
@@ -128,8 +133,8 @@ def test_sample_ricean_is_the_textbook_sum_bit_for_bit(k):
     for seed, (n_ris, n_array) in enumerate([(16, 4), (512, 8), (2000, 20)]):
         los = make_los(n_ris, n_array, seed=seed)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        ch = sample_ricean(n_ris, n_array, k, los, rng)
-        assert same_bits(ch.matrix, textbook_ricean(n_ris, n_array, k, los, ref))
+        h = sample_ricean(n_ris, n_array, k, los, rng)
+        assert same_bits(h, textbook_ricean(n_ris, n_array, k, los, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -137,8 +142,8 @@ def test_pure_los_draw_is_the_los_matrix_bit_for_bit():
     los = make_los(64, 8)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    ch = sample_ricean(64, 8, math.inf, los, rng)
-    assert same_bits(ch.matrix, los.los_matrix())
+    h = sample_ricean(64, 8, math.inf, los, rng)
+    assert same_bits(h, los.los_matrix())
     assert rng.bit_generator.state == state
 
 
@@ -147,11 +152,11 @@ def test_sampling_leaves_the_los_component_untouched():
     # LosSpec hands out later may see that write
     los = make_los(64, 8, seed=2)
     before = los.los_matrix().copy()
-    ch = sample_ricean(64, 8, 1.0, los, np.random.default_rng(6))
+    h = sample_ricean(64, 8, 1.0, los, np.random.default_rng(6))
     assert same_bits(los.los_matrix(), before)
-    assert not np.shares_memory(ch.matrix, los.los_matrix())
-    assert np.allclose(los_part(ch) + scattered_part(ch), ch.matrix)
-    assert los_part(ch) == pytest.approx(math.sqrt(0.5) * before)
+    assert not np.shares_memory(h, los.los_matrix())
+    assert np.allclose(los_part(1.0, los) + scattered_part(h, 1.0, los), h)
+    assert los_part(1.0, los) == pytest.approx(math.sqrt(0.5) * before)
 
 
 @settings(max_examples=100, deadline=None)
@@ -161,8 +166,8 @@ def test_sampling_leaves_the_los_component_untouched():
 def test_sample_ricean_bits_property(n_ris, n_array, k, seed):
     los = make_los(n_ris, n_array, seed=seed % 1000)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    ch = sample_ricean(n_ris, n_array, k, los, rng)
-    assert same_bits(ch.matrix, textbook_ricean(n_ris, n_array, k, los, ref))
+    h = sample_ricean(n_ris, n_array, k, los, rng)
+    assert same_bits(h, textbook_ricean(n_ris, n_array, k, los, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -178,10 +183,20 @@ def test_sample_validation():
 
 
 def test_hermitian_orientation():
-    los = make_los()
-    ch = sample_ricean(16, 4, 1.0, los, np.random.default_rng(3))
-    assert ch.hermitian.shape == (4, 16)
-    assert np.allclose(ch.hermitian, ch.matrix.conj().T)
+    # a trial's link holds the transmit draw as sampled (n_ris x n_t) and
+    # the receive draw, which follows it, Hermitian-transposed (n_r x n_ris)
+    spec = preset_spec("custom-gain", n_ris_list=(16,), n_t=4, n_r=2,
+                       k_t_db=3.0, k_r_db=-2.0)
+    point = harness._grid(spec)[0]
+    link = harness._Link(spec, point, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    los_t, h_t = harness._sample_side(rng, 16, 4, 3.0)
+    los_r, h_r = harness._sample_side(rng, 16, 2, -2.0)
+    assert link.t.shape == (16, 4) and link.a.shape == (2, 16)
+    assert np.array_equal(link.t, h_t)
+    assert np.array_equal(link.a, h_r.conj().T)
+    assert (link.los_t, link.los_r) == (los_t, los_r)
+    assert (link.k_t, link.k_r) == (db2lin(3.0), db2lin(-2.0))
 
 
 def test_ris_config_validation():

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import math
 import os
+import re
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -17,7 +19,7 @@ from risopt.capacity import run_wsa
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
-from .test_pinned_outputs import RUNS as PINNED_RUNS
+from .test_pinned_outputs import RUNS as PINNED_RUNS, SRC
 
 
 def tiny_capacity_spec(**kw):
@@ -314,12 +316,37 @@ def test_preset_spec_scaling_and_floor():
             preset_spec("fig2a", scale=scale)
 
 
+@pytest.mark.parametrize("scale", [math.nan, -3, 0, math.inf])
+def test_a_directly_built_spec_refuses_a_bad_scale(scale):
+    # each was taken, and the sidecar recorded it ("scale": NaN is not
+    # strict JSON)
+    with pytest.raises(ValueError, match=re.escape(
+            f"scale must be finite and > 0; got {scale!r}")):
+        ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
+                       methods=("wsa", "lb"), scale=scale)
+
+
 def test_run_experiment_rejects_runtime_presets():
     spec = preset_spec("runtime-gain", scale=0.01)
     with pytest.raises(ValueError):
         run_experiment(spec)
     with pytest.raises(ValueError):
         bench_runtime(tiny_capacity_spec())
+
+
+def test_a_one_worker_run_leaves_the_pool_unimported():
+    # concurrent.futures loads logging, queue and traceback, which only a
+    # run on two or more workers uses
+    code = ("import sys, risopt\n"
+            "risopt.run_experiment(risopt.preset_spec(\n"
+            "    'custom-capacity', n_ris_list=(16, 24), n_t=2, trials=2))\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_rows_deterministic_across_runs_and_workers(monkeypatch):

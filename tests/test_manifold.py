@@ -128,10 +128,10 @@ def test_stalled_gain_run_stops_at_the_resolution_of_the_objective(monkeypatch):
     # floating point long before max_iters
     evaluated, _ = count_calls(monkeypatch)
     rng = np.random.default_rng(2)
-    ch_t = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=4), rng)
-    ch_r = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=5), rng)
+    h_t = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=4), rng)
+    h_r = sample_ricean(1024, 16, 1.0, make_los(1024, 16, seed=5), rng)
     settings = RmoSettings(objective="gain")
-    res = rmo_optimize(ch_r.hermitian, ch_t.matrix, settings)
+    res = rmo_optimize(h_r.conj().T, h_t, settings)
     assert res.stop_reason == "line_search" and not res.converged
     assert res.iterations < settings.max_iters
     # the trials of the last line search follow the last accepted value
@@ -233,14 +233,15 @@ def test_optimizer_near_continuous_optimum_on_rank_one():
     n_s = 64
     los_t = make_los(n_ris=n_s, n_array=1, seed=40)
     los_r = make_los(n_ris=n_s, n_array=1, seed=41)
-    ch_t = sample_ricean(n_s, 1, math.inf, los_t, np.random.default_rng(0))
-    ch_r = sample_ricean(n_s, 1, math.inf, los_r, np.random.default_rng(0))
-    res = rmo_optimize(ch_r.hermitian, ch_t.matrix,
+    h_t = sample_ricean(n_s, 1, math.inf, los_t, np.random.default_rng(0))
+    h_r_herm = sample_ricean(n_s, 1, math.inf, los_r,
+                             np.random.default_rng(0)).conj().T
+    res = rmo_optimize(h_r_herm, h_t,
                        RmoSettings(objective="gain", max_iters=500))
     assert res.objective_trace[-1] >= (1.0 - 1e-3) * n_s ** 2
     # quantizing costs at most the quarter-guarantee factor
     cfg = quantize_1bit(res.phi)
-    g = channel_gain(cascaded_channel(ch_r.hermitian, cfg, ch_t.matrix))
+    g = channel_gain(cascaded_channel(h_r_herm, cfg, h_t))
     assert g >= 0.2 * n_s ** 2
 
 
@@ -407,9 +408,9 @@ def reference_rmo(a, t, objective, max_iters, snr):
 
 def ricean_pair(seed, n_s, n_t):
     rng = np.random.default_rng(seed)
-    ch_t = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 100), rng)
-    ch_r = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 200), rng)
-    return ch_r.hermitian, ch_t.matrix
+    h_t = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 100), rng)
+    h_r = sample_ricean(n_s, n_t, 1.0, make_los(n_s, n_t, seed=seed + 200), rng)
+    return h_r.conj().T, h_t
 
 
 def trajectory_instances():

@@ -15,11 +15,6 @@ import risopt
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "risopt"
 
-# The checked entry to the solve that allocate_sca runs unchecked as
-# capacity._water_level.  Listed so the gate holds the line for every
-# other name; it must leave this set once something reads it.
-NO_READER_YET = {"water_level_solve"}
-
 
 def public_definitions(tree: ast.Module) -> dict:
     return {node.name: node for node in tree.body
@@ -60,7 +55,6 @@ def test_every_public_name_is_read_outside_the_tests():
                 for path in sorted((ROOT / folder).glob("*.py"))
                 if not path.name.startswith("test_")]
     read = set().union(*(read_names(tree, definitions) for tree in readers))
-    unread = sorted(wanted - read - NO_READER_YET)
+    unread = sorted(wanted - read)
     print("public names with no reader outside the tests:", unread)
     assert not unread, unread
-    assert NO_READER_YET <= wanted - read, NO_READER_YET & read
