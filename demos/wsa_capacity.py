@@ -7,8 +7,8 @@ energy ratio drops roughly 10x for every 10x in element count.
 """
 import numpy as np
 
-from risopt import (LosSpec, AnglePair, near_square_geometry, sample_ricean,
-                    run_wsa)
+from risopt import (LosSpec, AnglePair, near_square_geometry, round_allocation,
+                    run_wsa, sample_ricean)
 
 N_T = N_R = 4
 SNR_DB = 10.0
@@ -19,7 +19,7 @@ def sample_side(rng, n_ris, n_array):
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   AnglePair(*rng.uniform((-3.0, 0.2), (3.0, 2.9))),
                   AnglePair(*rng.uniform((-3.0, 0.2), (3.0, 2.9))))
-    return sample_ricean(n_ris, n_array, K_FACTOR, los, rng)
+    return sample_ricean(K_FACTOR, los, rng)
 
 
 # one instance, spelled out
@@ -31,7 +31,8 @@ snr = 10.0 ** (SNR_DB / 10.0)
 
 report, plan = run_wsa(h_r.conj().T, h_t, snr)
 print(f"single instance, N_S = {n_ris}:")
-print("  element split over streams:", plan.counts.tolist())
+print("  element split over streams:",
+      round_allocation(plan.fractions, n_ris).tolist())
 print("  SCA iterations:", plan.iterations_used, "converged:", plan.converged)
 print(f"  capacity (exact log-det):   {report.capacity_exact:8.3f} bits")
 print(f"  diagonal approximation:     {report.capacity_diag:8.3f} bits")

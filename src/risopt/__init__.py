@@ -16,8 +16,7 @@ from .capacity import (AllocationPlan, CapacityReport, allocate_sca,
                        capacity_lower_bound, configure_capacity,
                        effective_channel, offdiag_ratio, round_allocation,
                        run_wsa)
-from .channels import (LosSpec, RisConfig, cascaded_channel, complex_gaussian,
-                       sample_ricean)
+from .channels import LosSpec, cascaded_channel, complex_gaussian, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, UpaGeometry, near_square_geometry, upa_steering
 from .harness import (ExperimentResult, ExperimentSpec, bench_runtime, db2lin,
@@ -34,8 +33,7 @@ __all__ = [
     "capacity_diag_approx", "capacity_exact", "capacity_lower_bound",
     "configure_capacity", "effective_channel", "offdiag_ratio",
     "round_allocation", "run_wsa",
-    "LosSpec", "RisConfig", "cascaded_channel",
-    "complex_gaussian", "sample_ricean",
+    "LosSpec", "cascaded_channel", "complex_gaussian", "sample_ricean",
     "channel_gain", "configure_gain_los", "gain_lower_bound",
     "AnglePair", "UpaGeometry", "near_square_geometry", "upa_steering",
     "ExperimentResult", "ExperimentSpec", "bench_runtime", "db2lin", "nmse",

@@ -15,12 +15,12 @@ monotone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .alignment import sign_align
-from .channels import RisConfig, _phase_vector, cascaded_channel
+from .channels import cascaded_channel
 from .spectral import AsymptoticSpectrum, SvdBundle, svd_bundle
 
 _LN2 = math.log(2.0)
@@ -30,9 +30,9 @@ _LN2 = math.log(2.0)
 class AllocationPlan:
     """Per-stream RIS element allocation.
 
-    fractions are the p_i of the continuous program; counts is filled by
-    round_allocation and stays None until then, and stream i is served by
-    the i-th contiguous block of counts[i] elements.  objective_trace
+    fractions are the p_i of the continuous program; round_allocation
+    turns them into element counts, and stream i is served by the i-th
+    contiguous block of counts[i] elements.  objective_trace
     records the surrogate value at the initial point and after every SCA
     step; converged is False when the iteration budget ran out before the
     objective settled (the last iterate is still returned, the flag is
@@ -40,7 +40,6 @@ class AllocationPlan:
     """
 
     fractions: np.ndarray
-    counts: np.ndarray | None
     iterations_used: int
     objective_trace: np.ndarray
     converged: bool
@@ -48,9 +47,10 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """One configured instance: RIS states plus the capacity metrics."""
+    """One configured instance: the +/-1 RIS configuration plus the
+    capacity metrics."""
 
-    phi: RisConfig
+    phi: np.ndarray
     capacity_exact: float
     capacity_diag: float
     capacity_lb: float
@@ -86,7 +86,7 @@ def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarr
     SVD of the n_s x n_t transmit-side channel (left vectors on the RIS
     side).
     """
-    v = _phase_vector(phi)
+    v = np.asarray(phi).ravel()
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
     core = bundle_r.right_h @ (v[:, None] * bundle_t.left)
@@ -124,7 +124,7 @@ def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
     positive and finite."""
     _check_snr(snr)
     cols, w = stream_columns(bundle_r, bundle_t)
-    z = cols.T @ _phase_vector(phi)
+    z = cols.T @ np.asarray(phi).ravel()
     return stream_bits((snr / bundle_t.right_h.shape[1]) * w, np.abs(z) ** 2)
 
 
@@ -267,25 +267,32 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float = 1e-6,
         if abs(delta) < epsilon:
             converged = True
             break
-    return AllocationPlan(fractions=p, counts=None, iterations_used=iters,
+    return AllocationPlan(fractions=p, iterations_used=iters,
                           objective_trace=np.asarray(trace), converged=converged)
 
 
-def round_allocation(plan: AllocationPlan, n_ris: int) -> AllocationPlan:
-    """Fill integer counts on a plan.
-
-    Counts come from largest-remainder rounding of sqrt(p_i) * n_ris
-    (ties to the lower stream index); zero-fraction streams get zero
-    elements.  The fractions must be finite and non-negative with square
-    roots summing to 1 within 1e-9, the budget allocate_sca keeps.
-    """
-    if not _is_count(n_ris) or n_ris < 1:
-        raise ValueError(f"n_ris must be an integer >= 1; got {n_ris!r}")
-    p = np.asarray(plan.fractions, dtype=float)
+def _checked_fractions(fractions) -> np.ndarray:
+    """The fractions as floats, refused unless finite and non-negative
+    with square roots summing to 1 within 1e-9, the budget allocate_sca
+    keeps."""
+    p = np.asarray(fractions, dtype=float)
     if not (np.isfinite(p).all() and np.all(p >= 0)
             and abs(np.sqrt(p).sum() - 1.0) <= 1e-9):
         raise ValueError(f"fractions must be finite, non-negative and have "
                          f"square roots summing to 1; got {p.tolist()}")
+    return p
+
+
+def round_allocation(fractions, n_ris: int) -> np.ndarray:
+    """Integer element counts per stream (int64), summing to n_ris.
+
+    Counts come from largest-remainder rounding of sqrt(p_i) * n_ris
+    (ties to the lower stream index); zero-fraction streams get zero
+    elements.  The fractions p_i must keep allocate_sca's budget.
+    """
+    if not _is_count(n_ris) or n_ris < 1:
+        raise ValueError(f"n_ris must be an integer >= 1; got {n_ris!r}")
+    p = _checked_fractions(fractions)
     targets = np.sqrt(p) * n_ris
     counts = np.floor(targets).astype(np.int64)
     leftover = int(n_ris - counts.sum())
@@ -293,37 +300,36 @@ def round_allocation(plan: AllocationPlan, n_ris: int) -> AllocationPlan:
         rem = targets - counts
         order = np.lexsort((np.arange(rem.size), -rem))
         counts[order[:leftover]] += 1
-    return replace(plan, counts=counts)
+    return counts
 
 
 def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
-                       plan: AllocationPlan) -> RisConfig:
-    """Per-stream sign alignment on the plan's contiguous blocks.
+                       counts) -> np.ndarray:
+    """Per-stream sign alignment on contiguous blocks: the +/-1
+    configuration.
 
     Stream i holds elements [sum(counts[:i]), sum(counts[:i+1])) and
     aligns them to conj(v_R,i) * u_T,i restricted to that block.  The
-    counts must cover every element of the bundles, on no more streams
-    than the bundles have columns.
+    counts, round_allocation's, must cover every element of the bundles,
+    on no more streams than the bundles have columns.
     """
-    if plan.counts is None:
-        raise ValueError("plan has no counts; round it first")
     n_s = bundle_r.right_h.shape[1]
     columns = min(bundle_r.right_h.shape[0], bundle_t.left.shape[1])
-    placed = int(plan.counts.sum())
-    if placed != n_s or plan.counts.size > columns:
-        raise ValueError(f"plan places {placed} elements on {plan.counts.size} "
+    placed = int(counts.sum())
+    if placed != n_s or counts.size > columns:
+        raise ValueError(f"plan places {placed} elements on {counts.size} "
                          f"streams; the bundles have {n_s} elements and "
                          f"{columns} stream columns")
     states = np.ones(n_s)
     # each stream's target is formed on its own elements only, the same
     # values as stream_columns' column i sliced to the block
     start = 0
-    for i, end in enumerate(np.cumsum(plan.counts).tolist()):
+    for i, end in enumerate(np.cumsum(counts).tolist()):
         if end > start:
             states[start:end] = sign_align(bundle_r.right_h[i, start:end]
                                            * bundle_t.left[start:end, i])
         start = end
-    return RisConfig(states)
+    return states
 
 
 def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
@@ -332,7 +338,8 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
     side_r / side_t are either SvdBundle (instantaneous squared singular
     values) or AsymptoticSpectrum (statistical mode, no instantaneous
     CSI needed); n_t is the array size of side_t.  snr is linear,
-    positive and finite.
+    positive and finite; the fractions keep allocate_sca's budget, on no
+    more streams than the sides have.
     """
     _check_snr(snr)
 
@@ -347,9 +354,11 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
     sq_t = squared(side_t)
     n_t = side_t.dims[1] if isinstance(side_t, AsymptoticSpectrum) \
         else side_t.right_h.shape[1]
-    p = np.asarray(fractions, dtype=float)
-    nmin = min(p.size, sq_r.size, sq_t.size)
-    terms = 0.25 * (snr / n_t) * sq_r[:nmin] * sq_t[:nmin] * p[:nmin]
+    p = _checked_fractions(fractions)
+    streams = min(sq_r.size, sq_t.size)
+    if p.size > streams:
+        raise ValueError(f"{p.size} fractions for {streams} streams")
+    terms = 0.25 * (snr / n_t) * sq_r[:p.size] * sq_t[:p.size] * p
     return float(np.sum(np.log1p(terms)) / _LN2)
 
 
@@ -365,9 +374,10 @@ def offdiag_ratio(h_eff: np.ndarray) -> float:
 
 def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
                   spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
-                  ) -> tuple[RisConfig, AllocationPlan]:
+                  ) -> tuple[np.ndarray, AllocationPlan]:
     """W-SA configuration from the two channel SVDs: allocate fractions,
-    round them to element counts, and align each stream.
+    round them to element counts, and align each stream; returns the
+    +/-1 configuration and the plan allocate_sca made.
 
     The fractions come from the singular values, or, when spectra (the
     receive and transmit AsymptoticSpectrum) are given, from the
@@ -379,12 +389,12 @@ def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
     else:
         sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
     plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right_h.shape[1])
-    plan = round_allocation(plan, bundle_t.left.shape[0])
-    return configure_capacity(bundle_r, bundle_t, plan), plan
+    counts = round_allocation(plan.fractions, bundle_t.left.shape[0])
+    return configure_capacity(bundle_r, bundle_t, counts), plan
 
 
 def wsa_report(h_r_herm: np.ndarray, h_t: np.ndarray, bundle_r: SvdBundle,
-               bundle_t: SvdBundle, phi: RisConfig, plan: AllocationPlan,
+               bundle_t: SvdBundle, phi: np.ndarray, plan: AllocationPlan,
                snr: float, *, spectra: tuple | None = None) -> CapacityReport:
     """The capacity metrics of W-SA's phi and plan on the channel pair with
     SVDs bundle_r and bundle_t; the lower bound reads spectra when given."""
@@ -405,7 +415,7 @@ def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
     configuration with wsa_report; n_t is the column count of h_t
     (n_ris x n_t).  With spectra the allocation and the lower bound use
     the asymptotic spectra (statistical CSI).  Returns the report plus
-    the completed plan.
+    the plan; round_allocation(plan.fractions, n_ris) gives its counts.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)

@@ -57,22 +57,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class RisConfig:
-    """Per-element RIS reflection states: the 1-bit configuration over
-    {+1, -1}."""
-
-    states: np.ndarray
-
-    def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=float).ravel()
-        if s.size == 0:
-            raise ValueError("empty configuration")
-        if not np.all(np.abs(np.abs(s) - 1.0) == 0.0):
-            raise ValueError("discrete states must be exactly +1 or -1")
-        object.__setattr__(self, "states", s)
-
-
 def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. circular complex Gaussian entries, zero mean, unit variance."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -81,9 +65,10 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
+def sample_ricean(k_factor: float, los: LosSpec,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw one Ricean channel realization, an n_ris x n_array matrix.
+    """Draw one Ricean channel realization, an n_ris x n_array matrix,
+    the sizes of los's two geometries.
 
     matrix = sqrt(K/(K+1)) * los + sqrt(1/(K+1)) * B with B i.i.d.
     circular complex Gaussian of unit variance, so E[tr(H H^H)] equals
@@ -93,8 +78,6 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
     """
     if math.isnan(k_factor) or k_factor < 0:
         raise ValueError("k_factor must be non-negative")
-    if los.ris_geometry.size != n_ris or los.array_geometry.size != n_array:
-        raise ValueError("LoS geometry sizes do not match requested dims")
     los_mat = los.los_matrix()
     if math.isinf(k_factor):
         return los_mat
@@ -108,7 +91,7 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
     # by the same constants, in the same order, and adding its two parts
     # into the LoS matrix gives the bits of the complex expression.
     los_mat *= math.sqrt(k_factor / (k_factor + 1.0))
-    draw = rng.standard_normal((2, n_ris, n_array))
+    draw = rng.standard_normal((2, *los_mat.shape))
     draw *= _INV_SQRT2
     draw *= math.sqrt(1.0 / (k_factor + 1.0))
     los_mat.real += draw[0]
@@ -116,20 +99,14 @@ def sample_ricean(n_ris: int, n_array: int, k_factor: float, los: LosSpec,
     return los_mat
 
 
-def _phase_vector(phi) -> np.ndarray:
-    if isinstance(phi, RisConfig):
-        return phi.states
-    return np.asarray(phi).ravel()
-
-
 def cascaded_channel(h_r_herm: np.ndarray, phi, h_t: np.ndarray) -> np.ndarray:
     """End-to-end channel h_r_herm @ diag(phi) @ h_t.
 
-    phi may be a RisConfig (its discrete states are used) or any
-    length-n_ris vector, including a continuous unit-modulus one.  The
-    diagonal is never materialized; rows of h_t are scaled instead.
+    phi is any length-n_ris vector: a 1-bit configuration or a
+    continuous unit-modulus one.  The diagonal is never materialized;
+    rows of h_t are scaled instead.
     """
-    v = _phase_vector(phi)
+    v = np.asarray(phi).ravel()
     h_r_herm = np.asarray(h_r_herm)
     h_t = np.asarray(h_t)
     if h_r_herm.shape[1] != v.size or h_t.shape[0] != v.size:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .alignment import sign_align
-from .channels import LosSpec, RisConfig
+from .channels import LosSpec
 
 
 def channel_gain(h_tilde: np.ndarray) -> float:
@@ -23,8 +23,9 @@ def channel_gain(h_tilde: np.ndarray) -> float:
     return float(np.sum(np.abs(h) ** 2))
 
 
-def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:
-    """Sign-align the product of RIS-side LoS steering vectors.
+def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> np.ndarray:
+    """Sign-align the product of RIS-side LoS steering vectors: the +/-1
+    configuration.
 
     los_t describes the transmitter-to-RIS path, los_r the RIS-to-
     receiver path.  The target vector is conj(a_ris of los_r) * a_ris of
@@ -36,7 +37,7 @@ def configure_gain_los(los_t: LosSpec, los_r: LosSpec) -> RisConfig:
     if los_t.ris_geometry != los_r.ris_geometry:
         raise ValueError("LoS specs must share the RIS geometry")
     b = los_r.ris_steering.conj() * los_t.ris_steering
-    return RisConfig(sign_align(b))
+    return sign_align(b)
 
 
 def gain_lower_bound(n_ris: int, n_t: int, n_r: int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import statistics
 import time
@@ -21,7 +22,6 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .alignment import sign_align
 from .capacity import _is_count, capacity_exact, configure_wsa, wsa_report
 from .channels import LosSpec, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
@@ -59,8 +59,9 @@ class ExperimentSpec:
     none.  A field none of whose _READERS run, or that a K sweep replaces,
     keeps its preset's value.  Sizes, counts and the seed are integers
     (numpy integers too, not bools).  workers is capped at the trial and
-    CPU counts.  scale, finite and > 0, records the factor preset_spec
-    applied to the preset's size grid.
+    CPU counts.  scale, a finite number > 0 (not a bool) stored as a
+    float, records the factor preset_spec applied to the preset's size
+    grid.
     """
 
     preset: str
@@ -80,8 +81,11 @@ class ExperimentSpec:
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
+            raise ValueError(f"scale must be a number; got {self.scale!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0; got {self.scale!r}")
+        object.__setattr__(self, "scale", float(self.scale))   # the sidecar is JSON
         for name in ("n_t", "n_r", "trials", "seed", "workers", "rmo_max_iters"):
             value = getattr(self, name)
             if not _is_count(value):
@@ -379,7 +383,7 @@ def _sample_side(rng: np.random.Generator, n_ris: int, n_array: int,
     """One side's LoS spec, drawn first, and its n_ris x n_array channel."""
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   _random_angles(rng), _random_angles(rng))
-    return los, sample_ricean(n_ris, n_array, db2lin(k_db), los, rng)
+    return los, sample_ricean(db2lin(k_db), los, rng)
 
 
 def _flag_hardening(sides) -> int:
@@ -512,26 +516,18 @@ class _Link:
 @dataclass(frozen=True)
 class _Method:
     """A trial times configure(link) and writes score(link, configured);
-    bench_runtime times bench(link)() if a method names it, else the same
-    configure(link), with repeats = (warmups, samples)."""
+    bench_runtime times the same configure(link), with repeats =
+    (warmups, samples)."""
 
     configure: Callable
     score: Callable
-    bench: Callable | None = None
     repeats: tuple = (1, 3)
 
 
-def _score_sa(link: _Link, cfg) -> dict:
-    gain = channel_gain(cascaded_channel(link.a, cfg, link.t))
+def _score_sa(link: _Link, phi) -> dict:
+    gain = channel_gain(cascaded_channel(link.a, phi, link.t))
     lb = link.gain_bound
     return {"gain_sa": gain, "alpha_sa": gain / (lb / 0.25)} if lb > 0 else {"gain_sa": gain}
-
-
-def _bench_sa(link: _Link):
-    # the alignment alone: steering vectors are CSI, common to all methods
-    a_t = link.los_t.ris_steering
-    a_r = link.los_r.ris_steering
-    return lambda: sign_align(a_r.conj() * a_t)
 
 
 def _score_wsa(link: _Link, configured) -> dict:
@@ -556,8 +552,8 @@ def _rmo(objective: str, column: str) -> _Method:
                            bundles=bundles)
         return quantize_1bit(res.phi)
 
-    def score(link: _Link, cfg) -> dict:
-        h = cascaded_channel(link.a, cfg, link.t)
+    def score(link: _Link, phi) -> dict:
+        h = cascaded_channel(link.a, phi, link.t)
         if objective == "gain":
             return {column: channel_gain(h)}
         return {column: capacity_exact(h, link.snr)}
@@ -565,14 +561,14 @@ def _rmo(objective: str, column: str) -> _Method:
 
 
 # family -> method -> _Method, in the order a trial runs them and
-# bench_runtime times them.  A trial times configure(link); bench_runtime
+# bench_runtime times them.  Both time configure(link); bench_runtime
 # times it once the link's SVDs exist (the trial timer of the first of wsa
-# and rmo-surrogate covers making them).  Only sa names a bench, its LoS
-# alignment alone.
+# and rmo-surrogate covers making them).  sa reads the steering vectors
+# its link's LoS specs cached when the channels were sampled.
 _METHODS = {
     "gain": {
         "sa": _Method(lambda link: configure_gain_los(link.los_t, link.los_r),
-                      _score_sa, _bench_sa, (3, 5)),
+                      _score_sa, (3, 5)),
         "rmo": _rmo("gain", "gain_rmo"),
     },
     "capacity": {
@@ -839,12 +835,12 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
     RMO).  The spec's methods are timed in _METHODS order, as a trial
-    runs them.  A sample times configure(link), as a trial does (sa
-    names its own callable: the alignment of the link's cached steering
-    vectors, without the RisConfig).  The warmups of the first of wsa
-    and rmo-surrogate make the link's SVDs, so the samples of both
-    exclude them (CSI acquisition, common to all methods); exact-capacity
-    rmo takes the cascade's singular values per evaluation.
+    runs them.  A sample times configure(link), as a trial does; sa's
+    step reads the steering vectors that sampling cached on the link's
+    LoS specs.  The warmups of the first of wsa and rmo-surrogate make
+    the link's SVDs, so the samples of both exclude them (CSI
+    acquisition, common to all methods); exact-capacity rmo takes the
+    cascade's singular values per evaluation.
     """
     _hold_heap()
     if not spec.preset.startswith("runtime-"):
@@ -859,8 +855,8 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
             if name not in spec.methods:
                 continue
             col = name.replace("-", "_")
-            fn = method.bench(link) if method.bench else partial(method.configure, link)
-            med, mean = _time_callable(fn, *method.repeats)
+            med, mean = _time_callable(partial(method.configure, link),
+                                       *method.repeats)
             row[f"{col}_median_s"], row[f"{col}_mean_s"] = med, mean
             medians[col] = med
         for col in medians:

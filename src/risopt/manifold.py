@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import _is_count, stream_bits, stream_columns
-from .channels import RisConfig
 from .spectral import svd_bundle
 
 _LN2 = math.log(2.0)
@@ -252,10 +251,10 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
                      grad_norm, stop_reason)
 
 
-def quantize_1bit(phi_continuous) -> RisConfig:
+def quantize_1bit(phi_continuous) -> np.ndarray:
     """Nearest point of {+1, -1} per element: +1 iff Re >= 0 (ties to +1)."""
     phi = np.asarray(phi_continuous, dtype=complex).ravel()
     # written so that a NaN modulus fails the test: NaN > 1e-6 is False
     if phi.size == 0 or not np.all(np.abs(np.abs(phi) - 1.0) <= 1e-6):
         raise ValueError("input must be unit modulus")
-    return RisConfig(np.where(phi.real >= 0.0, 1.0, -1.0))
+    return np.where(phi.real >= 0.0, 1.0, -1.0)

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from risopt.channels import LosSpec, _phase_vector
+from risopt.channels import LosSpec
 from risopt.manifold import _objective
 from risopt.spectral import SvdBundle
 
@@ -66,7 +66,7 @@ def gain_expansion(bundle_r: SvdBundle, bundle_t: SvdBundle, phi) -> float:
     Equals channel_gain of the cascade (same phi) up to roundoff; kept as
     an independent oracle, not used on the production path.
     """
-    v = _phase_vector(phi)
+    v = np.asarray(phi).ravel()
     d_r = bundle_r.singular_values
     d_t = bundle_t.singular_values
     # rows: v_R,i^H in bundle_r.right_h; columns: u_T,j in bundle_t.left

@@ -48,7 +48,7 @@ def random_side(rng, n_ris, n_array, k_lin):
     """One side's LoS spec and its sampled n_ris x n_array channel."""
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   random_angles(rng), random_angles(rng))
-    return los, sample_ricean(n_ris, n_array, k_lin, los, rng)
+    return los, sample_ricean(k_lin, los, rng)
 
 
 def test_c01_sign_alignment_exhaustive_bound(capsys):

@@ -6,12 +6,14 @@ import pytest
 
 from risopt import capacity
 from risopt.alignment import sign_align
-from risopt.capacity import (AllocationPlan, allocate_sca,
-                             capacity_diag_approx, capacity_exact,
-                             capacity_lower_bound, configure_capacity,
+from risopt.capacity import (allocate_sca, capacity_diag_approx,
+                             capacity_exact, capacity_lower_bound,
+                             configure_capacity, configure_wsa,
                              effective_channel, offdiag_ratio,
                              round_allocation, run_wsa, stream_columns)
 from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
+from risopt.gain import configure_gain_los
+from risopt.manifold import quantize_1bit
 from risopt.spectral import asymptotic_spectrum, svd_bundle
 from tests.oracles import water_level_bisect
 from tests.test_channels import make_los
@@ -245,7 +247,6 @@ def assert_same_plan(got, want):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.iterations_used == want.iterations_used
     assert got.converged == want.converged
-    assert got.counts is None and want.counts is None
 
 
 def test_skipped_corners_leave_the_plan_bit_identical():
@@ -291,26 +292,21 @@ def test_corners_that_cannot_win_are_not_run(monkeypatch):
     assert np.array_equal(plan.fractions, [1.0, 0.0, 0.0, 0.0])
 
 
-def make_plan(fractions):
-    return AllocationPlan(fractions=np.asarray(fractions, dtype=float),
-                          counts=None, iterations_used=1,
-                          objective_trace=np.zeros(2), converged=True)
-
-
 def test_rounding_largest_remainder_with_tie_to_lower_index():
     # sqrt fractions (0.6, 0.25, 0.15) over 10 elements: floors (6, 2, 1),
     # remainders (0, .5, .5); the tie goes to the earlier stream
-    plan = round_allocation(make_plan([0.36, 0.0625, 0.0225]), 10)
-    assert plan.counts.tolist() == [6, 3, 1]
+    counts = round_allocation([0.36, 0.0625, 0.0225], 10)
+    assert counts.tolist() == [6, 3, 1]
+    assert counts.dtype == np.int64
 
 
 def test_rounding_preserves_totals_and_disjointness():
     rng = np.random.default_rng(5)
     w = rng.uniform(0.1, 1.0, 4)
     w /= w.sum()
-    plan = round_allocation(make_plan(w ** 2), 101)
-    assert plan.counts.sum() == 101
-    assert np.all(plan.counts >= 0)
+    counts = round_allocation(w ** 2, 101)
+    assert counts.sum() == 101
+    assert np.all(counts >= 0)
 
 
 @pytest.mark.parametrize("n_ris", [-5, 0, 2.5, np.float64(8.0), True])
@@ -318,8 +314,8 @@ def test_rounding_refuses_an_element_count_that_is_not_a_positive_integer(n_ris)
     # -5 used to give the counts [-2, -3], 2.5 was rounded as given and
     # True as 1
     with pytest.raises(ValueError, match="^n_ris must be an integer >= 1; got "):
-        round_allocation(make_plan([0.25, 0.25]), n_ris)
-    assert round_allocation(make_plan([0.25, 0.25]), np.int64(8)).counts.tolist() == [4, 4]
+        round_allocation([0.25, 0.25], n_ris)
+    assert round_allocation([0.25, 0.25], np.int64(8)).tolist() == [4, 4]
 
 
 @pytest.mark.parametrize("fractions", [
@@ -333,9 +329,9 @@ def test_rounding_refuses_an_element_count_that_is_not_a_positive_integer(n_ris)
 def test_rounding_refuses_fractions_off_the_budget(fractions):
     with pytest.raises(ValueError, match=r"^fractions must be finite, "
                        r"non-negative and have square roots summing to 1; got \["):
-        round_allocation(make_plan(fractions), 8)
+        round_allocation(fractions, 8)
     # within 1e-9 of the budget the counts still cover every element
-    assert round_allocation(make_plan([0.25, 0.25 + 1e-10]), 8).counts.tolist() == [4, 4]
+    assert round_allocation([0.25, 0.25 + 1e-10], 8).tolist() == [4, 4]
 
 
 def blocks(counts):
@@ -350,12 +346,12 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
     h_t = complex_gaussian(rng, (n_s, n))
     h_r_herm = complex_gaussian(rng, (n, n_s))
     bundle_r, bundle_t = svd_bundle(h_r_herm), svd_bundle(h_t)
-    plan = round_allocation(make_plan([0.25, 0.09, 0.04]), n_s)
-    cfg = configure_capacity(bundle_r, bundle_t, plan)
+    counts = round_allocation([0.25, 0.09, 0.04], n_s)
+    phi = configure_capacity(bundle_r, bundle_t, counts)
     cols = bundle_r.right_h[:n].T * bundle_t.left[:, :n]
-    for i, idx in enumerate(blocks(plan.counts)):
+    for i, idx in enumerate(blocks(counts)):
         b = cols[idx, i]
-        aligned = abs(b @ cfg.states[idx])
+        aligned = abs(b @ phi[idx])
         assert aligned >= 0.5 * np.sum(np.abs(b)) - 1e-12
 
 
@@ -377,12 +373,12 @@ def test_stream_columns_keep_the_layout_of_the_product_with_v(n_s, n):
                           (want.T @ phi).view(np.uint64))
 
 
-def masked_column_configuration(bundle_r, bundle_t, plan) -> np.ndarray:
+def masked_column_configuration(bundle_r, bundle_t, counts) -> np.ndarray:
     """The earlier configure_capacity: every stream column over all
     elements, each gathered at its block and aligned."""
     states = np.ones(bundle_r.right_h.shape[1])
     cols, _ = stream_columns(bundle_r, bundle_t)
-    for i, idx in enumerate(blocks(plan.counts)):
+    for i, idx in enumerate(blocks(counts)):
         if idx.size:
             states[idx] = sign_align(cols[idx, i])
     return states
@@ -396,19 +392,10 @@ def test_configure_capacity_matches_the_masked_column_oracle():
         w = rng.uniform(0.0, 1.0, min(n_r, n_t))
         w[-1] = 0.0                 # a stream with no elements
         w /= w.sum()
-        plan = round_allocation(make_plan(w ** 2), n_s)
-        got = configure_capacity(bundle_r, bundle_t, plan).states
+        counts = round_allocation(w ** 2, n_s)
+        got = configure_capacity(bundle_r, bundle_t, counts)
         assert np.array_equal(got, masked_column_configuration(
-            bundle_r, bundle_t, plan))
-
-
-def test_configure_capacity_requires_rounded_plan():
-    rng = np.random.default_rng(7)
-    h = complex_gaussian(rng, (10, 2))
-    bundle = svd_bundle(h)
-    with pytest.raises(ValueError):
-        configure_capacity(svd_bundle(h.conj().T), bundle,
-                           make_plan([0.5, 0.5]))
+            bundle_r, bundle_t, counts))
 
 
 @pytest.mark.parametrize("n_ris, streams, message", [
@@ -426,9 +413,9 @@ def test_configure_capacity_refuses_a_plan_for_other_bundles(n_ris, streams,
     rng = np.random.default_rng(12)
     bundle_r = svd_bundle(complex_gaussian(rng, (2, 80)))
     bundle_t = svd_bundle(complex_gaussian(rng, (80, 2)))
-    plan = round_allocation(make_plan(np.full(streams, 1.0 / streams ** 2)), n_ris)
+    counts = round_allocation(np.full(streams, 1.0 / streams ** 2), n_ris)
     with pytest.raises(ValueError, match=message):
-        configure_capacity(bundle_r, bundle_t, plan)
+        configure_capacity(bundle_r, bundle_t, counts)
 
 
 def test_capacity_lower_bound_dispatch():
@@ -446,6 +433,26 @@ def test_capacity_lower_bound_dispatch():
         capacity_lower_bound(fr, h_t, h_t, 10.0)
 
 
+@pytest.mark.parametrize("fractions, message", [
+    (np.full(4, 2.0), "^fractions must be finite"),             # 48.33 bits
+    ([math.nan, 0.25, 0.0, 0.0], "^fractions must be finite"),
+    ([-0.25, 0.25, 0.25, 0.25], "^fractions must be finite"),
+    (np.full(5, 1.0 / 25.0), "^5 fractions for 4 streams$"),   # the 5th dropped
+], ids=["off-budget", "nan", "negative", "five-on-four-streams"])
+def test_capacity_lower_bound_refuses_fractions_off_the_budget(fractions,
+                                                               message):
+    rng = np.random.default_rng(13)
+    bundle_r = svd_bundle(complex_gaussian(rng, (4, 64)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (64, 4)))
+    spec = asymptotic_spectrum(64, 4, 1.0)
+    for side_r, side_t in ((bundle_r, bundle_t), (spec, spec)):
+        with pytest.raises(ValueError, match=message):
+            capacity_lower_bound(fractions, side_r, side_t, 10.0)
+    # the snr is checked first, so its message is the one a bad snr gives
+    with pytest.raises(ValueError, match=r"^snr must be positive \(linear\)$"):
+        capacity_lower_bound(fractions, bundle_r, bundle_t, math.nan)
+
+
 def test_offdiag_ratio_limits():
     assert offdiag_ratio(np.diag([1.0, 2.0])) == 0.0
     off = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -460,16 +467,18 @@ def test_run_wsa_end_to_end():
     los_t = make_los(n_ris=n_s, n_array=n, seed=20)
     los_r = make_los(n_ris=n_s, n_array=n, seed=21)
     rng = np.random.default_rng(22)
-    h_t = sample_ricean(n_s, n, 1.0, los_t, rng)
-    h_r = sample_ricean(n_s, n, 1.0, los_r, rng)
+    h_t = sample_ricean(1.0, los_t, rng)
+    h_r = sample_ricean(1.0, los_r, rng)
     report, plan = run_wsa(h_r.conj().T, h_t, snr=10.0)
-    assert plan.counts.sum() == n_s
+    bundle_r, bundle_t = svd_bundle(h_r.conj().T), svd_bundle(h_t)
+    # the configuration aligns the blocks the plan's fractions round to
+    counts = round_allocation(plan.fractions, n_s)
+    assert np.array_equal(report.phi,
+                          configure_capacity(bundle_r, bundle_t, counts))
     assert report.capacity_exact > 0
     assert 0.0 <= report.offdiag_ratio <= 1.0
     assert report.capacity_diag == pytest.approx(
-        capacity_diag_approx(svd_bundle(h_r.conj().T),
-                             svd_bundle(h_t),
-                             report.phi, 10.0))
+        capacity_diag_approx(bundle_r, bundle_t, report.phi, 10.0))
     assert report.capacity_lb > 0
 
 
@@ -478,9 +487,32 @@ def test_run_wsa_statistical_mode_and_continuous():
     los_t = make_los(n_ris=n_s, n_array=n, seed=30)
     los_r = make_los(n_ris=n_s, n_array=n, seed=31)
     rng = np.random.default_rng(32)
-    h_t = sample_ricean(n_s, n, 2.0, los_t, rng)
-    h_r = sample_ricean(n_s, n, 2.0, los_r, rng)
+    h_t = sample_ricean(2.0, los_t, rng)
+    h_r = sample_ricean(2.0, los_r, rng)
     spec = asymptotic_spectrum(n_s, n, 2.0)
     report, plan = run_wsa(h_r.conj().T, h_t, snr=10.0,
                            spectra=(spec, spec))
-    assert plan.counts.sum() == n_s
+    # round_allocation refuses fractions off allocate_sca's budget
+    assert round_allocation(plan.fractions, n_s).sum() == n_s
+
+
+def test_every_configuration_step_returns_a_plus_minus_one_float_array():
+    n_s, n = 64, 3
+    los_t = make_los(n_ris=n_s, n_array=n, seed=40)
+    los_r = make_los(n_ris=n_s, n_array=n, seed=41)
+    rng = np.random.default_rng(42)
+    h_t = sample_ricean(1.0, los_t, rng)
+    h_r_herm = sample_ricean(1.0, los_r, rng).conj().T
+    bundle_r, bundle_t = svd_bundle(h_r_herm), svd_bundle(h_t)
+    configurations = {
+        "configure_gain_los": configure_gain_los(los_t, los_r),
+        "configure_capacity": configure_capacity(
+            bundle_r, bundle_t, round_allocation(np.full(n, 1.0 / n ** 2), n_s)),
+        "quantize_1bit": quantize_1bit(np.exp(1j * rng.uniform(-3.0, 3.0, n_s))),
+        "configure_wsa": configure_wsa(bundle_r, bundle_t, 10.0)[0],
+        "run_wsa": run_wsa(h_r_herm, h_t, 10.0)[0].phi,
+    }
+    for name, phi in configurations.items():
+        assert type(phi) is np.ndarray, name
+        assert phi.dtype == np.float64 and phi.shape == (n_s,), name
+        assert np.all(np.abs(phi) == 1.0), name

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risopt.harness as harness
-from risopt.channels import (LosSpec, RisConfig, cascaded_channel,
-                             complex_gaussian, sample_ricean)
+from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
+                             sample_ricean)
 from risopt.geometry import AnglePair, UpaGeometry, near_square_geometry
 from risopt.harness import db2lin, preset_spec
 from tests.oracles import los_part, scattered_part
@@ -71,8 +71,8 @@ def test_cached_vectors_leave_equality_hash_and_pickle_alone():
 
 def test_pure_los_limit_draws_nothing_random():
     los = make_los()
-    a = sample_ricean(16, 4, math.inf, los, np.random.default_rng(0))
-    b = sample_ricean(16, 4, math.inf, los, np.random.default_rng(99))
+    a = sample_ricean(math.inf, los, np.random.default_rng(0))
+    b = sample_ricean(math.inf, los, np.random.default_rng(99))
     assert np.array_equal(a, b)
     assert np.array_equal(a, los.los_matrix())
     assert np.all(scattered_part(a, math.inf, los) == 0)
@@ -80,7 +80,7 @@ def test_pure_los_limit_draws_nothing_random():
 
 def test_rayleigh_limit_has_no_deterministic_part():
     los = make_los()
-    h = sample_ricean(16, 4, 0.0, los, np.random.default_rng(1))
+    h = sample_ricean(0.0, los, np.random.default_rng(1))
     assert np.allclose(los_part(0.0, los), 0.0)
     assert np.array_equal(scattered_part(h, 0.0, los), h)
 
@@ -88,7 +88,7 @@ def test_rayleigh_limit_has_no_deterministic_part():
 def test_parts_sum_to_matrix():
     los = make_los()
     for k in (0.0, 0.3, 1.0, 10.0):
-        h = sample_ricean(16, 4, k, los, np.random.default_rng(5))
+        h = sample_ricean(k, los, np.random.default_rng(5))
         assert h.shape == (16, 4)
         assert np.allclose(los_part(k, los) + scattered_part(h, k, los), h)
         assert los_part(k, los) == pytest.approx(
@@ -103,7 +103,7 @@ def test_unit_average_entry_power():
         total = 0.0
         trials = 60
         for _ in range(trials):
-            total += np.sum(np.abs(sample_ricean(64, 8, k, los, rng)) ** 2)
+            total += np.sum(np.abs(sample_ricean(k, los, rng)) ** 2)
         avg = total / (trials * 64 * 8)
         assert avg == pytest.approx(1.0, rel=0.05)
 
@@ -133,7 +133,7 @@ def test_sample_ricean_is_the_textbook_sum_bit_for_bit(k):
     for seed, (n_ris, n_array) in enumerate([(16, 4), (512, 8), (2000, 20)]):
         los = make_los(n_ris, n_array, seed=seed)
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        h = sample_ricean(n_ris, n_array, k, los, rng)
+        h = sample_ricean(k, los, rng)
         assert same_bits(h, textbook_ricean(n_ris, n_array, k, los, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -142,7 +142,7 @@ def test_pure_los_draw_is_the_los_matrix_bit_for_bit():
     los = make_los(64, 8)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    h = sample_ricean(64, 8, math.inf, los, rng)
+    h = sample_ricean(math.inf, los, rng)
     assert same_bits(h, los.los_matrix())
     assert rng.bit_generator.state == state
 
@@ -152,7 +152,7 @@ def test_sampling_leaves_the_los_component_untouched():
     # LosSpec hands out later may see that write
     los = make_los(64, 8, seed=2)
     before = los.los_matrix().copy()
-    h = sample_ricean(64, 8, 1.0, los, np.random.default_rng(6))
+    h = sample_ricean(1.0, los, np.random.default_rng(6))
     assert same_bits(los.los_matrix(), before)
     assert not np.shares_memory(h, los.los_matrix())
     assert np.allclose(los_part(1.0, los) + scattered_part(h, 1.0, los), h)
@@ -166,7 +166,7 @@ def test_sampling_leaves_the_los_component_untouched():
 def test_sample_ricean_bits_property(n_ris, n_array, k, seed):
     los = make_los(n_ris, n_array, seed=seed % 1000)
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    h = sample_ricean(n_ris, n_array, k, los, rng)
+    h = sample_ricean(k, los, rng)
     assert same_bits(h, textbook_ricean(n_ris, n_array, k, los, ref))
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -175,11 +175,9 @@ def test_sample_validation():
     los = make_los()
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_ricean(16, 4, -0.5, los, rng)
+        sample_ricean(-0.5, los, rng)
     with pytest.raises(ValueError):
-        sample_ricean(16, 4, math.nan, los, rng)
-    with pytest.raises(ValueError):
-        sample_ricean(8, 4, 1.0, los, rng)   # geometry says 16 elements
+        sample_ricean(math.nan, los, rng)
 
 
 def test_hermitian_orientation():
@@ -199,25 +197,15 @@ def test_hermitian_orientation():
     assert (link.k_t, link.k_r) == (db2lin(3.0), db2lin(-2.0))
 
 
-def test_ris_config_validation():
-    RisConfig(np.array([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        RisConfig(np.array([1.0, 0.5]))
-    with pytest.raises(ValueError):
-        RisConfig(np.array([]))
-    assert RisConfig(np.array([1.0, -1.0])).states.size == 2
-
-
 def test_cascade_matches_dense_diagonal_product():
     rng = np.random.default_rng(8)
     n_s, n_t, n_r = 10, 3, 5
     h_t = rng.normal(size=(n_s, n_t)) + 1j * rng.normal(size=(n_s, n_t))
     h_r_herm = rng.normal(size=(n_r, n_s)) + 1j * rng.normal(size=(n_r, n_s))
     states = np.where(rng.random(n_s) < 0.5, 1.0, -1.0)
-    cfg = RisConfig(states)
     dense = h_r_herm @ np.diag(states) @ h_t
-    assert np.allclose(cascaded_channel(h_r_herm, cfg, h_t), dense)
-    # raw vectors (including continuous unit-modulus ones) work too
+    assert np.allclose(cascaded_channel(h_r_herm, states, h_t), dense)
+    # continuous unit-modulus vectors work too
     phi = np.exp(1j * rng.uniform(-math.pi, math.pi, n_s))
     assert np.allclose(cascaded_channel(h_r_herm, phi, h_t),
                        h_r_herm @ np.diag(phi) @ h_t)

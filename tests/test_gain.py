@@ -33,10 +33,10 @@ def test_pure_los_quarter_guarantee_exact():
     for seed in range(8):
         los_t = make_los(n_ris=36, n_array=3, seed=seed)
         los_r = make_los(n_ris=36, n_array=5, seed=seed + 100)
-        h_t = sample_ricean(36, 3, math.inf, los_t, np.random.default_rng(0))
-        h_r = sample_ricean(36, 5, math.inf, los_r, np.random.default_rng(0))
-        cfg = configure_gain_los(los_t, los_r)
-        g = channel_gain(cascaded_channel(h_r.conj().T, cfg, h_t))
+        h_t = sample_ricean(math.inf, los_t, np.random.default_rng(0))
+        h_r = sample_ricean(math.inf, los_r, np.random.default_rng(0))
+        phi = configure_gain_los(los_t, los_r)
+        g = channel_gain(cascaded_channel(h_r.conj().T, phi, h_t))
         bound = gain_lower_bound(36, 3, 5, math.inf, math.inf)
         assert g >= bound - 1e-9
         assert g <= 16.0 * bound + 1e-9      # i.e. N_r N_t N_s^2

@@ -326,6 +326,28 @@ def test_a_directly_built_spec_refuses_a_bad_scale(scale):
                        methods=("wsa", "lb"), scale=scale)
 
 
+@pytest.mark.parametrize("scale", [True, "2", None],
+                         ids=["bool", "string", "none"])
+def test_a_directly_built_spec_refuses_a_scale_that_is_not_a_number(scale):
+    # True used to be taken as 1 and recorded as true in the sidecar, and
+    # "2" ended in a TypeError
+    with pytest.raises(ValueError, match=re.escape(
+            f"scale must be a number; got {scale!r}")):
+        ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
+                       methods=("wsa", "lb"), scale=scale)
+
+
+@pytest.mark.parametrize("scale", [np.float64(0.5), np.float32(0.5),
+                                   np.int64(2), 2],
+                         ids=["float64", "float32", "int64", "int"])
+def test_a_spec_stores_its_scale_as_a_float(scale):
+    spec = ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
+                          methods=("wsa", "lb"), scale=scale)
+    assert type(spec.scale) is float and spec.scale == float(scale)
+    res = harness.ExperimentResult(spec, (), [], (), [], [], {})
+    assert json.loads(res.to_json())["spec"]["scale"] == float(scale)
+
+
 def test_run_experiment_rejects_runtime_presets():
     spec = preset_spec("runtime-gain", scale=0.01)
     with pytest.raises(ValueError):
@@ -759,6 +781,24 @@ def test_errors_recorded_per_row_not_raised():
     res = run_experiment(spec)
     assert all("wsa:" in r["error"] for r in res.rows)
     assert all(r.get("cap_wsa") is None for r in res.rows)
+
+
+def test_bench_runtime_times_the_configure_step_of_sa(monkeypatch):
+    # sa's samples used to time a separate callable that called
+    # sign_align directly, so configure_gain_los ran in no sample
+    calls = []
+    real = harness.configure_gain_los
+
+    def counted(los_t, los_r):
+        calls.append(1)
+        return real(los_t, los_r)
+    monkeypatch.setattr(harness, "configure_gain_los", counted)
+    spec = preset_spec("runtime-gain", n_ris_list=(64,), methods=("sa",))
+    warmups, samples = harness._METHODS["gain"]["sa"].repeats
+    row = bench_runtime(spec).rows[0]
+    assert row["sa_median_s"] > 0
+    # the warmups, one calibration call, then at least one call per sample
+    assert len(calls) >= warmups + 1 + samples
 
 
 def test_bench_runtime_rows():

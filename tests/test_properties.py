@@ -1,16 +1,12 @@
 """Property tests: rounding, the sign-alignment guarantee, the water
-level, the SCA multi-start and RisConfig validation, on inputs drawn by
-hypothesis."""
+level and the SCA multi-start, on inputs drawn by hypothesis."""
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risopt.alignment import sign_align
-from risopt.capacity import (AllocationPlan, _water_level, allocate_sca,
-                             round_allocation)
-from risopt.channels import RisConfig
+from risopt.capacity import _water_level, allocate_sca, round_allocation
 from tests.oracles import brute_force_value
 from tests.test_capacity import assert_same_plan, best_single_start
 
@@ -25,13 +21,11 @@ _finite = st.floats(-1e6, 1e6, allow_subnormal=False)
 @given(weights=_weights, n_ris=st.integers(1, 400))
 def test_rounding_is_a_disjoint_partition_with_exact_counts(weights, n_ris):
     w = np.asarray(weights) / np.sum(weights)        # sum(sqrt(p_i)) = 1
-    plan = AllocationPlan(fractions=w ** 2, counts=None, iterations_used=0,
-                          objective_trace=np.zeros(1), converged=True)
-    out = round_allocation(plan, n_ris)
-    assert out.counts.sum() == n_ris
+    counts = round_allocation(w ** 2, n_ris)
+    assert counts.sum() == n_ris
     # largest remainder: each count is the floor or the ceiling of its target
-    assert np.all(np.abs(out.counts - w * n_ris) < 1.0)
-    assert np.all(out.counts[w == 0.0] == 0)
+    assert np.all(np.abs(counts - w * n_ris) < 1.0)
+    assert np.all(counts[w == 0.0] == 0)
 
 
 @_SETTINGS
@@ -101,13 +95,3 @@ def test_allocation_is_the_best_single_start(d_r, d_t, snr):
     assume(np.any(d_r[:nmin] * d_t[:nmin] > 0))
     want, _ = best_single_start(d_r, d_t, snr, d_t.size)
     assert_same_plan(allocate_sca(d_r, d_t, snr, d_t.size), want)
-
-
-@_SETTINGS
-@given(st.lists(st.one_of(st.sampled_from([1.0, -1.0]), st.floats()), max_size=12))
-def test_ris_config_accepts_exactly_nonempty_plus_minus_one_states(states):
-    if states and all(s in (1.0, -1.0) for s in states):
-        assert RisConfig(np.asarray(states)).states.tolist() == states
-    else:
-        with pytest.raises(ValueError):
-            RisConfig(np.asarray(states))
