@@ -310,9 +310,14 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
 
     Stream i holds elements [sum(counts[:i]), sum(counts[:i+1])) and
     aligns them to conj(v_R,i) * u_T,i restricted to that block.  The
-    counts, round_allocation's, must cover every element of the bundles,
-    on no more streams than the bundles have columns.
+    counts, round_allocation's, must be non-negative integers covering
+    every element of the bundles, on no more streams than the bundles have
+    columns.
     """
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu" or (counts < 0).any():
+        raise ValueError(f"counts must be non-negative integers; "
+                         f"got {counts.tolist()}")
     n_s = bundle_r.right_h.shape[1]
     columns = min(bundle_r.right_h.shape[0], bundle_t.left.shape[1])
     placed = int(counts.sum())

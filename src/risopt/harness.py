@@ -17,7 +17,7 @@ import os
 import statistics
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -47,21 +47,26 @@ def nmse(estimates, references) -> float:
     return float(np.sum((e - r) ** 2) / denom)
 
 
+def _is_number(value) -> bool:
+    """True for a real number, numpy's too, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one Monte Carlo run.
 
     k_t_db/k_r_db set the per-side K-factors (not NaN; finite for spectrum
     and hardening), k_r_db following k_t_db unless given, as n_r follows
-    n_t; a given k_sweep_db is swept on both sides instead.  methods are
-    distinct _METHODS of the family, plus "lb", each writing a shown
-    column (a timing on runtime presets); spectrum and hardening take
-    none.  A field none of whose _READERS run, or that a K sweep replaces,
-    keeps its preset's value.  Sizes, counts and the seed are integers
-    (numpy integers too, not bools).  workers is capped at the trial and
-    CPU counts.  scale, a finite number > 0 (not a bool) stored as a
-    float, records the factor preset_spec applied to the preset's size
-    grid.
+    n_t; a given k_sweep_db is swept on both sides instead.  These, snr_db
+    and scale are numbers (numpy's too, not bools).  methods are distinct
+    names the family's _FAMILIES record knows (its methods, then "lb"),
+    each writing a shown column (a timing on runtime presets); spectrum
+    and hardening know none.  A field none of whose _READERS run, or that
+    a K sweep replaces, keeps its preset's value.  Sizes, counts and the
+    seed are integers (numpy integers too, not bools).  workers is capped
+    at the trial and CPU counts.  scale, finite and > 0, is stored as a
+    float; it records the factor preset_spec applied to the size grid.
     """
 
     preset: str
@@ -81,8 +86,12 @@ class ExperimentSpec:
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real):
-            raise ValueError(f"scale must be a number; got {self.scale!r}")
+        if self.k_r_db is None:
+            object.__setattr__(self, "k_r_db", self.k_t_db)
+        for name in ("scale", "k_t_db", "k_r_db", "snr_db"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number; "
+                                 f"got {getattr(self, name)!r}")
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0; got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))   # the sidecar is JSON
@@ -102,8 +111,6 @@ class ExperimentSpec:
             raise ValueError(f"seed must be >= 0; got {self.seed}")
         if self.n_r == 0:
             object.__setattr__(self, "n_r", self.n_t)
-        if self.k_r_db is None:
-            object.__setattr__(self, "k_r_db", self.k_t_db)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.rmo_max_iters < 1:
@@ -120,7 +127,8 @@ class ExperimentSpec:
         for name in ("k_t_db", "k_r_db"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must be a number; got nan")
-        if any(math.isnan(k) for k in self.k_sweep_db or ()):
+        if not all(_is_number(k) and not math.isnan(k)
+                   for k in self.k_sweep_db or ()):
             raise ValueError(f"k_sweep_db entries must be numbers; "
                              f"got {list(self.k_sweep_db)}")
         preset = _preset(self.preset)
@@ -135,7 +143,7 @@ class ExperimentSpec:
         unset = {"n_r": self.n_t, "k_r_db": self.k_t_db}
         run = () if self.preset.startswith("runtime-") else ("run",)
         reads = {family, *self.methods, *run}
-        could_read = {family, *_METHODS.get(family, ())}
+        could_read = {family, *_FAMILIES[family].methods}
         for name in dict.fromkeys((*_READERS, *swept)):
             if name not in swept and _READERS[name] & reads:
                 continue
@@ -151,7 +159,7 @@ class ExperimentSpec:
                 why = ""
             raise ValueError(f"{name} = {value!r} is not read by {family} "
                              f"preset {self.preset!r}{why}; leave it unset")
-        if family not in _METHODS:
+        if not _FAMILIES[family].methods:
             if not math.isfinite(self.k_t_db):
                 raise ValueError(f"k_t_db must be finite for {family} preset "
                                  f"{self.preset!r}; got {self.k_t_db!r}")
@@ -167,26 +175,26 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
 
     def _check_methods(self, family: str) -> None:
-        """Refuse a method the family does not run, a repeated one, and
-        one that writes no column the spec shows."""
+        """Refuse a name the family does not know, a repeated one, and one
+        that writes no column the spec shows."""
         methods = list(self.methods)
-        known = (*_METHODS[family], "lb") if family in _METHODS else ()
+        record = _FAMILIES[family]
+        known = list(dict.fromkeys([*record.methods, *(
+            name for _, needs, _ in record.optional for name in needs)]))
         bad = [name for name in methods if name not in known]
         if bad:
             raise ValueError(f"methods {bad} are not {family} methods; "
-                             f"known: {list(known)}")
+                             f"known: {known}")
         repeated = [name for i, name in enumerate(methods) if name in methods[:i]]
         if repeated:
             raise ValueError(f"method {repeated[0]!r} is repeated in "
                              f"methods {methods}")
-        if family not in _METHODS:
-            return
         # a runtime preset writes one timing per method it times
-        writers = ([{name} for name in _METHODS[family]]
+        writers = ([{name} for name in record.methods]
                    if self.preset.startswith("runtime-")
-                   else [needs for _, needs in _METHOD_COLUMNS[family]])
+                   else [set(needs) for _, needs, _ in record.optional])
         shown = set().union(*(needs for needs in writers if needs <= set(methods)))
-        if not shown:
+        if not shown and record.methods:
             raise ValueError(f"{family} preset {self.preset!r} needs a method "
                              f"that writes a column; got methods {methods}")
         idle = [name for name in methods if name not in shown]
@@ -560,33 +568,6 @@ def _rmo(objective: str, column: str) -> _Method:
     return _Method(configure, score)
 
 
-# family -> method -> _Method, in the order a trial runs them and
-# bench_runtime times them.  Both time configure(link); bench_runtime
-# times it once the link's SVDs exist (the trial timer of the first of wsa
-# and rmo-surrogate covers making them).  sa reads the steering vectors
-# its link's LoS specs cached when the channels were sampled.
-_METHODS = {
-    "gain": {
-        "sa": _Method(lambda link: configure_gain_los(link.los_t, link.los_r),
-                      _score_sa, (3, 5)),
-        "rmo": _rmo("gain", "gain_rmo"),
-    },
-    "capacity": {
-        "wsa": _Method(lambda link: configure_wsa(*link.bundles, link.snr),
-                       _score_wsa, repeats=(3, 5)),
-        "rmo": _rmo("capacity_exact", "cap_rmo"),
-        "rmo-surrogate": _rmo("capacity_surrogate", "cap_rmo_surrogate"),
-    },
-}
-
-# Row columns of each family after point, trial, n_ris and n_t
-_COLUMNS = {
-    "spectrum": ("k_t_db", "flag_hardening"),
-    "hardening": ("k_t_db", "flag_hardening", "lambda_1", "predicted_1"),
-    "gain": ("n_r", "k_t_db", "k_r_db", "flag_hardening"),
-    "capacity": ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
-                 "flag_diag"),
-}
 # Spec fields that only some families, methods or presets ("run": those
 # run_experiment runs, not bench_runtime's) read, and the ones a K sweep
 # replaces; a spec that runs none of a field's readers leaves it at its
@@ -596,24 +577,6 @@ _READERS = {"n_r": {"gain", "capacity"}, "k_r_db": {"gain", "capacity"},
             "rmo_max_iters": {"rmo", "rmo-surrogate"},
             "trials": {"run"}, "workers": {"run"}}
 _SWEPT = ("k_t_db", "k_r_db")
-# Method columns in CSV order, each with the methods ("lb": the asymptotic
-# bound) a spec must run for it to be written; the error column follows.
-_METHOD_COLUMNS = {
-    "gain": (("gain_sa", {"sa"}), ("gain_rmo", {"rmo"}),
-             ("lower_bound", {"lb"}), ("alpha_sa", {"sa", "lb"})),
-    "capacity": (("cap_wsa", {"wsa"}), ("cap_diag", {"wsa"}),
-                 ("cap_rmo", {"rmo"}),
-                 ("cap_rmo_surrogate", {"rmo-surrogate"}),
-                 ("cap_lb", {"wsa", "lb"}), ("offdiag_ratio", {"wsa"}),
-                 ("iterations_used", {"wsa"})),
-}
-# Method columns the aggregate does not average (each other one shown gets
-# a mean_<col>), and the row columns each derived aggregate column reads
-_NOT_AVERAGED = {"lower_bound", "alpha_sa", "iterations_used"}
-_DERIVED_READS = {"nmse": {"lambda_1", "predicted_1"}, "lower_bound": {"lower_bound"},
-                  "ratio_db_sa_lb": {"gain_sa", "lower_bound"},
-                  "gap_db_sa_rmo": {"gain_sa", "gain_rmo"},
-                  "nmse_diag": {"cap_wsa", "cap_diag"}}
 
 
 # --- per-trial work ----------------------------------------------------
@@ -649,7 +612,7 @@ def _trial_methods(spec, point, trial, rng):
            "flag_diag": _flag_diag(point["n_ris"], spec.n_t, spec.n_r),
            "lower_bound": link.gain_bound, "error": ""}
     timings = {}
-    for name, method in _METHODS[_preset(spec.preset)["family"]].items():
+    for name, method in _family(spec).methods.items():
         if name not in spec.methods:
             continue
         try:
@@ -662,21 +625,21 @@ def _trial_methods(spec, point, trial, rng):
     return row, timings
 
 
-def _columns(spec: ExperimentSpec, family: str) -> tuple:
-    cols = ["point", "trial", "n_ris", "n_t", *_COLUMNS[family]]
-    if family == "spectrum":
+def _family(spec: ExperimentSpec) -> _Family:
+    return _FAMILIES[_preset(spec.preset)["family"]]
+
+
+def _columns(spec: ExperimentSpec) -> tuple:
+    family = _family(spec)
+    cols = ["point", "trial", "n_ris", "n_t", *family.columns]
+    if family.aggregate is _agg_spectrum:    # it reads every eigenvalue
         cols += [f"eig_{i:02d}" for i in range(1, spec.n_t + 1)]
-    if family in _METHOD_COLUMNS:
-        cols += [name for name, needs in _METHOD_COLUMNS[family]
-                 if needs <= set(spec.methods)]
-        cols.append("error")
-    return tuple(cols)
+    cols += [col for col, needs, _ in family.optional
+             if set(needs) <= set(spec.methods)]
+    return tuple(cols + ["error"] if family.methods else cols)
 
 
 # --- aggregation (recomputable from rows) -------------------------------
-# Each family's function returns one entry per point (per point and index
-# for the spectrum); every entry has the same keys, in aggregate-CSV
-# column order.
 
 def _point_rows(rows, point_index):
     return [r for r in rows if r["point"] == point_index]
@@ -709,56 +672,102 @@ def _present(rows, key):
     return [r[key] for r in rows if r.get(key) is not None]
 
 
-def _agg_points(spec, points, rows, *, head, derive, means=()):
-    """Per point: the head columns of its first row, mean_<col> over the
-    rows that hold col for each col of means and each shown method column
-    outside _NOT_AVERAGED, then each column derive(rows, entry) gives whose
-    _DERIVED_READS the row CSV all shows."""
-    family = _preset(spec.preset)["family"]
-    shown = set(_columns(spec, family))
-    means = (*means, *(col for col, _ in _METHOD_COLUMNS.get(family, ())
-                       if col in shown and col not in _NOT_AVERAGED))
+def _agg_points(spec, points, rows):
+    """Per point: head from its first row, mean_<col> of each averaged col
+    shown (over the rows holding it), then each derived col it can read."""
+    family = _family(spec)
+    shown = set(_columns(spec))
+    means = [col for col, _, averaged in family.optional
+             if averaged and col in shown]
     out = []
     for pi in range(len(points)):
         sub = _point_rows(rows, pi)
-        entry = {"point": pi, **{col: sub[0][col] for col in head}}
+        entry = {"point": pi, **{col: sub[0][col] for col in family.head}}
         for col in means:
             vals = _present(sub, col)
             entry[f"mean_{col}"] = float(np.mean(vals)) if vals else None
-        entry.update((col, value) for col, value in derive(sub, entry).items()
-                     if _DERIVED_READS[col] <= shown)
+        entry.update([(col, fn(sub, entry)) for col, reads, fn in family.derived
+                      if set(reads) <= shown])
         out.append(entry)
     return out
 
 
-def _derive_hardening(sub, entry):
+def _nmse_lambda_1(sub, entry):
     lam = _present(sub, "lambda_1")
-    return {"nmse": nmse(lam, np.full(len(lam), entry["predicted_1"]))}
+    return nmse(lam, np.full(len(lam), entry["predicted_1"]))
 
 
-def _derive_gain(sub, entry):
-    sa, rmo = entry.get("mean_gain_sa"), entry.get("mean_gain_rmo")
-    lb = sub[0].get("lower_bound")
-    return {"lower_bound": lb,
-            "ratio_db_sa_lb": (10.0 * math.log10(sa / lb)
-                               if sa and lb and lb > 0 else None),
-            "gap_db_sa_rmo": 10.0 * math.log10(sa / rmo) if sa and rmo else None}
+def _ratio_db_sa_lb(sub, entry):
+    sa, lb = entry["mean_gain_sa"], sub[0]["lower_bound"]
+    return 10.0 * math.log10(sa / lb) if sa and lb and lb > 0 else None
 
 
-def _derive_capacity(sub, entry):
+def _gap_db_sa_rmo(sub, entry):
+    sa, rmo = entry["mean_gain_sa"], entry["mean_gain_rmo"]
+    return 10.0 * math.log10(sa / rmo) if sa and rmo else None
+
+
+def _nmse_diag(sub, entry):
     exact, diag = _present(sub, "cap_wsa"), _present(sub, "cap_diag")
-    return {"nmse_diag": (nmse(diag, exact)
-                          if exact and len(exact) == len(diag) else None)}
+    return nmse(diag, exact) if exact and len(exact) == len(diag) else None
 
 
-_AGG_FNS = {
-    "spectrum": _agg_spectrum,
-    "hardening": partial(_agg_points, head=("n_ris", "k_t_db", "predicted_1"),
-                         means=("lambda_1",), derive=_derive_hardening),
-    "gain": partial(_agg_points, head=("n_ris", "k_t_db", "k_r_db"),
-                    derive=_derive_gain),
-    "capacity": partial(_agg_points, head=("n_ris", "k_t_db", "k_r_db", "snr_db"),
-                        derive=_derive_capacity),
+@dataclass(frozen=True)
+class _Family:
+    """What a family of trials runs (methods, in order), shows and
+    aggregates.  An opt-in (column, needs, averaged) is shown when the spec
+    requests all its needs, which a spec may name besides the methods.
+    aggregate reads the shown rows; its entries all have the same keys."""
+
+    trial: Callable
+    columns: tuple
+    methods: dict = field(default_factory=dict)
+    optional: tuple = ()
+    head: tuple = ()
+    derived: tuple = ()
+    aggregate: Callable = _agg_points
+
+
+# "lb" is the asymptotic gain bound, which every gain or capacity row holds
+_FAMILIES = {
+    "spectrum": _Family(_trial_side, ("k_t_db", "flag_hardening"),
+                        aggregate=_agg_spectrum),
+    "hardening": _Family(
+        _trial_side, ("k_t_db", "flag_hardening"),
+        optional=(("lambda_1", (), True), ("predicted_1", (), False)),
+        head=("n_ris", "k_t_db", "predicted_1"),
+        derived=(("nmse", ("lambda_1", "predicted_1"), _nmse_lambda_1),)),
+    "gain": _Family(
+        _trial_methods, ("n_r", "k_t_db", "k_r_db", "flag_hardening"),
+        methods={"sa": _Method(lambda link: configure_gain_los(link.los_t,
+                                                               link.los_r),
+                               _score_sa, (3, 5)),
+                 "rmo": _rmo("gain", "gain_rmo")},
+        optional=(("gain_sa", ("sa",), True), ("gain_rmo", ("rmo",), True),
+                  ("lower_bound", ("lb",), False),
+                  ("alpha_sa", ("sa", "lb"), False)),
+        head=("n_ris", "k_t_db", "k_r_db"),
+        derived=(("lower_bound", ("lower_bound",),
+                  lambda sub, entry: sub[0]["lower_bound"]),
+                 ("ratio_db_sa_lb", ("gain_sa", "lower_bound"), _ratio_db_sa_lb),
+                 ("gap_db_sa_rmo", ("gain_sa", "gain_rmo"), _gap_db_sa_rmo))),
+    "capacity": _Family(
+        _trial_methods, ("n_r", "k_t_db", "k_r_db", "snr_db", "flag_hardening",
+                         "flag_diag"),
+        methods={"wsa": _Method(lambda link: configure_wsa(*link.bundles,
+                                                           link.snr),
+                                _score_wsa, (3, 5)),
+                 "rmo": _rmo("capacity_exact", "cap_rmo"),
+                 "rmo-surrogate": _rmo("capacity_surrogate",
+                                       "cap_rmo_surrogate")},
+        optional=(("cap_wsa", ("wsa",), True), ("cap_diag", ("wsa",), True),
+                  ("cap_rmo", ("rmo",), True),
+                  ("cap_rmo_surrogate", ("rmo-surrogate",), True),
+                  ("cap_lb", ("wsa", "lb"), True),
+                  ("offdiag_ratio", ("wsa",), True),
+                  ("iterations_used", ("wsa",), False)),
+        head=("n_ris", "k_t_db", "k_r_db", "snr_db"),
+        derived=(("nmse_diag", ("cap_wsa", "cap_diag"), _nmse_diag),)),
 }
 
 
@@ -778,14 +787,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     _hold_heap()
     if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
-    family = _preset(spec.preset)["family"]
+    family = _family(spec)
     points = _grid(spec)
-    trial_fn = _trial_methods if family in _METHODS else _trial_side
     tasks = [(pi, t) for pi in range(len(points)) for t in range(spec.trials)]
 
     def one(task):
         pi, t = task
-        row, timing = trial_fn(spec, points[pi], t, _trial_rng(spec, pi, t))
+        row, timing = family.trial(spec, points[pi], t, _trial_rng(spec, pi, t))
         row["point"] = pi
         return row, timing
 
@@ -800,9 +808,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     rows = [row for row, _ in done]
     timings = [timing for _, timing in done]
     # aggregate what the row CSV shows, so it can be recomputed from it
-    columns = _columns(spec, family)
+    columns = _columns(spec)
     shown = [{col: row[col] for col in columns if col in row} for row in rows]
-    aggregates = _AGG_FNS[family](spec, points, shown)
+    aggregates = family.aggregate(spec, points, shown)
     return ExperimentResult(spec=spec, columns=columns,
                             rows=rows, agg_columns=tuple(aggregates[0]),
                             aggregates=aggregates, timings=timings,
@@ -834,8 +842,8 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
 
     One seeded instance per grid point; at least 3 warmups then the
     median and mean of 5 timed samples per one-shot method (1 and 3 for
-    RMO).  The spec's methods are timed in _METHODS order, as a trial
-    runs them.  A sample times configure(link), as a trial does; sa's
+    RMO).  The spec's methods are timed in its family's order, as a
+    trial runs them.  A sample times configure(link), as a trial does; sa's
     step reads the steering vectors that sampling cached on the link's
     LoS specs.  The warmups of the first of wsa and rmo-surrogate make
     the link's SVDs, so the samples of both exclude them (CSI
@@ -845,7 +853,7 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     _hold_heap()
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
-    methods = _METHODS[_preset(spec.preset)["family"]]
+    methods = _family(spec).methods
     rows = []
     for pi, point in enumerate(_grid(spec)):
         link = _Link(spec, point, _trial_rng(spec, pi, 0))

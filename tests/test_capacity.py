@@ -418,6 +418,25 @@ def test_configure_capacity_refuses_a_plan_for_other_bundles(n_ris, streams,
         configure_capacity(bundle_r, bundle_t, counts)
 
 
+@pytest.mark.parametrize("counts", [
+    np.array([100, -20]),           # sums to 80: stream 0 took every element
+    np.array([40.5, 39.5]),         # a TypeError from slicing
+    [40.0, 40.0],
+    np.array([True, True]),
+], ids=["negative", "fractional", "float-list", "bool"])
+def test_configure_capacity_refuses_counts_that_are_not_counts(counts):
+    rng = np.random.default_rng(12)
+    bundle_r = svd_bundle(complex_gaussian(rng, (2, 80)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (80, 2)))
+    with pytest.raises(ValueError, match=r"^counts must be non-negative "
+                       r"integers; got \["):
+        configure_capacity(bundle_r, bundle_t, counts)
+    # a list of integers is read as round_allocation's int64 counts
+    assert np.array_equal(configure_capacity(bundle_r, bundle_t, [50, 30]),
+                          configure_capacity(bundle_r, bundle_t,
+                                             np.array([50, 30], np.int64)))
+
+
 def test_capacity_lower_bound_dispatch():
     rng = np.random.default_rng(8)
     h_t = complex_gaussian(rng, (50, 4))

@@ -290,8 +290,10 @@ def test_spec_refuses_methods_of_another_family(preset, methods):
 def test_every_shipped_preset_is_accepted():
     for name in harness.preset_names(""):
         spec = preset_spec(name, n_ris_list=(32,))
-        family = harness._preset(name)["family"]
-        assert set(spec.methods) <= {*harness._METHODS.get(family, ()), "lb"}
+        record = harness._FAMILIES[harness._preset(name)["family"]]
+        known = {*record.methods,
+                 *(n for _, needs, _ in record.optional for n in needs)}
+        assert set(spec.methods) <= known
     # a directly built spectrum spec requests no method
     assert ExperimentSpec(preset="custom-spectrum", n_ris_list=(32,),
                           n_t=4).methods == ()
@@ -335,6 +337,37 @@ def test_a_directly_built_spec_refuses_a_scale_that_is_not_a_number(scale):
             f"scale must be a number; got {scale!r}")):
         ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
                        methods=("wsa", "lb"), scale=scale)
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param(name, value, id=f"{name}-{label}")
+    for name in ("snr_db", "k_t_db", "k_r_db", "k_sweep_db")
+    for label, value in (("bool", True), ("numpy-bool", np.bool_(True)),
+                         ("string", "10"), ("none", None))
+    if (name, value) != ("k_r_db", None)])     # None: k_r_db follows k_t_db
+def test_a_directly_built_spec_refuses_a_db_value_that_is_not_a_number(name,
+                                                                      value):
+    # snr_db=True used to run and write 1, and snr_db="10" ended in a
+    # TypeError inside run_experiment
+    if name == "k_sweep_db":
+        value, message = (0.0, value), "k_sweep_db entries must be numbers"
+    else:
+        message = f"{name} must be a number"
+    shown = list(value) if name == "k_sweep_db" else value
+    with pytest.raises(ValueError, match=re.escape(f"{message}; got {shown!r}")):
+        ExperimentSpec(preset="custom-capacity", n_ris_list=(64,), n_t=4,
+                       methods=("wsa", "lb"), **{name: value})
+
+
+def test_a_spec_keeps_each_db_value_as_given():
+    # an int is not turned into a float (k_t_db=10 writes 10), and a NaN
+    # snr_db is taken: its trials record their errors
+    spec = ExperimentSpec(preset="custom-capacity", n_ris_list=(16,), n_t=4,
+                          methods=("wsa",), trials=1, k_t_db=10,
+                          snr_db=math.nan)
+    assert (type(spec.k_t_db), type(spec.k_r_db)) == (int, int)
+    row = run_experiment(spec).to_csv().splitlines()[1].split(",")
+    assert row[5:7] == ["10", "10"] and row[7] == "nan"
 
 
 @pytest.mark.parametrize("scale", [np.float64(0.5), np.float32(0.5),
@@ -623,20 +656,20 @@ def test_method_columns_in_csv_order():
 
 def test_a_new_method_column_reaches_only_the_aggregates_that_show_it(
         monkeypatch):
-    # a method column added to the registry leaves the aggregates of every
-    # spec that does not request its method as they were
+    # a method and its column added to a family's record leave the
+    # aggregates of every spec that does not request the method as they were
     grids = {name: preset_spec(preset, **kwargs)
              for name, (preset, kwargs) in PINNED_RUNS.items()
-             if harness._preset(preset)["family"] in harness._METHODS}
+             if harness._FAMILIES[harness._preset(preset)["family"]].methods}
     assert len(grids) == 11
     before = {name: run_experiment(spec) for name, spec in grids.items()}
     for family, column in (("gain", "gain_probe"), ("capacity", "cap_probe")):
         probe = harness._Method(lambda link: None,
                                 lambda link, cfg, column=column: {column: 2.0})
-        monkeypatch.setitem(harness._METHODS, family,
-                            {**harness._METHODS[family], "probe": probe})
-        monkeypatch.setitem(harness._METHOD_COLUMNS, family,
-                            (*harness._METHOD_COLUMNS[family], (column, {"probe"})))
+        record = harness._FAMILIES[family]
+        monkeypatch.setitem(harness._FAMILIES, family, dataclasses.replace(
+            record, methods={**record.methods, "probe": probe},
+            optional=(*record.optional, (column, ("probe",), True))))
     for name, spec in grids.items():
         after = run_experiment(spec)
         assert after.to_csv() == before[name].to_csv(), name
@@ -649,6 +682,29 @@ def test_a_new_method_column_reaches_only_the_aggregates_that_show_it(
     cap = run_experiment(preset_spec("custom-capacity", n_ris_list=(16,),
                                      trials=2, methods=("probe",)))
     assert cap.agg_columns[-1] == "mean_cap_probe"
+
+
+def test_an_opt_in_column_on_hardening_reaches_no_pinned_byte(monkeypatch):
+    # an opt-in column behind a name no preset requests, on a family with
+    # no methods: fig1c's default spec, which requests none, is still
+    # accepted and writes the bytes it wrote before
+    spec = preset_spec("fig1c", **PINNED_RUNS["fig1c"][1])
+    before = run_experiment(spec)
+    record = harness._FAMILIES["hardening"]
+    monkeypatch.setitem(harness._FAMILIES, "hardening", dataclasses.replace(
+        record, optional=(*record.optional, ("eig_02", ("probe",), True))))
+    after = run_experiment(preset_spec("fig1c", **PINNED_RUNS["fig1c"][1]))
+    assert after.to_csv() == before.to_csv()
+    assert after.to_aggregate_csv() == before.to_aggregate_csv()
+    probed = run_experiment(dataclasses.replace(spec, methods=("probe",)))
+    assert probed.columns == before.columns + ("eig_02",)
+    assert probed.agg_columns == ("point", "n_ris", "k_t_db", "predicted_1",
+                                  "mean_lambda_1", "mean_eig_02", "nmse")
+    eig_02 = [row["eig_02"] for row in probed.rows if row["point"] == 0]
+    assert probed.aggregates[0]["mean_eig_02"] == float(np.mean(eig_02))
+    with pytest.raises(ValueError, match=r"^methods \['lb'\] are not hardening "
+                       r"methods; known: \['probe'\]$"):
+        dataclasses.replace(spec, methods=("lb",))
 
 
 def test_each_requested_method_runs_once_per_trial(monkeypatch):
@@ -794,7 +850,7 @@ def test_bench_runtime_times_the_configure_step_of_sa(monkeypatch):
         return real(los_t, los_r)
     monkeypatch.setattr(harness, "configure_gain_los", counted)
     spec = preset_spec("runtime-gain", n_ris_list=(64,), methods=("sa",))
-    warmups, samples = harness._METHODS["gain"]["sa"].repeats
+    warmups, samples = harness._FAMILIES["gain"].methods["sa"].repeats
     row = bench_runtime(spec).rows[0]
     assert row["sa_median_s"] > 0
     # the warmups, one calibration call, then at least one call per sample
@@ -818,8 +874,9 @@ def test_bench_runtime_rows():
 def test_bench_runtime_names_a_ratio_from_the_column_name(monkeypatch):
     # a hyphenated method used to give a column named ratio_rmo_over_sa-fp
     probe = harness._Method(lambda link: None, lambda link, cfg: {})
-    monkeypatch.setitem(harness._METHODS, "gain",
-                        {**harness._METHODS["gain"], "sa-fp": probe})
+    record = harness._FAMILIES["gain"]
+    monkeypatch.setitem(harness._FAMILIES, "gain", dataclasses.replace(
+        record, methods={**record.methods, "sa-fp": probe}))
     spec = preset_spec("runtime-gain", n_ris_list=(16,), rmo_max_iters=2,
                        methods=("sa", "rmo", "sa-fp"))
     row = bench_runtime(spec).rows[0]
@@ -835,7 +892,8 @@ def test_bench_runtime_times_the_methods_in_registry_order(preset):
     family = harness._preset(preset)["family"]
     timed = [col.removesuffix("_median_s")
              for col in bench_runtime(spec).columns if col.endswith("_median_s")]
-    assert timed == [name.replace("-", "_") for name in harness._METHODS[family]]
+    assert timed == [name.replace("-", "_")
+                     for name in harness._FAMILIES[family].methods]
 
 
 @pytest.mark.parametrize("preset, methods", [
