@@ -57,12 +57,25 @@ class CapacityReport:
     offdiag_ratio: float
 
 
-def _check_snr(snr: float) -> None:
-    """Refuse a linear snr that is not positive (NaN included) or not finite."""
-    if not snr > 0:
-        raise ValueError("snr must be positive (linear)")
+def _check_snr(snr: float | None) -> None:
+    """The package's one check of a linear snr, for every function that
+    reads one: refuse None, NaN, zero or a negative value as not positive,
+    and +inf as not finite (it makes inf gains and NaN gradients)."""
+    if snr is None or not snr > 0:
+        raise ValueError(f"snr must be positive; got {snr!r}")
     if math.isinf(snr):
         raise ValueError(f"snr must be finite; got {snr!r}")
+
+
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """The package's one check of an integer with a minimum: value as an
+    int, refused unless it is a Python or numpy integer (not a bool) of at
+    least minimum."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}; "
+                         f"got {value!r}")
+    return int(value)
 
 
 def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
@@ -74,7 +87,7 @@ def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
         raise ValueError("non-finite channel")
     _check_snr(snr)
     s = np.linalg.svd(h, compute_uv=False)
-    return float(np.sum(np.log1p((snr / h.shape[1]) * s ** 2)) / _LN2)
+    return stream_bits(snr / h.shape[1], s ** 2)
 
 
 def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarray:
@@ -111,10 +124,11 @@ def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray
     return cols, w
 
 
-def stream_bits(rho_w: np.ndarray, q: np.ndarray) -> float:
-    """sum_i log2(1 + rho_w_i * q_i): the diagonal surrogate from the
-    scaled stream weights rho * w_i and the stream powers q_i = |z_i|^2
-    of the projections z = cols.T @ phi."""
+def stream_bits(rho_w, q: np.ndarray) -> float:
+    """sum_i log2(1 + rho_w_i * q_i), the package's one log-sum: the exact
+    capacity from rho = snr/n_t and the squared singular values, the
+    diagonal surrogate from rho * w_i and the stream powers |z_i|^2, the
+    lower bound and SCA's objective from the stream gains and fractions."""
     return float(np.log1p(rho_w * q).sum() / _LN2)
 
 
@@ -151,11 +165,6 @@ def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
     return 1.0 / s
 
 
-def _is_count(value) -> bool:
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan:
     """Per-stream fraction allocation by SCA generalized waterfilling.
 
@@ -181,14 +190,10 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan
     """
     d_r = np.asarray(singvals_r, dtype=float)
     d_t = np.asarray(singvals_t, dtype=float)
-    if not snr > 0:
-        raise ValueError(f"snr must be positive; got {snr!r}")
-    if math.isinf(snr):            # inf gains make the proportional start NaN
-        raise ValueError(f"snr must be finite; got {snr!r}")
+    _check_snr(snr)
     if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
         raise ValueError("singular values must be finite")
-    if not _is_count(n_t) or n_t < 1:
-        raise ValueError(f"n_t must be an integer >= 1; got {n_t!r}")
+    _check_count("n_t", n_t)
     nmin = min(d_r.size, d_t.size)
     if nmin < 1:
         raise ValueError("need at least one stream")
@@ -240,11 +245,7 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float = 1e-6,
         return None
     p = p / root_sum ** 2
 
-    # ndarray.sum is np.sum's reduction without its dispatch cost
-    def objective(q):
-        return float(np.log1p(a * q).sum() / _LN2)
-
-    trace = [objective(p)]
+    trace = [stream_bits(a, p)]
     converged = False
     iters = 0
     for _ in range(max_iters):
@@ -261,7 +262,7 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float = 1e-6,
             return None
         p_next /= root_sum ** 2
         iters += 1
-        trace.append(objective(p_next))
+        trace.append(stream_bits(a, p_next))
         delta = trace[-1] - trace[-2]
         p = p_next
         if abs(delta) < epsilon:
@@ -290,8 +291,7 @@ def round_allocation(fractions, n_ris: int) -> np.ndarray:
     (ties to the lower stream index); zero-fraction streams get zero
     elements.  The fractions p_i must keep allocate_sca's budget.
     """
-    if not _is_count(n_ris) or n_ris < 1:
-        raise ValueError(f"n_ris must be an integer >= 1; got {n_ris!r}")
+    _check_count("n_ris", n_ris)
     p = _checked_fractions(fractions)
     targets = np.sqrt(p) * n_ris
     counts = np.floor(targets).astype(np.int64)
@@ -363,8 +363,7 @@ def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
     streams = min(sq_r.size, sq_t.size)
     if p.size > streams:
         raise ValueError(f"{p.size} fractions for {streams} streams")
-    terms = 0.25 * (snr / n_t) * sq_r[:p.size] * sq_t[:p.size] * p
-    return float(np.sum(np.log1p(terms)) / _LN2)
+    return stream_bits(0.25 * (snr / n_t) * sq_r[:p.size] * sq_t[:p.size], p)
 
 
 def offdiag_ratio(h_eff: np.ndarray) -> float:

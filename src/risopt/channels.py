@@ -65,6 +65,14 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def _los_weight(k_factor: float) -> float:
+    """The LoS share K/(K+1) of a linear K-factor, 1 at +inf; the
+    package's one check of a K-factor refuses NaN and a negative K."""
+    if math.isnan(k_factor) or k_factor < 0:
+        raise ValueError(f"k_factor must be non-negative; got {k_factor!r}")
+    return 1.0 if math.isinf(k_factor) else k_factor / (k_factor + 1.0)
+
+
 def sample_ricean(k_factor: float, los: LosSpec,
                   rng: np.random.Generator) -> np.ndarray:
     """Draw one Ricean channel realization, an n_ris x n_array matrix,
@@ -76,8 +84,7 @@ def sample_ricean(k_factor: float, los: LosSpec,
     be >= 0; +inf returns the pure deterministic matrix with no Gaussian
     draw (identical rng state consumption is not preserved in that case).
     """
-    if math.isnan(k_factor) or k_factor < 0:
-        raise ValueError("k_factor must be non-negative")
+    w_los = _los_weight(k_factor)
     los_mat = los.los_matrix()
     if math.isinf(k_factor):
         return los_mat
@@ -90,7 +97,7 @@ def sample_ricean(k_factor: float, los: LosSpec,
     # part (the zero adds only a signed zero); so scaling the real draw
     # by the same constants, in the same order, and adding its two parts
     # into the LoS matrix gives the bits of the complex expression.
-    los_mat *= math.sqrt(k_factor / (k_factor + 1.0))
+    los_mat *= math.sqrt(w_los)
     draw = rng.standard_normal((2, *los_mat.shape))
     draw *= _INV_SQRT2
     draw *= math.sqrt(1.0 / (k_factor + 1.0))

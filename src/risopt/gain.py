@@ -9,12 +9,10 @@ conj(a_ris_rx) * a_ris_tx configures the RIS with statistical CSI only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .alignment import sign_align
-from .channels import LosSpec
+from .channels import LosSpec, _los_weight
 
 
 def channel_gain(h_tilde: np.ndarray) -> float:
@@ -44,14 +42,8 @@ def gain_lower_bound(n_ris: int, n_t: int, n_r: int,
                      k_t: float, k_r: float) -> float:
     """Asymptotic lower bound 0.25 * K-weights * n_ris^2 * n_t * n_r.
 
-    k_t and k_r are linear K-factors; each contributes K/(1+K), with
+    k_t and k_r are linear K-factors; each contributes K/(K+1), with
     +inf giving weight 1.  Rayleigh on either side makes the bound 0.
     """
-    def w(k: float) -> float:
-        if math.isinf(k):
-            return 1.0
-        if math.isnan(k) or k < 0:
-            raise ValueError("k factors must be non-negative")
-        return k / (1.0 + k)
-
-    return 0.25 * w(k_t) * w(k_r) * float(n_ris) ** 2 * n_t * n_r
+    return (0.25 * _los_weight(k_t) * _los_weight(k_r) * float(n_ris) ** 2
+            * n_t * n_r)

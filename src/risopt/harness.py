@@ -22,8 +22,8 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .capacity import _is_count, capacity_exact, configure_wsa, wsa_report
-from .channels import LosSpec, cascaded_channel, sample_ricean
+from .capacity import _check_count, capacity_exact, configure_wsa, wsa_report
+from .channels import LosSpec, _los_weight, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, near_square_geometry
 from .manifold import RmoSettings, quantize_1bit, rmo_optimize
@@ -59,20 +59,22 @@ class ExperimentSpec:
     k_t_db/k_r_db set the per-side K-factors (not NaN; finite for spectrum
     and hardening), k_r_db following k_t_db unless given, as n_r follows
     n_t; a given k_sweep_db is swept on both sides instead.  These, snr_db
-    and scale are numbers (numpy's too, not bools).  methods are distinct
+    and scale are numbers (numpy's too, not bools).  n_ris_list, methods
+    and a given k_sweep_db are tuples or lists.  methods are distinct
     names the family's _FAMILIES record knows (its methods, then "lb"),
     each writing a shown column (a timing on runtime presets); spectrum
     and hardening know none.  A field none of whose _READERS run, or that
     a K sweep replaces, keeps its preset's value.  Sizes, counts and the
-    seed are integers (numpy integers too, not bools).  workers is capped
-    at the trial and CPU counts.  scale, finite and > 0, is stored as a
+    seed are integers (numpy integers too, not bools) of at least their
+    _COUNTS minimum, 1 for each n_ris_list entry.  workers is capped at
+    the trial and CPU counts.  scale, finite and > 0, is stored as a
     float; it records the factor preset_spec applied to the size grid.
     """
 
     preset: str
     n_ris_list: tuple
     n_t: int
-    n_r: int = 0          # 0 means "same as n_t"
+    n_r: int | None = None        # None means "same as n_t"
     k_t_db: float = 0.0
     k_r_db: float | None = None   # None means "same as k_t_db"
     k_sweep_db: tuple | None = None
@@ -86,8 +88,9 @@ class ExperimentSpec:
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
-        if self.k_r_db is None:
-            object.__setattr__(self, "k_r_db", self.k_t_db)
+        for name, leader in (("n_r", "n_t"), ("k_r_db", "k_t_db")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, getattr(self, leader))
         for name in ("scale", "k_t_db", "k_r_db", "snr_db"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number; "
@@ -95,33 +98,22 @@ class ExperimentSpec:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError(f"scale must be finite and > 0; got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))   # the sidecar is JSON
-        for name in ("n_t", "n_r", "trials", "seed", "workers", "rmo_max_iters"):
+        # ints, and tuples of them, because the sidecar is JSON
+        for name, minimum in _COUNTS.items():
+            value = _check_count(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
+        for name in ("n_ris_list", "methods", "k_sweep_db"):
             value = getattr(self, name)
-            if not _is_count(value):
-                raise ValueError(f"{name} must be an integer; got {value!r}")
-            object.__setattr__(self, name, int(value))   # the sidecar is JSON
-        if not all(map(_is_count, self.n_ris_list)):
-            raise ValueError(f"n_ris_list entries must be integers; "
-                             f"got {list(self.n_ris_list)}")
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be >= 1; got {self.n_t}")
-        if self.n_r < 0:
-            raise ValueError(f"n_r must be >= 0 (0: same as n_t); got {self.n_r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0; got {self.seed}")
-        if self.n_r == 0:
-            object.__setattr__(self, "n_r", self.n_t)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.rmo_max_iters < 1:
-            raise ValueError("rmo_max_iters must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            if not (isinstance(value, (tuple, list))
+                    or name == "k_sweep_db" and value is None):
+                raise ValueError(f"{name} must be a tuple or list; "
+                                 f"got {value!r}")
         if not self.n_ris_list:
             raise ValueError("n_ris_list must be nonempty")
-        if min(self.n_ris_list) < 1:
-            raise ValueError(f"n_ris_list entries must be >= 1; "
-                             f"got {list(self.n_ris_list)}")
+        object.__setattr__(self, "n_ris_list", tuple(
+            _check_count(f"n_ris_list[{i}]", n)
+            for i, n in enumerate(self.n_ris_list)))
+        object.__setattr__(self, "methods", tuple(self.methods))
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
         for name in ("k_t_db", "k_r_db"):
@@ -167,12 +159,9 @@ class ExperimentSpec:
                 raise ValueError(f"k_sweep_db entries must be finite for "
                                  f"{family} preset {self.preset!r}; "
                                  f"got {list(self.k_sweep_db)}")
-        object.__setattr__(self, "n_ris_list",
-                           tuple(int(n) for n in self.n_ris_list))
         if self.k_sweep_db is not None:
             object.__setattr__(self, "k_sweep_db",
                                tuple(float(k) for k in self.k_sweep_db))
-        object.__setattr__(self, "methods", tuple(self.methods))
 
     def _check_methods(self, family: str) -> None:
         """Refuse a name the family does not know, a repeated one, and one
@@ -387,11 +376,12 @@ def _random_angles(rng: np.random.Generator) -> AnglePair:
 
 
 def _sample_side(rng: np.random.Generator, n_ris: int, n_array: int,
-                 k_db: float) -> tuple[LosSpec, np.ndarray]:
-    """One side's LoS spec, drawn first, and its n_ris x n_array channel."""
+                 k_lin: float) -> tuple[LosSpec, np.ndarray]:
+    """One side's LoS spec, drawn first, and its n_ris x n_array channel
+    at the linear K-factor k_lin."""
     los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
                   _random_angles(rng), _random_angles(rng))
-    return los, sample_ricean(db2lin(k_db), los, rng)
+    return los, sample_ricean(k_lin, los, rng)
 
 
 def _flag_hardening(sides) -> int:
@@ -503,11 +493,10 @@ class _Link:
     def __init__(self, spec: ExperimentSpec, point: dict,
                  rng: np.random.Generator):
         self.spec = spec
-        self.los_t, self.t = _sample_side(rng, point["n_ris"], spec.n_t,
-                                          point["k_t_db"])
-        self.los_r, h_r = _sample_side(rng, point["n_ris"], spec.n_r,
-                                       point["k_r_db"])
         self.k_t, self.k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
+        self.los_t, self.t = _sample_side(rng, point["n_ris"], spec.n_t,
+                                          self.k_t)
+        self.los_r, h_r = _sample_side(rng, point["n_ris"], spec.n_r, self.k_r)
         self.a = h_r.conj().T
         self.snr = db2lin(point["snr_db"])
 
@@ -577,6 +566,9 @@ _READERS = {"n_r": {"gain", "capacity"}, "k_r_db": {"gain", "capacity"},
             "rmo_max_iters": {"rmo", "rmo-surrogate"},
             "trials": {"run"}, "workers": {"run"}}
 _SWEPT = ("k_t_db", "k_r_db")
+# the integer fields of a spec and the least value each takes
+_COUNTS = {"n_t": 1, "n_r": 1, "trials": 1, "seed": 0, "workers": 1,
+           "rmo_max_iters": 1}
 
 
 # --- per-trial work ----------------------------------------------------
@@ -587,12 +579,12 @@ def _trial_side(spec, point, trial, rng):
     asymptotic prediction; _columns decides which of them the CSVs show."""
     n_ris, k_db = point["n_ris"], point["k_t_db"]
     k_lin = db2lin(k_db)
-    _, h = _sample_side(rng, n_ris, spec.n_t, k_db)
+    _, h = _sample_side(rng, n_ris, spec.n_t, k_lin)
     eig = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
     row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
            "flag_hardening": _flag_hardening([(k_lin, spec.n_t)]),
            "lambda_1": float(eig[0]),
-           "predicted_1": k_lin / (k_lin + 1.0) * n_ris * spec.n_t}
+           "predicted_1": _los_weight(k_lin) * n_ris * spec.n_t}
     row.update((f"eig_{i:02d}", float(val)) for i, val in enumerate(eig, start=1))
     return row, {}
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _is_count, stream_bits, stream_columns
+from .capacity import (_LN2, _check_count, _check_snr, stream_bits,
+                       stream_columns)
 from .spectral import svd_bundle
-
-_LN2 = math.log(2.0)
 
 OBJECTIVES = ("gain", "capacity_exact", "capacity_surrogate")
 
@@ -36,9 +35,7 @@ class RmoSettings:
     def __post_init__(self) -> None:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
-        if not _is_count(self.max_iters) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1; "
-                             f"got {self.max_iters!r}")
+        _check_count("max_iters", self.max_iters)
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,9 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
 
     The capacity objectives scale by snr / n_t, n_t the column count of
-    h_t (n_ris x n_t), and refuse an snr that is not positive and
-    finite.  The surrogate reads its stream columns from bundles, the
-    SVDs of (h_r_herm, h_t), and makes them itself if None.
+    h_t (n_ris x n_t), and refuse an snr through capacity._check_snr.  The
+    surrogate reads its stream columns from bundles, the SVDs of
+    (h_r_herm, h_t), and makes them itself if None.
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or for the surrogate the stream projections
@@ -90,10 +87,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
         return evaluate, grad
 
-    if snr is None or not snr > 0:
-        raise ValueError("capacity objectives need a positive linear snr")
-    if math.isinf(snr):            # inf values, NaN gradients
-        raise ValueError(f"snr must be finite; got {snr!r}")
+    _check_snr(snr)
     rho = snr / t.shape[1]
 
     if objective == "capacity_exact":
@@ -102,7 +96,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
         def evaluate(phi):
             g_mat = a @ (phi[:, None] * t)
             s = np.linalg.svd(g_mat, compute_uv=False)
-            return float(np.sum(np.log1p(rho * s ** 2)) / _LN2), g_mat
+            return stream_bits(rho, s ** 2), g_mat
 
         def grad(phi, g_mat):
             m = eye + rho * (g_mat @ g_mat.conj().T)

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _los_weight
+
 
 @dataclass(frozen=True)
 class SvdBundle:
@@ -91,16 +93,13 @@ def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> Asymptotic
     has not separated from the bulk, so entry 1 reports the bulk edge
     value instead and the result is flagged bulk_regime.
     """
-    if math.isnan(k_factor) or k_factor < 0:
-        raise ValueError("k_factor must be non-negative")
+    spike = _los_weight(k_factor) * n_ris * n_array
     roots = laguerre_top_roots(n_ris, n_array)
     scale = 2.0 * math.sqrt(n_ris * n_array)
     if math.isinf(k_factor):
         bulk = np.zeros(n_array)
-        spike = float(n_ris * n_array)
     else:
         bulk = (n_ris + scale * roots) / (k_factor + 1.0)
-        spike = k_factor / (k_factor + 1.0) * n_ris * n_array
     pred = np.empty(n_array)
     bulk_regime = k_factor < 1.0 / n_array
     # entry i (i >= 2) uses the (i-1)-th largest mapped root

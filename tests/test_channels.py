@@ -188,8 +188,8 @@ def test_hermitian_orientation():
     point = harness._grid(spec)[0]
     link = harness._Link(spec, point, np.random.default_rng(3))
     rng = np.random.default_rng(3)
-    los_t, h_t = harness._sample_side(rng, 16, 4, 3.0)
-    los_r, h_r = harness._sample_side(rng, 16, 2, -2.0)
+    los_t, h_t = harness._sample_side(rng, 16, 4, db2lin(3.0))
+    los_r, h_r = harness._sample_side(rng, 16, 2, db2lin(-2.0))
     assert link.t.shape == (16, 4) and link.a.shape == (2, 16)
     assert np.array_equal(link.t, h_t)
     assert np.array_equal(link.a, h_r.conj().T)

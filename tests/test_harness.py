@@ -16,6 +16,7 @@ import risopt.geometry as geometry
 import risopt.harness as harness
 import risopt.spectral as spectral
 from risopt.capacity import run_wsa
+from risopt.spectral import asymptotic_spectrum
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
                             db2lin, nmse, preset_spec, run_experiment)
 
@@ -49,15 +50,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         tiny_capacity_spec(trials=0)
     for iters in (0, -3):
-        with pytest.raises(ValueError, match="^rmo_max_iters must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^rmo_max_iters must be an "
+                           f"integer >= 1; got {iters}$"):
             tiny_capacity_spec(rmo_max_iters=iters)
     with pytest.raises(ValueError):
         tiny_capacity_spec(n_ris_list=())
-    for sizes in ((0,), (64, -1)):
-        with pytest.raises(ValueError, match="^n_ris_list entries must be >= 1"):
+    for sizes, name in (((0,), r"n_ris_list\[0\]"),
+                        ((64, -1), r"n_ris_list\[1\]")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1; "
+                           f"got {sizes[-1]}$"):
             tiny_capacity_spec(n_ris_list=sizes)
     for workers in (0, -3):
-        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+        with pytest.raises(ValueError, match=f"^workers must be an integer "
+                           f">= 1; got {workers}$"):
             tiny_capacity_spec(workers=workers)
     with pytest.raises(ValueError):
         tiny_capacity_spec(methods=("gradient-descent",))
@@ -65,9 +70,9 @@ def test_spec_validation():
         tiny_capacity_spec(k_sweep_db=())
     # sizes and seeds no trial can use, each named
     for field, value, message in (
-            ("n_t", 0, "^n_t must be >= 1; got 0$"),
-            ("n_r", -2, r"^n_r must be >= 0 \(0: same as n_t\); got -2$"),
-            ("seed", -1, "^seed must be >= 0; got -1$")):
+            ("n_t", 0, "^n_t must be an integer >= 1; got 0$"),
+            ("n_r", 0, "^n_r must be an integer >= 1; got 0$"),
+            ("seed", -1, "^seed must be an integer >= 0; got -1$")):
         with pytest.raises(ValueError, match=message):
             tiny_capacity_spec(**{field: value})
     # the spectrum prediction needs n_ris >= n_t
@@ -80,18 +85,18 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("n_t", 2.5, "^n_t must be an integer; got 2.5$"),      # TypeError in numpy
-    ("n_t", True, "^n_t must be an integer; got True$"),
-    ("n_r", 4.0, "^n_r must be an integer; got 4.0$"),
-    ("trials", 2.5, "^trials must be an integer; got 2.5$"),  # TypeError
-    ("seed", 1.5, "^seed must be an integer; got 1.5$"),      # TypeError
-    ("workers", 1.5, "^workers must be an integer; got 1.5$"),  # accepted
+    ("n_t", 2.5, "^n_t must be an integer >= 1; got 2.5$"),  # TypeError in numpy
+    ("n_t", True, "^n_t must be an integer >= 1; got True$"),
+    ("n_r", 4.0, "^n_r must be an integer >= 1; got 4.0$"),
+    ("trials", 2.5, "^trials must be an integer >= 1; got 2.5$"),  # TypeError
+    ("seed", 1.5, "^seed must be an integer >= 0; got 1.5$"),      # TypeError
+    ("workers", 1.5, "^workers must be an integer >= 1; got 1.5$"),  # accepted
     ("rmo_max_iters", 2.5,                    # every RMO row an error
-     "^rmo_max_iters must be an integer; got 2.5$"),
+     "^rmo_max_iters must be an integer >= 1; got 2.5$"),
     ("n_ris_list", (64.7,),                   # ran 64
-     r"^n_ris_list entries must be integers; got \[64.7\]$"),
+     r"^n_ris_list\[0\] must be an integer >= 1; got 64.7$"),
     ("n_ris_list", (64, False),
-     r"^n_ris_list entries must be integers; got \[64, False\]$"),
+     r"^n_ris_list\[1\] must be an integer >= 1; got False$"),
 ], ids=["n_t-fraction", "n_t-bool", "n_r-float", "trials", "seed", "workers",
         "rmo_max_iters", "n_ris-fraction", "n_ris-bool"])
 def test_spec_refuses_sizes_and_counts_that_are_not_integers(field, value,
@@ -299,6 +304,34 @@ def test_every_shipped_preset_is_accepted():
                           n_t=4).methods == ()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_ris_list", 64),        # TypeError: 'int' object is not iterable
+    ("k_sweep_db", 5.0),       # TypeError
+    ("methods", None),         # TypeError
+    ("methods", "lb"),         # read as the two names 'l' and 'b'
+], ids=["n_ris_list-int", "k_sweep_db-float", "methods-none", "methods-str"])
+def test_a_sequence_field_that_is_not_a_tuple_or_list_is_refused(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a tuple or list; "
+                       f"got {re.escape(repr(value))}$"):
+        ExperimentSpec(**{**dict(preset="custom-gain", n_ris_list=(64,), n_t=4,
+                                 methods=("sa",)), field: value})
+
+
+def test_predicted_1_is_the_spike_of_asymptotic_spectrum_bit_for_bit():
+    # both read channels._los_weight; fig1c's shipped grid, one trial
+    spec = preset_spec("fig1c", trials=1)
+    rows = run_experiment(spec).rows
+    compared = 0
+    for row in rows:
+        pred = asymptotic_spectrum(row["n_ris"], spec.n_t, db2lin(row["k_t_db"]))
+        if pred.bulk_regime:               # K < 1/n_t: entry 1 is the bulk edge
+            continue
+        assert row["predicted_1"] == pred.predicted_sq_singular_values[0]
+        compared += 1
+    # every K but 0.05, which reads 0.0499... after the round trip through dB
+    assert compared == 5
+
+
 def test_preset_spec_scaling_and_floor():
     spec = preset_spec("fig2a", scale=0.01)
     assert spec.n_ris_list == (5, 20, 82)
@@ -311,7 +344,8 @@ def test_preset_spec_scaling_and_floor():
     with pytest.raises(ValueError):
         preset_spec("fig9z")
     # the floor applies to scaled sizes, not to sizes below 1 or bad scales
-    with pytest.raises(ValueError, match="^n_ris_list entries must be >= 1"):
+    with pytest.raises(ValueError, match=r"^n_ris_list\[0\] must be an "
+                       r"integer >= 1; got -5$"):
         preset_spec("custom-gain", n_ris_list=(-5,))
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="^scale must be finite and > 0"):

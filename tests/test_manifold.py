@@ -152,7 +152,7 @@ def test_capacity_objectives_refuse_a_non_positive_or_nan_snr(objective, snr):
     # an infinite snr used to pass with RuntimeWarnings and a NaN gradient
     a, t, phi = random_instance(0)
     message = ("^snr must be finite; got inf$" if math.isinf(snr)
-               else "positive linear snr")
+               else f"^snr must be positive; got {snr!r}$")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=message):

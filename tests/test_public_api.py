@@ -1,10 +1,12 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every top-level name has one home.
 
 A top-level public function or class of `src/risopt/*.py`, and every name
 in `risopt.__all__`, must be read somewhere in the package (other than
 `__init__.py`, which only re-exports), in a demo or in the benchmark,
 beyond its own definition.  Reference code that only the tests run
-belongs in `tests/oracles.py`.
+belongs in `tests/oracles.py`.  A module that needs a name another
+module defines imports it rather than defining it again.
 """
 
 import ast
@@ -58,3 +60,28 @@ def test_every_public_name_is_read_outside_the_tests():
     unread = sorted(wanted - read)
     print("public names with no reader outside the tests:", unread)
     assert not unread, unread
+
+
+def top_level_definitions(tree: ast.Module) -> set:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                             ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_no_top_level_name_is_defined_twice():
+    homes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name in top_level_definitions(tree):
+            homes.setdefault(name, []).append(path.name)
+    twice = {name: files for name, files in homes.items() if len(files) > 1}
+    assert not twice, twice

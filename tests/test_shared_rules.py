@@ -1,0 +1,124 @@
+"""Each rule the package applies in several places gives one answer.
+
+An SNR, a K-factor and an integer count are each checked by one function
+(capacity._check_snr, channels._los_weight, capacity._check_count), so
+every reader refuses the same values with the same text.
+"""
+
+import math
+import warnings
+
+import numpy as np
+
+from risopt.capacity import (allocate_sca, capacity_diag_approx,
+                             capacity_exact, capacity_lower_bound,
+                             round_allocation)
+from risopt.channels import LosSpec, complex_gaussian, sample_ricean
+from risopt.gain import gain_lower_bound
+from risopt.geometry import AnglePair, near_square_geometry
+from risopt.harness import ExperimentSpec
+from risopt.manifold import RmoSettings, euclidean_gradient, rmo_optimize
+from risopt.spectral import asymptotic_spectrum, svd_bundle
+
+
+def refusals(readers: dict, values, message) -> list:
+    """(reader, value, what it did) for each reader whose refusal of a
+    value is not a ValueError with message(value); RuntimeWarnings are
+    errors, so a refusal must come before numpy computes anything."""
+    wrong = []
+    for name, read in readers.items():
+        for value in values:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    read(value)
+                except ValueError as exc:
+                    if str(exc) == message(value):
+                        continue
+                    wrong.append((name, value, str(exc)))
+                except Exception as exc:       # a refusal of another type
+                    wrong.append((name, value, repr(exc)))
+                else:
+                    wrong.append((name, value, "accepted"))
+    return wrong
+
+
+def test_every_snr_reader_refuses_with_one_text():
+    rng = np.random.default_rng(13)
+    a = complex_gaussian(rng, (4, 64))
+    t = complex_gaussian(rng, (64, 4))
+    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
+    d = bundle_t.singular_values
+    phi = np.ones(64)
+    readers = {
+        "capacity_exact": lambda snr: capacity_exact(a @ t, snr),
+        "capacity_diag_approx": lambda snr: capacity_diag_approx(
+            bundle_r, bundle_t, phi, snr),
+        "capacity_lower_bound": lambda snr: capacity_lower_bound(
+            np.full(4, 1.0 / 16.0), bundle_r, bundle_t, snr),
+        "allocate_sca": lambda snr: allocate_sca(d, d, snr, 4),
+    }
+    for objective in ("capacity_exact", "capacity_surrogate"):
+        readers[f"euclidean_gradient-{objective}"] = (
+            lambda snr, o=objective: euclidean_gradient(o, a, t, phi, snr))
+        readers[f"rmo_optimize-{objective}"] = (
+            lambda snr, o=objective: rmo_optimize(
+                a, t, RmoSettings(objective=o, max_iters=3), snr=snr))
+
+    def message(snr):
+        if snr == math.inf:
+            return "snr must be finite; got inf"
+        return f"snr must be positive; got {snr!r}"
+
+    assert refusals(readers, (math.nan, 0.0, -1.0, -math.inf, math.inf, None),
+                    message) == []
+
+
+def test_every_k_factor_reader_refuses_with_one_text():
+    los = LosSpec(near_square_geometry(16), near_square_geometry(4),
+                  AnglePair(0.3, 1.1), AnglePair(-0.7, 0.4))
+    readers = {
+        "sample_ricean": lambda k: sample_ricean(
+            k, los, np.random.default_rng(0)),
+        "asymptotic_spectrum": lambda k: asymptotic_spectrum(64, 4, k),
+        "gain_lower_bound-k_t": lambda k: gain_lower_bound(64, 4, 4, k, 1.0),
+        "gain_lower_bound-k_r": lambda k: gain_lower_bound(64, 4, 4, 1.0, k),
+    }
+    assert refusals(readers, (math.nan, -1.0, -math.inf),
+                    lambda k: f"k_factor must be non-negative; got {k!r}") == []
+    # the LoS share is 1 at K = +inf on every reader
+    assert gain_lower_bound(64, 4, 2, math.inf, math.inf) == 0.25 * 64 ** 2 * 8
+    assert asymptotic_spectrum(64, 4, math.inf).predicted_sq_singular_values[0] \
+        == 64 * 4
+    assert np.array_equal(sample_ricean(math.inf, los, None), los.los_matrix())
+
+
+def spec_reader(field):
+    base = dict(preset="custom-capacity", n_ris_list=(64,), n_t=4,
+                methods=("wsa", "rmo"))
+
+    def read(value):
+        if field == "n_ris_list":
+            value = (value,)
+        return ExperimentSpec(**{**base, field: value})
+    return read
+
+
+def test_every_count_reader_refuses_with_one_text():
+    readers = {  # name in the message -> (reader, least value)
+        "n_t": (lambda v: allocate_sca([2.0, 1.0], [2.0, 1.0], 10.0, v), 1),
+        "n_ris": (lambda v: round_allocation([0.25, 0.25], v), 1),
+        "max_iters": (lambda v: RmoSettings(max_iters=v), 1),
+        **{f"spec.{field}": (spec_reader(field), minimum)
+           for field, minimum in (("n_t", 1), ("n_r", 1), ("trials", 1),
+                                  ("workers", 1), ("rmo_max_iters", 1),
+                                  ("seed", 0), ("n_ris_list", 1))},
+    }
+    wrong = []
+    for name, (read, minimum) in readers.items():
+        field = name.removeprefix("spec.")
+        shown = "n_ris_list[0]" if field == "n_ris_list" else field
+        wrong += refusals(
+            {name: read}, (minimum - 1, 2.5, True),
+            lambda v: f"{shown} must be an integer >= {minimum}; got {v!r}")
+    assert wrong == []
