@@ -21,7 +21,8 @@ import numpy as np
 
 from .alignment import sign_align
 from .channels import cascaded_channel
-from .spectral import AsymptoticSpectrum, SvdBundle, svd_bundle
+from .geometry import _check_count
+from .spectral import SvdBundle, svd_bundle
 
 _LN2 = math.log(2.0)
 
@@ -65,17 +66,6 @@ def _check_snr(snr: float | None) -> None:
         raise ValueError(f"snr must be positive; got {snr!r}")
     if math.isinf(snr):
         raise ValueError(f"snr must be finite; got {snr!r}")
-
-
-def _check_count(name: str, value, minimum: int = 1) -> int:
-    """The package's one check of an integer with a minimum: value as an
-    int, refused unless it is a Python or numpy integer (not a bool) of at
-    least minimum."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}; "
-                         f"got {value!r}")
-    return int(value)
 
 
 def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
@@ -165,6 +155,19 @@ def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
     return 1.0 / s
 
 
+def _stream_inputs(singvals_r, singvals_t, snr: float, n_t: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """allocate_sca's and capacity_lower_bound's checks of their shared
+    inputs; returns the singular values as float arrays."""
+    _check_snr(snr)
+    d_r = np.asarray(singvals_r, dtype=float)
+    d_t = np.asarray(singvals_t, dtype=float)
+    if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
+        raise ValueError("singular values must be finite")
+    _check_count("n_t", n_t)
+    return d_r, d_t
+
+
 def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan:
     """Per-stream fraction allocation by SCA generalized waterfilling.
 
@@ -188,12 +191,7 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan
 
     n_t, an integer, is an argument because singular values do not fix it.
     """
-    d_r = np.asarray(singvals_r, dtype=float)
-    d_t = np.asarray(singvals_t, dtype=float)
-    _check_snr(snr)
-    if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
-        raise ValueError("singular values must be finite")
-    _check_count("n_t", n_t)
+    d_r, d_t = _stream_inputs(singvals_r, singvals_t, snr, n_t)
     nmin = min(d_r.size, d_t.size)
     if nmin < 1:
         raise ValueError("need at least one stream")
@@ -337,33 +335,23 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
     return states
 
 
-def capacity_lower_bound(fractions, side_r, side_t, snr: float) -> float:
+def capacity_lower_bound(fractions, singvals_r, singvals_t, snr: float,
+                         n_t: int) -> float:
     """Deterministic bound sum_i log2(1 + 0.25*snr/n_t * d_R,i^2 d_T,i^2 p_i).
 
-    side_r / side_t are either SvdBundle (instantaneous squared singular
-    values) or AsymptoticSpectrum (statistical mode, no instantaneous
-    CSI needed); n_t is the array size of side_t.  snr is linear,
-    positive and finite; the fractions keep allocate_sca's budget, on no
-    more streams than the sides have.
+    It reads allocate_sca's inputs: the descending singular values of the
+    two channels, the instantaneous ones of an SvdBundle or the square
+    roots of an AsymptoticSpectrum's predicted values (statistical CSI),
+    a linear snr, positive and finite, and the integer n_t.  The fractions
+    keep allocate_sca's budget, on no more streams than the singular
+    values have.
     """
-    _check_snr(snr)
-
-    def squared(side):
-        if isinstance(side, AsymptoticSpectrum):
-            return side.predicted_sq_singular_values
-        if isinstance(side, SvdBundle):
-            return side.singular_values ** 2
-        raise TypeError("side must be SvdBundle or AsymptoticSpectrum")
-
-    sq_r = squared(side_r)
-    sq_t = squared(side_t)
-    n_t = side_t.dims[1] if isinstance(side_t, AsymptoticSpectrum) \
-        else side_t.right_h.shape[1]
+    d_r, d_t = _stream_inputs(singvals_r, singvals_t, snr, n_t)
     p = _checked_fractions(fractions)
-    streams = min(sq_r.size, sq_t.size)
-    if p.size > streams:
-        raise ValueError(f"{p.size} fractions for {streams} streams")
-    return stream_bits(0.25 * (snr / n_t) * sq_r[:p.size] * sq_t[:p.size], p)
+    k, streams = p.size, min(d_r.size, d_t.size)
+    if k > streams:
+        raise ValueError(f"{k} fractions for {streams} streams")
+    return stream_bits(0.25 * (snr / n_t) * d_r[:k] ** 2 * d_t[:k] ** 2, p)
 
 
 def offdiag_ratio(h_eff: np.ndarray) -> float:
@@ -376,55 +364,48 @@ def offdiag_ratio(h_eff: np.ndarray) -> float:
     return (total - diag) / total
 
 
-def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float, *,
-                  spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
+def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float
                   ) -> tuple[np.ndarray, AllocationPlan]:
-    """W-SA configuration from the two channel SVDs: allocate fractions,
-    round them to element counts, and align each stream; returns the
-    +/-1 configuration and the plan allocate_sca made.
+    """W-SA configuration from the two channel SVDs: allocate fractions on
+    their singular values, round them to element counts, and align each
+    stream; returns the +/-1 configuration and the plan allocate_sca made.
 
-    The fractions come from the singular values, or, when spectra (the
-    receive and transmit AsymptoticSpectrum) are given, from the
-    predicted ones: the paper's statistical-CSI W-SA, whose allocation
-    needs only the K-factors and array sizes.
+    Statistical-CSI W-SA runs the same steps on other singular values:
+    allocate_sca on the square roots of each side's asymptotic_spectrum,
+    then round_allocation and configure_capacity on the bundles.
     """
-    if spectra is not None:
-        sv_r, sv_t = (np.sqrt(side.predicted_sq_singular_values) for side in spectra)
-    else:
-        sv_r, sv_t = bundle_r.singular_values, bundle_t.singular_values
-    plan = allocate_sca(sv_r, sv_t, snr, bundle_t.right_h.shape[1])
+    plan = allocate_sca(bundle_r.singular_values, bundle_t.singular_values,
+                        snr, bundle_t.right_h.shape[1])
     counts = round_allocation(plan.fractions, bundle_t.left.shape[0])
     return configure_capacity(bundle_r, bundle_t, counts), plan
 
 
 def wsa_report(h_r_herm: np.ndarray, h_t: np.ndarray, bundle_r: SvdBundle,
                bundle_t: SvdBundle, phi: np.ndarray, plan: AllocationPlan,
-               snr: float, *, spectra: tuple | None = None) -> CapacityReport:
+               snr: float) -> CapacityReport:
     """The capacity metrics of W-SA's phi and plan on the channel pair with
-    SVDs bundle_r and bundle_t; the lower bound reads spectra when given."""
-    side_r, side_t = spectra if spectra is not None else (bundle_r, bundle_t)
+    SVDs bundle_r and bundle_t."""
     cap = capacity_exact(cascaded_channel(h_r_herm, phi, h_t), snr)
     cap_diag = capacity_diag_approx(bundle_r, bundle_t, phi, snr)
-    cap_lb = capacity_lower_bound(plan.fractions, side_r, side_t, snr)
+    cap_lb = capacity_lower_bound(plan.fractions, bundle_r.singular_values,
+                                  bundle_t.singular_values, snr,
+                                  bundle_t.right_h.shape[1])
     ratio = offdiag_ratio(effective_channel(bundle_r, phi, bundle_t))
     return CapacityReport(phi, cap, cap_diag, cap_lb, ratio)
 
 
-def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float, *,
-            spectra: tuple[AsymptoticSpectrum, AsymptoticSpectrum] | None = None
+def run_wsa(h_r_herm: np.ndarray, h_t: np.ndarray, snr: float
             ) -> tuple[CapacityReport, AllocationPlan]:
-    """Full waterfilling-SA pipeline on one channel pair.
+    """Full waterfilling-SA pipeline on one channel pair (instantaneous CSI).
 
     SVD both channels, configure them with configure_wsa, and score the
     configuration with wsa_report; n_t is the column count of h_t
-    (n_ris x n_t).  With spectra the allocation and the lower bound use
-    the asymptotic spectra (statistical CSI).  Returns the report plus
-    the plan; round_allocation(plan.fractions, n_ris) gives its counts.
+    (n_ris x n_t).  Returns the report plus the plan;
+    round_allocation(plan.fractions, n_ris) gives its counts.
     """
     h_r_herm = np.asarray(h_r_herm, dtype=complex)
     h_t = np.asarray(h_t, dtype=complex)
     bundle_r = svd_bundle(h_r_herm)
     bundle_t = svd_bundle(h_t)
-    phi, plan = configure_wsa(bundle_r, bundle_t, snr, spectra=spectra)
-    return wsa_report(h_r_herm, h_t, bundle_r, bundle_t, phi, plan, snr,
-                      spectra=spectra), plan
+    phi, plan = configure_wsa(bundle_r, bundle_t, snr)
+    return wsa_report(h_r_herm, h_t, bundle_r, bundle_t, phi, plan, snr), plan

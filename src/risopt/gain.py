@@ -13,6 +13,7 @@ import numpy as np
 
 from .alignment import sign_align
 from .channels import LosSpec, _los_weight
+from .geometry import _check_count
 
 
 def channel_gain(h_tilde: np.ndarray) -> float:
@@ -44,6 +45,9 @@ def gain_lower_bound(n_ris: int, n_t: int, n_r: int,
 
     k_t and k_r are linear K-factors; each contributes K/(K+1), with
     +inf giving weight 1.  Rayleigh on either side makes the bound 0.
+    n_ris, n_t and n_r are integer sizes.
     """
+    for name, size in (("n_ris", n_ris), ("n_t", n_t), ("n_r", n_r)):
+        _check_count(name, size)
     return (0.25 * _los_weight(k_t) * _los_weight(k_r) * float(n_ris) ** 2
             * n_t * n_r)

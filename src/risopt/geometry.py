@@ -10,6 +10,18 @@ import numpy as np
 _HALF_WAVELENGTH = 0.5    # element pitch of every panel, in wavelengths
 
 
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """The package's one check of an integer with a minimum: value as an
+    int, refused unless it is a Python or numpy integer (not a bool) of at
+    least minimum.  It lives here, in the module every other one imports,
+    so that each reader of a size or count can call it."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}; "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class UpaGeometry:
     """Rectangular antenna panel.
@@ -26,8 +38,8 @@ class UpaGeometry:
     n_vertical: int
 
     def __post_init__(self) -> None:
-        if self.n_horizontal < 1 or self.n_vertical < 1:
-            raise ValueError("element counts must be positive")
+        _check_count("n_horizontal", self.n_horizontal)
+        _check_count("n_vertical", self.n_vertical)
 
     @property
     def size(self) -> int:
@@ -79,8 +91,7 @@ def upa_steering(geometry: UpaGeometry, angles: AnglePair) -> np.ndarray:
 
 def near_square_geometry(n: int) -> UpaGeometry:
     """Most-square factorization of n elements, n_horizontal <= n_vertical."""
-    if n < 1:
-        raise ValueError("element count must be positive")
+    _check_count("n", n)
     n_h = int(math.isqrt(n))
     while n % n_h:
         n_h -= 1

@@ -22,10 +22,10 @@ from functools import cache, cached_property, partial
 
 import numpy as np
 
-from .capacity import _check_count, capacity_exact, configure_wsa, wsa_report
+from .capacity import capacity_exact, configure_wsa, wsa_report
 from .channels import LosSpec, _los_weight, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
-from .geometry import AnglePair, near_square_geometry
+from .geometry import AnglePair, _check_count, near_square_geometry
 from .manifold import RmoSettings, quantize_1bit, rmo_optimize
 from .spectral import asymptotic_spectrum, svd_bundle
 

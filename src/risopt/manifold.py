@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (_LN2, _check_count, _check_snr, stream_bits,
-                       stream_columns)
+from .capacity import _LN2, _check_snr, stream_bits, stream_columns
+from .geometry import _check_count
 from .spectral import svd_bundle
 
 OBJECTIVES = ("gain", "capacity_exact", "capacity_surrogate")
@@ -45,7 +45,6 @@ class RmoResult:
     phi: np.ndarray
     objective_trace: np.ndarray
     iterations: int
-    converged: bool
     final_grad_norm: float
     stop_reason: str
 
@@ -159,9 +158,10 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     directional derivative along xi is ||xi||^2), and a trial must also
     raise the objective strictly, so every accepted step raises it.  The
     first trial step is sized so the largest element moves by one
-    radian, later ones start at twice the last accepted step.  Stops on
-    gradient norm below _GRADIENT_TOLERANCE (converged), on max_iters, or
-    with stop_reason "line_search" when 60 halvings fail or a trial fails
+    radian, later ones start at twice the last accepted step.  Stops with
+    stop_reason "gradient_tolerance" (converged) on a gradient norm below
+    _GRADIENT_TOLERANCE, "max_iters" after max_iters steps, or
+    "line_search" when 60 halvings fail or a trial fails
     once the target f + 1e-4*mu*||xi||^2 rounds to f itself: the
     required increase is then below the resolution of f, and shorter
     steps cannot be told apart from rounding.
@@ -196,7 +196,6 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     trace = [f]
     last_step = None
     iterations = 0
-    converged = False
     stop_reason = "max_iters"
     grad_norm = math.inf
     for _ in range(settings.max_iters):
@@ -208,7 +207,6 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
             _check_finite(g, f" at iteration {iterations}")
         grad_norm = math.sqrt(sq_norm)
         if grad_norm < _GRADIENT_TOLERANCE:
-            converged = True
             stop_reason = "gradient_tolerance"
             break
         if last_step is None:
@@ -241,8 +239,8 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
         phi, f, state = cand, f_new, cand_state
         trace.append(f)
         iterations += 1
-    return RmoResult(phi, np.asarray(trace), iterations, converged,
-                     grad_norm, stop_reason)
+    return RmoResult(phi, np.asarray(trace), iterations, grad_norm,
+                     stop_reason)
 
 
 def quantize_1bit(phi_continuous) -> np.ndarray:

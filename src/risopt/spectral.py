@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _los_weight
+from .geometry import _check_count
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,12 @@ class AsymptoticSpectrum:
 
     bulk_regime flags a K-factor below 1/n_array, where the spike formula
     for entry 1 is not trusted and the bulk value is reported instead.
+    Their square roots are the singular values of statistical-CSI W-SA:
+    allocate_sca and capacity_lower_bound read them as they read an
+    SvdBundle's.
     """
 
     predicted_sq_singular_values: np.ndarray
-    dims: tuple[int, int]
     bulk_regime: bool
 
 
@@ -67,8 +70,8 @@ def laguerre_top_roots(n_big: int, n_small: int) -> np.ndarray:
     Laguerre polynomial with parameter n_small - n_big.  The remaining
     n_big - n_small roots sit degenerate at y = 0 and are dropped.
     """
-    if n_small < 1:
-        raise ValueError("n_small must be at least 1")
+    _check_count("n_big", n_big)
+    _check_count("n_small", n_small)
     if n_small > n_big:
         raise ValueError("n_small must not exceed n_big")
     # Via L_n^{-m}(y) = (-y)^m ((n-m)!/n!) L_{n-m}^{m}(y), m = n_big - n_small,
@@ -93,6 +96,8 @@ def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> Asymptotic
     has not separated from the bulk, so entry 1 reports the bulk edge
     value instead and the result is flagged bulk_regime.
     """
+    _check_count("n_ris", n_ris)
+    _check_count("n_array", n_array)
     spike = _los_weight(k_factor) * n_ris * n_array
     roots = laguerre_top_roots(n_ris, n_array)
     scale = 2.0 * math.sqrt(n_ris * n_array)
@@ -106,4 +111,4 @@ def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> Asymptotic
     if n_array > 1:
         pred[1:] = bulk[::-1][: n_array - 1]
     pred[0] = bulk[-1] if bulk_regime else spike
-    return AsymptoticSpectrum(pred, (int(n_ris), int(n_array)), bulk_regime)
+    return AsymptoticSpectrum(pred, bulk_regime)

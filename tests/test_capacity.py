@@ -57,7 +57,8 @@ def test_capacity_exact_against_logdet():
 ], ids=["inf", "nan", "zero", "negative"])
 @pytest.mark.parametrize("evaluate", [
     lambda r, t, snr: capacity_diag_approx(r, t, np.ones(64), snr),
-    lambda r, t, snr: capacity_lower_bound(np.full(4, 1.0 / 16.0), r, t, snr),
+    lambda r, t, snr: capacity_lower_bound(
+        np.full(4, 1.0 / 16.0), r.singular_values, t.singular_values, snr, 4),
 ], ids=["capacity_diag_approx", "capacity_lower_bound"])
 def test_capacity_bounds_refuse_the_snr_capacity_exact_refuses(evaluate, snr,
                                                                message):
@@ -194,6 +195,9 @@ def test_allocation_refuses_non_finite_singular_values_and_no_antenna(
         d_r, d_t, n_t, message):
     with pytest.raises(ValueError, match=message):
         allocate_sca(d_r, d_t, 10.0, n_t)
+    # the lower bound reads the same inputs and refuses them alike
+    with pytest.raises(ValueError, match=message):
+        capacity_lower_bound([0.25, 0.25], d_r, d_t, 10.0, n_t)
     # numpy integers are sizes too
     assert allocate_sca([2.0, 1.0], [2.0, 1.0], 10.0, np.int64(2)).converged
 
@@ -437,19 +441,24 @@ def test_configure_capacity_refuses_counts_that_are_not_counts(counts):
                                              np.array([50, 30], np.int64)))
 
 
-def test_capacity_lower_bound_dispatch():
+def test_capacity_lower_bound_on_the_plan_values_is_the_sca_objective():
+    # the bound reads allocate_sca's inputs, so on the singular values a
+    # plan was made from it is SCA's final objective: the instantaneous
+    # values of instantaneous CSI and the predicted ones of statistical CSI,
+    # at SNRs where the plan is near the equal split, waterfills over two
+    # or three streams, and keeps one
     rng = np.random.default_rng(8)
-    h_t = complex_gaussian(rng, (50, 4))
-    h_r_herm = complex_gaussian(rng, (4, 50))
-    fr = np.full(4, 1.0 / 16.0)
-    via_svd = capacity_lower_bound(fr, svd_bundle(h_r_herm), svd_bundle(h_t),
-                                   10.0)
-    assert via_svd > 0
-    spec = asymptotic_spectrum(50, 4, 1.0)
-    via_spec = capacity_lower_bound(fr, spec, spec, 10.0)
-    assert via_spec > 0
-    with pytest.raises(TypeError):
-        capacity_lower_bound(fr, h_t, h_t, 10.0)
+    predicted = np.sqrt(asymptotic_spectrum(50, 4, 1.0)
+                        .predicted_sq_singular_values)
+    for snr in (10.0, 0.3, 0.03):
+        h_t = complex_gaussian(rng, (50, 4))
+        h_r_herm = complex_gaussian(rng, (4, 50))
+        instantaneous = (svd_bundle(h_r_herm).singular_values,
+                         svd_bundle(h_t).singular_values)
+        for d_r, d_t in (instantaneous, (predicted, predicted)):
+            plan = allocate_sca(d_r, d_t, snr, 4)
+            assert capacity_lower_bound(plan.fractions, d_r, d_t, snr, 4) \
+                == pytest.approx(plan.objective_trace[-1], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("fractions, message", [
@@ -463,13 +472,15 @@ def test_capacity_lower_bound_refuses_fractions_off_the_budget(fractions,
     rng = np.random.default_rng(13)
     bundle_r = svd_bundle(complex_gaussian(rng, (4, 64)))
     bundle_t = svd_bundle(complex_gaussian(rng, (64, 4)))
-    spec = asymptotic_spectrum(64, 4, 1.0)
-    for side_r, side_t in ((bundle_r, bundle_t), (spec, spec)):
+    predicted = np.sqrt(asymptotic_spectrum(64, 4, 1.0)
+                        .predicted_sq_singular_values)
+    instantaneous = (bundle_r.singular_values, bundle_t.singular_values)
+    for d_r, d_t in (instantaneous, (predicted, predicted)):
         with pytest.raises(ValueError, match=message):
-            capacity_lower_bound(fractions, side_r, side_t, 10.0)
+            capacity_lower_bound(fractions, d_r, d_t, 10.0, 4)
     # the snr is checked first, so its message is the one a bad snr gives
     with pytest.raises(ValueError, match="^snr must be positive; got nan$"):
-        capacity_lower_bound(fractions, bundle_r, bundle_t, math.nan)
+        capacity_lower_bound(fractions, *instantaneous, math.nan, 4)
 
 
 def test_offdiag_ratio_limits():
@@ -508,11 +519,18 @@ def test_run_wsa_statistical_mode_and_continuous():
     rng = np.random.default_rng(32)
     h_t = sample_ricean(2.0, los_t, rng)
     h_r = sample_ricean(2.0, los_r, rng)
-    spec = asymptotic_spectrum(n_s, n, 2.0)
-    report, plan = run_wsa(h_r.conj().T, h_t, snr=10.0,
-                           spectra=(spec, spec))
+    # statistical-CSI W-SA: the public steps on the predicted singular
+    # values, aligned on the instantaneous bundles
+    d = np.sqrt(asymptotic_spectrum(n_s, n, 2.0).predicted_sq_singular_values)
+    bundle_r, bundle_t = svd_bundle(h_r.conj().T), svd_bundle(h_t)
+    plan = allocate_sca(d, d, 10.0, n)
     # round_allocation refuses fractions off allocate_sca's budget
-    assert round_allocation(plan.fractions, n_s).sum() == n_s
+    counts = round_allocation(plan.fractions, n_s)
+    assert counts.sum() == n_s
+    phi = configure_capacity(bundle_r, bundle_t, counts)
+    assert np.all(np.abs(phi) == 1.0)
+    assert capacity_exact(cascaded_channel(h_r.conj().T, phi, h_t), 10.0) > 0
+    assert capacity_lower_bound(plan.fractions, d, d, 10.0, n) > 0
 
 
 def test_every_configuration_step_returns_a_plus_minus_one_float_array():

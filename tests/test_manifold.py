@@ -132,7 +132,7 @@ def test_stalled_gain_run_stops_at_the_resolution_of_the_objective(monkeypatch):
     h_r = sample_ricean(1.0, make_los(1024, 16, seed=5), rng)
     settings = RmoSettings(objective="gain")
     res = rmo_optimize(h_r.conj().T, h_t, settings)
-    assert res.stop_reason == "line_search" and not res.converged
+    assert res.stop_reason == "line_search"
     assert res.iterations < settings.max_iters
     # the trials of the last line search follow the last accepted value
     values = [value for value, _ in evaluated]
@@ -246,13 +246,13 @@ def test_optimizer_near_continuous_optimum_on_rank_one():
 
 def test_gradient_tolerance_stop_sets_converged():
     # a zero receive channel makes every gradient exactly zero, so the
-    # first check stops the run as converged, before any step
+    # first check stops the run as converged, before any step: stop_reason
+    # "gradient_tolerance" is how a result says it converged
     _, t, _ = random_instance(5, n_r=3, n_s=12, n_t=3)
     a = np.zeros((3, 12), dtype=complex)
     for objective in ("gain", "capacity_exact"):
         res = rmo_optimize(a, t, RmoSettings(objective=objective), snr=10.0)
         assert res.stop_reason == "gradient_tolerance"
-        assert res.converged
         assert res.iterations == 0 and res.objective_trace.size == 1
         assert res.final_grad_norm == 0.0
         assert np.all(res.phi == 1.0)
@@ -363,7 +363,6 @@ def reference_rmo(a, t, objective, max_iters, snr):
     trace = [f]
     last_step = None
     iterations = 0
-    converged = False
     stop_reason = "max_iters"
     grad_norm = math.inf
     for _ in range(max_iters):
@@ -375,7 +374,6 @@ def reference_rmo(a, t, objective, max_iters, snr):
         sq_norm = float(np.sum(xi.real ** 2 + xi.imag ** 2))
         grad_norm = math.sqrt(sq_norm)
         if grad_norm < 1e-6:
-            converged = True
             stop_reason = "gradient_tolerance"
             break
         if last_step is None:
@@ -401,7 +399,7 @@ def reference_rmo(a, t, objective, max_iters, snr):
         phi, f, state = cand, f_new, cand_state
         trace.append(f)
         iterations += 1
-    return phi, np.asarray(trace), iterations, converged, grad_norm, stop_reason
+    return phi, np.asarray(trace), iterations, grad_norm, stop_reason
 
 
 def ricean_pair(seed, n_s, n_t):
@@ -428,11 +426,11 @@ def test_trajectory_is_the_reference_loop_bit_for_bit(objective):
     reasons = set()
     for a, t in trajectory_instances():
         got = rmo_optimize(a, t, RmoSettings(objective=objective), snr=10.0)
-        phi, trace, iters, converged, grad_norm, stop = reference_rmo(
+        phi, trace, iters, grad_norm, stop = reference_rmo(
             a, t, objective, 500, 10.0)
         assert np.array_equal(bits(got.phi), bits(phi))
         assert np.array_equal(bits(got.objective_trace), bits(trace))
-        assert got.iterations == iters and got.converged == converged
+        assert got.iterations == iters
         assert got.final_grad_norm == grad_norm
         assert got.stop_reason == stop
         reasons.add(stop)

@@ -1,8 +1,12 @@
 """Each rule the package applies in several places gives one answer.
 
 An SNR, a K-factor and an integer count are each checked by one function
-(capacity._check_snr, channels._los_weight, capacity._check_count), so
-every reader refuses the same values with the same text.
+(capacity._check_snr, channels._los_weight, geometry._check_count), so
+every reader refuses the same values with the same text.  The count check
+lives in geometry.py, the module every other one imports, so every size
+reader reaches it: the allocation and the lower bound, the spectrum and
+its Laguerre roots, the gain bound, the panel geometry, the optimizer
+settings and the experiment spec.
 """
 
 import math
@@ -15,10 +19,11 @@ from risopt.capacity import (allocate_sca, capacity_diag_approx,
                              round_allocation)
 from risopt.channels import LosSpec, complex_gaussian, sample_ricean
 from risopt.gain import gain_lower_bound
-from risopt.geometry import AnglePair, near_square_geometry
+from risopt.geometry import AnglePair, UpaGeometry, near_square_geometry
 from risopt.harness import ExperimentSpec
 from risopt.manifold import RmoSettings, euclidean_gradient, rmo_optimize
-from risopt.spectral import asymptotic_spectrum, svd_bundle
+from risopt.spectral import (asymptotic_spectrum, laguerre_top_roots,
+                             svd_bundle)
 
 
 def refusals(readers: dict, values, message) -> list:
@@ -55,7 +60,7 @@ def test_every_snr_reader_refuses_with_one_text():
         "capacity_diag_approx": lambda snr: capacity_diag_approx(
             bundle_r, bundle_t, phi, snr),
         "capacity_lower_bound": lambda snr: capacity_lower_bound(
-            np.full(4, 1.0 / 16.0), bundle_r, bundle_t, snr),
+            np.full(4, 1.0 / 16.0), bundle_r.singular_values, d, snr, 4),
         "allocate_sca": lambda snr: allocate_sca(d, d, snr, 4),
     }
     for objective in ("capacity_exact", "capacity_surrogate"):
@@ -105,10 +110,33 @@ def spec_reader(field):
 
 
 def test_every_count_reader_refuses_with_one_text():
-    readers = {  # name in the message -> (reader, least value)
-        "n_t": (lambda v: allocate_sca([2.0, 1.0], [2.0, 1.0], 10.0, v), 1),
-        "n_ris": (lambda v: round_allocation([0.25, 0.25], v), 1),
-        "max_iters": (lambda v: RmoSettings(max_iters=v), 1),
+    # asymptotic_spectrum(3.5, 2, 1.0), gain_lower_bound(64, True, -4, 1.0,
+    # 1.0) (-1024.0), near_square_geometry(True), UpaGeometry(2.5, 2) and
+    # laguerre_top_roots(10.5, 2) used to be accepted
+    sv = [2.0, 1.0]
+    readers = {  # reader.name in the message -> (reader, least value)
+        "allocate_sca.n_t": (lambda v: allocate_sca(sv, sv, 10.0, v), 1),
+        "capacity_lower_bound.n_t": (lambda v: capacity_lower_bound(
+            [0.25, 0.25], sv, sv, 10.0, v), 1),
+        "round_allocation.n_ris": (
+            lambda v: round_allocation([0.25, 0.25], v), 1),
+        "RmoSettings.max_iters": (lambda v: RmoSettings(max_iters=v), 1),
+        "asymptotic_spectrum.n_ris": (
+            lambda v: asymptotic_spectrum(v, 2, 1.0), 1),
+        "asymptotic_spectrum.n_array": (
+            lambda v: asymptotic_spectrum(64, v, 1.0), 1),
+        "laguerre_top_roots.n_big": (lambda v: laguerre_top_roots(v, 2), 1),
+        "laguerre_top_roots.n_small": (
+            lambda v: laguerre_top_roots(10, v), 1),
+        "gain_lower_bound.n_ris": (
+            lambda v: gain_lower_bound(v, 4, 4, 1.0, 1.0), 1),
+        "gain_lower_bound.n_t": (
+            lambda v: gain_lower_bound(64, v, 4, 1.0, 1.0), 1),
+        "gain_lower_bound.n_r": (
+            lambda v: gain_lower_bound(64, 4, v, 1.0, 1.0), 1),
+        "near_square_geometry.n": (near_square_geometry, 1),
+        "UpaGeometry.n_horizontal": (lambda v: UpaGeometry(v, 2), 1),
+        "UpaGeometry.n_vertical": (lambda v: UpaGeometry(2, v), 1),
         **{f"spec.{field}": (spec_reader(field), minimum)
            for field, minimum in (("n_t", 1), ("n_r", 1), ("trials", 1),
                                   ("workers", 1), ("rmo_max_iters", 1),
@@ -116,7 +144,7 @@ def test_every_count_reader_refuses_with_one_text():
     }
     wrong = []
     for name, (read, minimum) in readers.items():
-        field = name.removeprefix("spec.")
+        field = name.split(".")[1]
         shown = "n_ris_list[0]" if field == "n_ris_list" else field
         wrong += refusals(
             {name: read}, (minimum - 1, 2.5, True),
