@@ -100,16 +100,14 @@ def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray
     """Per-stream targets conj(v_R,i) * u_T,i (as columns) and weights
     d_R,i^2 d_T,i^2, for the min(n_r, n_t) streams.
 
-    conj(v_R,i) is row i of V_R^H.  The product starts from a copy of
-    those rows in the F-ordered layout of their transpose, a temporary
-    that numpy multiplies in place once it reaches 256 KiB (temporary
-    elision): cols is F-ordered from there and C-ordered below.  That
-    layout picks BLAS's kernel for cols.T @ phi and so fixes the bits of
-    the stream projections; the view right_h[:nmin].T alone would give
-    C order at every size.
+    conj(v_R,i) is row i of V_R^H.  cols is an F-ordered copy of those
+    rows' transpose, multiplied in place by the columns of U_T, so it is
+    F-ordered at every size.  The layout picks BLAS's kernel for
+    cols.T @ phi and so fixes the bits of the stream projections.
     """
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right_h[:nmin].T.copy(order="K") * bundle_t.left[:, :nmin]
+    cols = bundle_r.right_h[:nmin].T.copy(order="F")
+    cols *= bundle_t.left[:, :nmin]
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
     return cols, w
 
@@ -155,26 +153,28 @@ def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
     return 1.0 / s
 
 
-def _stream_inputs(singvals_r, singvals_t, snr: float, n_t: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """allocate_sca's and capacity_lower_bound's checks of their shared
-    inputs; returns the singular values as float arrays."""
+def _stream_gains(singvals_r, singvals_t, snr: float, n_t: int) -> np.ndarray:
+    """The stream gains a_i = 0.25 * snr * d_R,i^2 * d_T,i^2 / n_t of the
+    min(len) streams, after the checks of allocate_sca's inputs: the one
+    home of the gains that SCA maximizes over and the bound scores."""
     _check_snr(snr)
     d_r = np.asarray(singvals_r, dtype=float)
     d_t = np.asarray(singvals_t, dtype=float)
     if not (np.isfinite(d_r).all() and np.isfinite(d_t).all()):
         raise ValueError("singular values must be finite")
     _check_count("n_t", n_t)
-    return d_r, d_t
+    nmin = min(d_r.size, d_t.size)
+    return 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
 
 
 def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan:
     """Per-stream fraction allocation by SCA generalized waterfilling.
 
     singvals are the descending singular values of the two channels; the
-    stream gains are a_i = 0.25 * snr * d_R,i^2 * d_T,i^2 / n_t.  The
-    constraint sum(sqrt(p_i)) = 1 is non-convex and both single-stream
-    corners of a two-stream instance are local maxima, so the iteration
+    stream gains a_i = 0.25 * snr * d_R,i^2 * d_T,i^2 / n_t come from
+    _stream_gains, as capacity_lower_bound's do.  The constraint
+    sum(sqrt(p_i)) = 1 is non-convex and both single-stream corners of a
+    two-stream instance are local maxima, so the iteration
     is run from the uniform point, every single-stream corner, and a
     gain-proportional point, in that order, and the best endpoint wins;
     a later start replaces the best so far only with a strictly larger
@@ -191,11 +191,10 @@ def allocate_sca(singvals_r, singvals_t, snr: float, n_t: int) -> AllocationPlan
 
     n_t, an integer, is an argument because singular values do not fix it.
     """
-    d_r, d_t = _stream_inputs(singvals_r, singvals_t, snr, n_t)
-    nmin = min(d_r.size, d_t.size)
+    a = _stream_gains(singvals_r, singvals_t, snr, n_t)
+    nmin = a.size
     if nmin < 1:
         raise ValueError("need at least one stream")
-    a = 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
     if not np.any(a > 0):
         raise ValueError("no stream has positive gain")
 
@@ -238,10 +237,7 @@ def _sca_from(a: np.ndarray, p0: np.ndarray, epsilon: float = 1e-6,
     None when it is left with no active stream."""
     p = p0.copy()
     p[a <= 0] = 0.0                       # dead streams never get elements
-    root_sum = np.sqrt(p).sum()
-    if root_sum == 0.0:
-        return None
-    p = p / root_sum ** 2
+    p = p / np.sqrt(p).sum() ** 2
 
     trace = [stream_bits(a, p)]
     converged = False
@@ -344,14 +340,14 @@ def capacity_lower_bound(fractions, singvals_r, singvals_t, snr: float,
     roots of an AsymptoticSpectrum's predicted values (statistical CSI),
     a linear snr, positive and finite, and the integer n_t.  The fractions
     keep allocate_sca's budget, on no more streams than the singular
-    values have.
+    values have.  The gains are allocate_sca's, so on the singular values
+    a plan was made from the bound is its final SCA objective, bit for bit.
     """
-    d_r, d_t = _stream_inputs(singvals_r, singvals_t, snr, n_t)
+    a = _stream_gains(singvals_r, singvals_t, snr, n_t)
     p = _checked_fractions(fractions)
-    k, streams = p.size, min(d_r.size, d_t.size)
-    if k > streams:
-        raise ValueError(f"{k} fractions for {streams} streams")
-    return stream_bits(0.25 * (snr / n_t) * d_r[:k] ** 2 * d_t[:k] ** 2, p)
+    if p.size > a.size:
+        raise ValueError(f"{p.size} fractions for {a.size} streams")
+    return stream_bits(a[:p.size], p)
 
 
 def offdiag_ratio(h_eff: np.ndarray) -> float:

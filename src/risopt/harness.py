@@ -811,15 +811,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 # --- runtime benchmarking ----------------------------------------------
 
-def _time_callable(fn, warmups: int = 3, samples: int = 5,
-                   min_sample_seconds: float = 0.005):
+_MIN_SAMPLE_SECONDS = 0.005          # the inner loop's floor per timed sample
+
+
+def _time_callable(fn, warmups: int, samples: int):
     """Median/mean wall time of fn using a calibrated inner loop."""
     for _ in range(warmups):
         fn()
     t0 = time.perf_counter()
     fn()
     single = time.perf_counter() - t0
-    inner = max(1, min(100000, int(math.ceil(min_sample_seconds / max(single, 1e-9)))))
+    inner = max(1, min(100000, int(math.ceil(_MIN_SAMPLE_SECONDS / max(single, 1e-9)))))
     vals = []
     for _ in range(samples):
         t0 = time.perf_counter()

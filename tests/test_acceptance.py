@@ -17,12 +17,10 @@ import numpy as np
 from risopt.alignment import sign_align
 from risopt.capacity import (_sca_from, _water_level, allocate_sca,
                              effective_channel, run_wsa)
-from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
-                             sample_ricean)
+from risopt.channels import cascaded_channel, complex_gaussian
 from risopt.gain import channel_gain, configure_gain_los
-from risopt.geometry import AnglePair, near_square_geometry
-from risopt.harness import (_resolve_workers, bench_runtime, db2lin,
-                            preset_spec, run_experiment)
+from risopt.harness import (_resolve_workers, _sample_side, bench_runtime,
+                            db2lin, preset_spec, run_experiment)
 from risopt.manifold import OBJECTIVES
 from risopt.spectral import svd_bundle
 
@@ -35,20 +33,6 @@ def report(capsys, tag, ok, detail):
     with capsys.disabled():
         print(f"\n[{tag}] {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"{tag}: {detail}"
-
-
-def random_angles(rng):
-    az = float(rng.uniform(-math.pi, math.pi))
-    if az <= -math.pi:
-        az = math.pi
-    return AnglePair(az, float(rng.uniform(0.0, math.pi)))
-
-
-def random_side(rng, n_ris, n_array, k_lin):
-    """One side's LoS spec and its sampled n_ris x n_array channel."""
-    los = LosSpec(near_square_geometry(n_ris), near_square_geometry(n_array),
-                  random_angles(rng), random_angles(rng))
-    return los, sample_ricean(k_lin, los, rng)
 
 
 def test_c01_sign_alignment_exhaustive_bound(capsys):
@@ -77,8 +61,8 @@ def test_c02_quarter_gain_guarantee_pure_los(capsys):
     for n_s in (64, 256):
         for seed in range(30):
             rng = np.random.default_rng(np.random.SeedSequence((202, n_s, seed)))
-            los_t, h_t = random_side(rng, n_s, n_t, math.inf)
-            los_r, h_r = random_side(rng, n_s, n_r, math.inf)
+            los_t, h_t = _sample_side(rng, n_s, n_t, math.inf)
+            los_r, h_r = _sample_side(rng, n_s, n_r, math.inf)
             cfg = configure_gain_los(los_t, los_r)
             g = channel_gain(cascaded_channel(h_r.conj().T, cfg, h_t))
             full = n_r * n_t * n_s ** 2
@@ -131,7 +115,7 @@ def test_c05_weyl_and_interlacing_invariants(capsys):
     n_s, n_a = 128, 6
     for _ in range(100):
         k = float(10.0 ** rng.uniform(-1.0, 1.0))
-        los, h = random_side(rng, n_s, n_a, k)
+        los, h = _sample_side(rng, n_s, n_a, k)
         s_full = np.linalg.svd(h, compute_uv=False)
         s_los = np.linalg.svd(los_part(k, los), compute_uv=False)
         s_sc = np.linalg.svd(scattered_part(h, k, los), compute_uv=False)
@@ -284,8 +268,8 @@ def test_c12_diagonalization_trend(capsys):
         vals = []
         for trial in range(20):
             rng = np.random.default_rng(np.random.SeedSequence((1212, n_s, trial)))
-            _, h_t = random_side(rng, n_s, n, 1.0)
-            _, h_r = random_side(rng, n_s, n, 1.0)
+            _, h_t = _sample_side(rng, n_s, n, 1.0)
+            _, h_r = _sample_side(rng, n_s, n, 1.0)
             h_r_herm = h_r.conj().T
             rep, _ = run_wsa(h_r_herm, h_t, 10.0)
             vals.append(rep.offdiag_ratio)

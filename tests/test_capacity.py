@@ -359,19 +359,21 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
         assert aligned >= 0.5 * np.sum(np.abs(b)) - 1e-12
 
 
-@pytest.mark.parametrize("n_s,n", [(1024, 8), (2048, 8), (5000, 10)])
-def test_stream_columns_keep_the_layout_of_the_product_with_v(n_s, n):
-    # numpy multiplies the conjugate temporary of V in place from 256 KiB
-    # (2048x8 on), which makes that product F-ordered; BLAS then takes
-    # another kernel for cols.T @ phi, so the layout fixes the bits of the
-    # surrogate and of cap_diag at the full-size presets
+@pytest.mark.parametrize("n_s,n", [(64, 4), (512, 8), (1024, 8), (2048, 8),
+                                   (8192, 8), (5000, 10), (20000, 10)])
+def test_stream_columns_are_f_ordered_at_every_size(n_s, n):
+    # BLAS takes another kernel for cols.T @ phi on C-ordered columns, so
+    # the layout fixes the bits of the surrogate and of cap_diag; the
+    # sizes lie on both sides of numpy's 256 KiB temporary-elision
+    # threshold (2048x8 on), which must not pick the layout
     rng = np.random.default_rng(n_s)
     bundle_r = svd_bundle(complex_gaussian(rng, (n, n_s)))
     bundle_t = svd_bundle(complex_gaussian(rng, (n_s, n)))
     right = bundle_r.right_h.conj().T                 # V_R
-    want = right[:, :n].conj() * bundle_t.left[:, :n]
+    want = np.asfortranarray(right[:, :n].conj() * bundle_t.left[:, :n])
     cols, _ = stream_columns(bundle_r, bundle_t)
-    assert cols.strides == want.strides
+    assert cols.flags.f_contiguous and cols.strides == want.strides
+    assert np.array_equal(cols.T.view(np.uint64), want.T.view(np.uint64))
     phi = np.exp(1j * rng.uniform(-math.pi, math.pi, n_s))
     assert np.array_equal((cols.T @ phi).view(np.uint64),
                           (want.T @ phi).view(np.uint64))
@@ -458,7 +460,22 @@ def test_capacity_lower_bound_on_the_plan_values_is_the_sca_objective():
         for d_r, d_t in (instantaneous, (predicted, predicted)):
             plan = allocate_sca(d_r, d_t, snr, 4)
             assert capacity_lower_bound(plan.fractions, d_r, d_t, snr, 4) \
-                == pytest.approx(plan.objective_trace[-1], rel=1e-12, abs=0)
+                == plan.objective_trace[-1]
+
+
+def test_capacity_lower_bound_is_the_sca_objective_bit_for_bit():
+    # the bound and SCA read one stream-gain vector, so a second formula
+    # for the gains, in another operation order, shows in the last bits
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        streams = int(rng.integers(2, 12))
+        n_t = streams + int(rng.integers(0, 3))
+        d_r, d_t = (np.sort(rng.uniform(0.1, 60.0, streams))[::-1]
+                    for _ in range(2))
+        snr = 10.0 ** (rng.uniform(-40.0, 20.0) / 10.0)
+        plan = allocate_sca(d_r, d_t, snr, n_t)
+        assert capacity_lower_bound(plan.fractions, d_r, d_t, snr, n_t) \
+            == plan.objective_trace[-1], (d_r, d_t, snr, n_t)
 
 
 @pytest.mark.parametrize("fractions, message", [

@@ -51,7 +51,9 @@ def textbook_gradient(objective, a, t, phi, snr):
     bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
     right = bundle_r.right_h.conj().T                 # V_R
-    cols = right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    # F-ordered, as stream_columns lays them out: the layout picks BLAS's
+    # kernel for cols.T @ phi
+    cols = np.asfortranarray(right[:, :nmin].conj() * bundle_t.left[:, :nmin])
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
     z = cols.T @ phi
     coef = (2.0 * rho / math.log(2.0)) * w / (1.0 + rho * w * np.abs(z) ** 2)
@@ -340,7 +342,9 @@ def reference_objective(objective, a, t, snr):
     bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
     right = bundle_r.right_h.conj().T                 # V_R
-    cols = right[:, :nmin].conj() * bundle_t.left[:, :nmin]
+    # F-ordered, as stream_columns lays them out: the layout picks BLAS's
+    # kernel for cols.T @ phi
+    cols = np.asfortranarray(right[:, :nmin].conj() * bundle_t.left[:, :nmin])
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
 
     def evaluate(phi):

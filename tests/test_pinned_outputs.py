@@ -1,7 +1,8 @@
 """Pinned sha256 of the row and aggregate CSVs of shipped and edge-case runs.
 
 The runs are made in one child interpreter with one BLAS thread, because
-the last digits of some full-size runs depend on the BLAS thread count.
+the last digits of some full-size runs depend on the BLAS thread count,
+and with RuntimeWarnings as errors, so a run that warns fails.
 OpenBLAS picks its kernel by CPU model, so the pins are keyed on the
 kernel lines that OpenBLAS prints at load (OPENBLAS_VERBOSE=2) and on the
 BLAS build numpy reports.  The test prints the key it compared; a key
@@ -87,7 +88,8 @@ def run_pinned() -> tuple[str, dict]:
                OPENBLAS_VERBOSE="2")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(RUNS)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-c", CHILD, json.dumps(RUNS)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
