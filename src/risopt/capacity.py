@@ -21,6 +21,7 @@ import numpy as np
 
 from .alignment import sign_align
 from .channels import cascaded_channel
+from .gain import channel_gain
 from .geometry import _check_count
 from .spectral import SvdBundle, svd_bundle
 
@@ -87,13 +88,10 @@ def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarr
     bundle_r is the SVD of the receive-side channel in its n_r x n_s
     orientation (right vectors live on the RIS side); bundle_t is the
     SVD of the n_s x n_t transmit-side channel (left vectors on the RIS
-    side).
+    side).  The core V_R^H diag(phi) U_T is cascaded_channel's.
     """
-    v = np.asarray(phi).ravel()
-    d_r = bundle_r.singular_values
-    d_t = bundle_t.singular_values
-    core = bundle_r.right_h @ (v[:, None] * bundle_t.left)
-    return d_r[:, None] * core * d_t[None, :]
+    core = cascaded_channel(bundle_r.right_h, phi, bundle_t.left)
+    return bundle_r.singular_values[:, None] * core * bundle_t.singular_values
 
 
 def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +101,11 @@ def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray
     conj(v_R,i) is row i of V_R^H.  cols is an F-ordered copy of those
     rows' transpose, multiplied in place by the columns of U_T, so it is
     F-ordered at every size.  The layout picks BLAS's kernel for
-    cols.T @ phi and so fixes the bits of the stream projections.
+    cols.T @ phi and so fixes the bits of the stream projections.  Bundles
+    of different element counts are refused as the cascade refuses them.
     """
+    if bundle_r.right_h.shape[1] != bundle_t.left.shape[0]:
+        raise ValueError("dimension mismatch in cascade")
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
     cols = bundle_r.right_h[:nmin].T.copy(order="F")
     cols *= bundle_t.left[:, :nmin]
@@ -351,13 +352,13 @@ def capacity_lower_bound(fractions, singvals_r, singvals_t, snr: float,
 
 
 def offdiag_ratio(h_eff: np.ndarray) -> float:
-    """Off-diagonal energy fraction of the effective channel, in [0, 1]."""
+    """Off-diagonal energy fraction of the effective channel, in [0, 1];
+    both energies are channel_gain's."""
     h = np.asarray(h_eff)
-    total = float(np.sum(np.abs(h) ** 2))
+    total = channel_gain(h)
     if total == 0.0:
         return 0.0
-    diag = float(np.sum(np.abs(np.diagonal(h)) ** 2))
-    return (total - diag) / total
+    return (total - channel_gain(np.diagonal(h))) / total
 
 
 def configure_wsa(bundle_r: SvdBundle, bundle_t: SvdBundle, snr: float

@@ -111,11 +111,16 @@ def cascaded_channel(h_r_herm: np.ndarray, phi, h_t: np.ndarray) -> np.ndarray:
 
     phi is any length-n_ris vector: a 1-bit configuration or a
     continuous unit-modulus one.  The diagonal is never materialized;
-    rows of h_t are scaled instead.
+    rows of h_t are scaled instead.  The package's one cascade: it
+    refuses sizes that disagree ("dimension mismatch in cascade") and a
+    non-finite product ("non-finite channel").
     """
     v = np.asarray(phi).ravel()
     h_r_herm = np.asarray(h_r_herm)
     h_t = np.asarray(h_t)
     if h_r_herm.shape[1] != v.size or h_t.shape[0] != v.size:
         raise ValueError("dimension mismatch in cascade")
-    return h_r_herm @ (v[:, None] * h_t)
+    h = h_r_herm @ (v[:, None] * h_t)
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite channel")
+    return h

@@ -31,8 +31,12 @@ from .spectral import asymptotic_spectrum, svd_bundle
 
 
 def db2lin(x_db: float) -> float:
-    """Power dB to linear scale."""
-    return 10.0 ** (x_db / 10.0)
+    """Power dB to linear scale, a float; inf above its range (about
+    3,083 dB), where the power overflows."""
+    try:
+        return 10.0 ** (float(x_db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def nmse(estimates, references) -> float:
@@ -45,6 +49,11 @@ def nmse(estimates, references) -> float:
     if denom == 0.0:
         raise ValueError("zero reference energy")
     return float(np.sum((e - r) ** 2) / denom)
+
+
+def _finite_k(k_db: float) -> bool:
+    """A K-factor in dB that is finite and whose linear value is too."""
+    return math.isfinite(k_db) and math.isfinite(db2lin(k_db))
 
 
 def _is_number(value) -> bool:
@@ -152,13 +161,14 @@ class ExperimentSpec:
             raise ValueError(f"{name} = {value!r} is not read by {family} "
                              f"preset {self.preset!r}{why}; leave it unset")
         if not _FAMILIES[family].methods:
-            if not math.isfinite(self.k_t_db):
-                raise ValueError(f"k_t_db must be finite for {family} preset "
-                                 f"{self.preset!r}; got {self.k_t_db!r}")
-            if not all(map(math.isfinite, self.k_sweep_db or ())):
-                raise ValueError(f"k_sweep_db entries must be finite for "
-                                 f"{family} preset {self.preset!r}; "
-                                 f"got {list(self.k_sweep_db)}")
+            if not _finite_k(self.k_t_db):
+                raise ValueError(f"k_t_db must be finite in dB and in linear "
+                                 f"scale for {family} preset {self.preset!r}; "
+                                 f"got {self.k_t_db!r}")
+            if not all(map(_finite_k, self.k_sweep_db or ())):
+                raise ValueError(f"k_sweep_db entries must be finite in dB and "
+                                 f"in linear scale for {family} preset "
+                                 f"{self.preset!r}; got {list(self.k_sweep_db)}")
         if self.k_sweep_db is not None:
             object.__setattr__(self, "k_sweep_db",
                                tuple(float(k) for k in self.k_sweep_db))
@@ -506,8 +516,8 @@ class _Link:
 
     @cached_property
     def gain_bound(self) -> float:
-        return gain_lower_bound(self.t.shape[0], self.spec.n_t, self.spec.n_r,
-                                self.k_t, self.k_r)
+        (n_ris, n_t), n_r = self.t.shape, self.a.shape[0]
+        return gain_lower_bound(n_ris, n_t, n_r, self.k_t, self.k_r)
 
 
 @dataclass(frozen=True)
@@ -685,8 +695,10 @@ def _agg_points(spec, points, rows):
 
 
 def _nmse_lambda_1(sub, entry):
-    lam = _present(sub, "lambda_1")
-    return nmse(lam, np.full(len(lam), entry["predicted_1"]))
+    """None (an empty cell) for a prediction of zero energy: K = 0 linear,
+    or a prediction whose square underflows."""
+    lam, pred = _present(sub, "lambda_1"), entry["predicted_1"]
+    return nmse(lam, np.full(len(lam), pred)) if pred * pred > 0 else None
 
 
 def _ratio_db_sa_lb(sub, entry):

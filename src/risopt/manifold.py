@@ -5,7 +5,10 @@ ascend the chosen objective along the Riemannian gradient with a
 retraction back to the circle, then quantize the result to {+1, -1}.
 Gradients use the convention g = 2 * df/d(conj phi), so the first-order
 change of the objective is Re <g, dphi> and the finite-difference vector
-(d/dRe + j d/dIm) reproduces g entrywise.
+(d/dRe + j d/dIm) reproduces g entrywise.  The gain and exact-capacity
+values are the harness's scores, gain.channel_gain and
+capacity.capacity_exact of channels.cascaded_channel, so RMO climbs the
+value a trial reports; the surrogate's is capacity.capacity_diag_approx's.
 """
 
 from __future__ import annotations
@@ -15,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _LN2, _check_snr, stream_bits, stream_columns
+from .capacity import (_LN2, _check_snr, capacity_exact, stream_bits,
+                       stream_columns)
+from .channels import cascaded_channel
+from .gain import channel_gain
 from .geometry import _check_count
 from .spectral import svd_bundle
 
@@ -53,10 +59,14 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
                snr: float | None, bundles: tuple | None = None):
     """Callables evaluate(phi) -> (value, state) and grad(phi, state).
 
-    The capacity objectives scale by snr / n_t, n_t the column count of
-    h_t (n_ris x n_t), and refuse an snr through capacity._check_snr.  The
-    surrogate reads its stream columns from bundles, the SVDs of
-    (h_r_herm, h_t), and makes them itself if None.
+    The gain and exact-capacity values are channel_gain and capacity_exact
+    of cascaded_channel(a, phi, t), which refuses a non-finite or
+    mismatched channel.  The capacity objectives scale by snr / n_t, n_t
+    the column count of h_t (n_ris x n_t), and refuse an snr through
+    capacity._check_snr.  The surrogate reads its stream columns from
+    bundles, the SVDs of (h_r_herm, h_t), and makes them itself if None;
+    its value is capacity_diag_approx's bit for bit, from columns made
+    once per run.
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or for the surrogate the stream projections
@@ -78,8 +88,8 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
     if objective == "gain":
         def evaluate(phi):
-            g_mat = a @ (phi[:, None] * t)
-            return float(np.sum(np.abs(g_mat) ** 2)), g_mat
+            g_mat = cascaded_channel(a, phi, t)
+            return channel_gain(g_mat), g_mat
 
         def grad(phi, g_mat):
             return 2.0 * backproject(g_mat)
@@ -93,9 +103,8 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
         eye = np.eye(a.shape[0])
 
         def evaluate(phi):
-            g_mat = a @ (phi[:, None] * t)
-            s = np.linalg.svd(g_mat, compute_uv=False)
-            return stream_bits(rho, s ** 2), g_mat
+            g_mat = cascaded_channel(a, phi, t)
+            return capacity_exact(g_mat, snr), g_mat
 
         def grad(phi, g_mat):
             m = eye + rho * (g_mat @ g_mat.conj().T)
@@ -187,9 +196,7 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
     zero changes no nonzero value that sums and products make from it,
     and quantize_1bit tests Re >= 0, true for both zeros.
     """
-    h_r_herm = np.asarray(h_r_herm, dtype=complex)
-    h_t = np.asarray(h_t, dtype=complex)
-    phi = np.ones(h_t.shape[0], dtype=complex)
+    phi = np.ones(np.shape(h_t)[0], dtype=complex)
     evaluate, grad = _objective(settings.objective, h_r_herm, h_t, snr, bundles)
 
     f, state = evaluate(phi)

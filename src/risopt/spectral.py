@@ -57,7 +57,7 @@ def svd_bundle(h: np.ndarray) -> SvdBundle:
     LAPACK returns it, with no conjugate-transposed copy."""
     h = np.asarray(h, dtype=complex)
     if not np.isfinite(h).all():
-        raise ValueError("non-finite entries")
+        raise ValueError("non-finite channel")
     u, s, vh = np.linalg.svd(h, full_matrices=False)
     return SvdBundle(u, s, vh)
 

@@ -399,12 +399,15 @@ def test_a_bad_method_flag_prints_one_error_line(tmp_path, capsys):
     (["gain", "--k-db", "nan"], "k_t_db must be a number; got nan"),
     (["capacity", "--k-db", "0", "nan"], "k_r_db must be a number; got nan"),
     # a spectrum at K = inf used to run every trial, then die in its aggregate
-    (["spectrum", "--k-db", "inf"], "k_t_db must be finite for spectrum "
-     "preset 'custom-spectrum'; got inf"),
-    (["spectrum", "--k-db=-inf"], "k_t_db must be finite for spectrum "
-     "preset 'custom-spectrum'; got -inf"),
+    (["spectrum", "--k-db", "inf"], "k_t_db must be finite in dB and in "
+     "linear scale for spectrum preset 'custom-spectrum'; got inf"),
+    (["spectrum", "--k-db=-inf"], "k_t_db must be finite in dB and in "
+     "linear scale for spectrum preset 'custom-spectrum'; got -inf"),
+    # one whose linear value overflows used to end in a traceback
+    (["spectrum", "--k-db", "3100"], "k_t_db must be finite in dB and in "
+     "linear scale for spectrum preset 'custom-spectrum'; got 3100.0"),
 ], ids=["spectrum-nan", "gain-nan", "capacity-nan-k_r", "spectrum-inf",
-        "spectrum-minus-inf"])
+        "spectrum-minus-inf", "spectrum-overflow"])
 def test_a_nan_or_infinite_k_is_a_clean_error(tmp_path, capsys, argv, message):
     argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "2", *argv[1:]]
     assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
@@ -494,6 +497,23 @@ def test_an_infinite_snr_is_named_in_the_row_error(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"error: 1 of 1 trials recorded an error; first: wsa: {refused}; "
         f"rmo: {refused}; rmo-surrogate: {refused}"]
+
+
+def test_a_db_value_past_the_float_range_runs_as_at_inf(tmp_path, capsys):
+    # 3100 dB used to end in an OverflowError traceback: a K that large is
+    # pure LoS, and an SNR that large is refused in each trial as inf is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_main(["gain", "--n-ris", "64", "--nt", "4", "--k-db",
+                         "3100", "--trials", "1", "--methods", "sa", "lb",
+                         "--out", str(tmp_path)]) == 0
+        code = run_main(["capacity", "--n-ris", "32", "--nt", "4",
+                         "--snr-db", "3100", "--trials", "1",
+                         "--methods", "wsa", "lb", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: 1 of 1 trials recorded an error; first: wsa: snr must be "
+        "finite; got inf"]
 
 
 def test_bad_k_db_count(tmp_path):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,33 @@ def test_db2lin():
     assert db2lin(0.0) == 1.0
     assert db2lin(10.0) == pytest.approx(10.0)
     assert db2lin(-3.0) == pytest.approx(0.501187, rel=1e-5)
+
+
+@pytest.mark.parametrize("x_db", [3100.0, 1e300, np.float64(3100.0), math.inf])
+def test_db2lin_is_inf_above_the_float_range(x_db):
+    # 3100 dB used to raise OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert db2lin(x_db) == math.inf
+
+
+def test_a_k_or_snr_past_the_float_range_runs_as_at_inf():
+    # pure LoS for K, and each trial's refusal for the SNR
+    def run(preset, **fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_experiment(preset_spec(preset, n_ris_list=(32,), n_t=4,
+                                              trials=2, **fields)).rows
+    past = run("custom-gain", k_t_db=3100.0, methods=("sa", "lb"))
+    at_inf = run("custom-gain", k_t_db=math.inf, methods=("sa", "lb"))
+    assert [(r["gain_sa"], r["lower_bound"]) for r in past] == [
+        (r["gain_sa"], r["lower_bound"]) for r in at_inf]
+    assert not any(r["error"] for r in past)
+    refused = "snr must be finite; got inf"
+    for row in run("custom-capacity", snr_db=3100.0,
+                   methods=("wsa", "rmo", "rmo-surrogate", "lb")):
+        assert row["error"] == (f"wsa: {refused}; rmo: {refused}; "
+                                f"rmo-surrogate: {refused}; ")
 
 
 def test_spec_validation():
@@ -260,14 +288,21 @@ def test_spec_refuses_a_repeated_method():
      r"^k_sweep_db entries must be numbers; got \[3.0, nan\]$"),
     # a spectrum at K = inf used to die in its aggregate, a sweep entry of
     # inf to write nan, and one of -inf to die like the spectrum
-    ("custom-spectrum", {"k_t_db": math.inf}, "^k_t_db must be finite for "
-     "spectrum preset 'custom-spectrum'; got inf$"),
+    ("custom-spectrum", {"k_t_db": math.inf}, "^k_t_db must be finite in dB "
+     "and in linear scale for spectrum preset 'custom-spectrum'; got inf$"),
     ("custom-spectrum", {"k_t_db": -math.inf}, "^k_t_db must be finite"),
     ("fig1c", {"k_sweep_db": (math.inf,)}, "^k_sweep_db entries must be finite "
-     r"for hardening preset 'fig1c'; got \[inf\]$"),
+     r"in dB and in linear scale for hardening preset 'fig1c'; got \[inf\]$"),
     ("fig1c", {"k_sweep_db": (0.0, -math.inf)}, "^k_sweep_db entries must be finite"),
+    # a K whose linear value overflows used to raise OverflowError in a trial
+    ("custom-spectrum", {"k_t_db": 3100.0}, "^k_t_db must be finite in dB and "
+     "in linear scale for spectrum preset 'custom-spectrum'; got 3100.0$"),
+    ("fig1c", {"k_sweep_db": (0.0, 3100.0)}, "^k_sweep_db entries must be "
+     r"finite in dB and in linear scale for hardening preset 'fig1c'; "
+     r"got \[0.0, 3100.0\]$"),
 ], ids=["spectrum-nan", "gain-nan", "capacity-k_r-nan", "sweep-nan",
-        "spectrum-inf", "spectrum-minus-inf", "sweep-inf", "sweep-minus-inf"])
+        "spectrum-inf", "spectrum-minus-inf", "sweep-inf", "sweep-minus-inf",
+        "spectrum-overflow", "sweep-overflow"])
 def test_spec_refuses_a_nan_or_infinite_k(preset, fields, message):
     with pytest.raises(ValueError, match=message):
         preset_spec(preset, n_ris_list=(32,), n_t=4, trials=2, **fields)
@@ -511,6 +546,18 @@ def test_hardening_aggregate_recomputable():
             k_lin / (k_lin + 1.0) * agg["n_ris"] * spec.n_t)
         assert agg["nmse"] == pytest.approx(
             nmse(lam, np.full(lam.size, pred)))
+
+
+def test_a_zero_prediction_leaves_the_hardening_nmse_empty(tmp_path):
+    # K = -4000 dB is 0 in linear scale, so predicted_1 is 0; the aggregate
+    # used to raise "zero reference energy" after every trial had run
+    res = run_experiment(preset_spec("fig1c", scale=0.01, trials=2,
+                                     k_sweep_db=(-4000.0,)))
+    assert [a["predicted_1"] for a in res.aggregates] == [0.0]
+    assert [a["nmse"] for a in res.aggregates] == [None]
+    paths = res.write(str(tmp_path))
+    header, row = open(paths["aggregate_csv"]).read().splitlines()
+    assert row.split(",")[header.split(",").index("nmse")] == ""
 
 
 def test_csv_and_json_outputs(tmp_path):

@@ -166,10 +166,14 @@ def test_capacity_objectives_refuse_a_non_positive_or_nan_snr(objective, snr):
 def test_finiteness_checks_see_either_part(bad, part):
     h = np.ones((3, 2), dtype=complex)
     h[1, 1] = complex(bad, 0.0) if part == "real" else complex(0.0, bad)
-    with pytest.raises(ValueError, match="^non-finite entries$"):
+    with pytest.raises(ValueError, match="^non-finite channel$"):
         svd_bundle(h)
     with pytest.raises(ValueError, match="^non-finite channel$"):
         capacity_exact(h, 1.0)
+    # the cascade checks its product, which numpy forms first
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="^non-finite channel$"):
+        cascaded_channel(h, np.ones(2), np.ones((2, 3)))
     with pytest.raises(FloatingPointError,
                        match="^non-finite gradient at iteration 3$"):
         manifold._check_finite(h, " at iteration 3")

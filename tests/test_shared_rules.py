@@ -6,24 +6,32 @@ every reader refuses the same values with the same text.  The count check
 lives in geometry.py, the module every other one imports, so every size
 reader reaches it: the allocation and the lower bound, the spectrum and
 its Laguerre roots, the gain bound, the panel geometry, the optimizer
-settings and the experiment spec.
+settings and the experiment spec.  The cascade, its gain and its
+capacity each have one home too (channels.cascaded_channel,
+gain.channel_gain, capacity.capacity_exact): RMO climbs the values the
+harness scores, and refuses a bad channel with the cascade's text.
 """
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
+import pytest
 
 from risopt.capacity import (allocate_sca, capacity_diag_approx,
                              capacity_exact, capacity_lower_bound,
-                             round_allocation)
-from risopt.channels import LosSpec, complex_gaussian, sample_ricean
-from risopt.gain import gain_lower_bound
+                             effective_channel, round_allocation)
+from risopt.channels import (LosSpec, cascaded_channel, complex_gaussian,
+                             sample_ricean)
+from risopt.gain import channel_gain, gain_lower_bound
 from risopt.geometry import AnglePair, UpaGeometry, near_square_geometry
 from risopt.harness import ExperimentSpec
-from risopt.manifold import RmoSettings, euclidean_gradient, rmo_optimize
+from risopt.manifold import (OBJECTIVES, RmoSettings, euclidean_gradient,
+                             rmo_optimize)
 from risopt.spectral import (asymptotic_spectrum, laguerre_top_roots,
                              svd_bundle)
+from tests.test_manifold import bits, ricean_pair
 
 
 def refusals(readers: dict, values, message) -> list:
@@ -150,3 +158,42 @@ def test_every_count_reader_refuses_with_one_text():
             {name: read}, (minimum - 1, 2.5, True),
             lambda v: f"{shown} must be an integer >= {minimum}; got {v!r}")
     assert wrong == []
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("n_s, n_t", [(512, 8), (4096, 8)])
+def test_rmo_reports_the_value_the_harness_scores(objective, n_s, n_t):
+    # a channel of 64 KiB and one of 512 KiB, either side of numpy's
+    # 256 KiB temporary-elision threshold
+    a, t = ricean_pair(n_s + n_t, n_s, n_t)
+    bundles = (svd_bundle(a), svd_bundle(t))
+    res = rmo_optimize(a, t, RmoSettings(objective=objective, max_iters=60),
+                       snr=10.0, bundles=bundles)
+    assert res.iterations > 0
+    h = cascaded_channel(a, res.phi, t)
+    score = {"gain": lambda: channel_gain(h),
+             "capacity_exact": lambda: capacity_exact(h, 10.0),
+             "capacity_surrogate": lambda: capacity_diag_approx(
+                 *bundles, res.phi, 10.0)}[objective]()
+    assert np.array_equal(bits(res.objective_trace[-1:]),
+                          bits(np.array([score])))
+
+
+def test_rmo_and_the_effective_channel_refuse_a_bad_channel_with_one_text():
+    # RMO used to end in numpy's matmul or broadcast error, or in LinAlgError
+    # "SVD did not converge", and effective_channel in a broadcast error
+    a, t = ricean_pair(3, 64, 4)
+    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
+    nan_a = a.copy()
+    nan_a[1, 5] = np.nan
+    nan_r = dataclasses.replace(bundle_r, right_h=bundle_r.right_h.copy())
+    nan_r.right_h[1, 5] = np.nan
+    # message -> (receive channel, receive SVD, phi) that draws it
+    cases = {"non-finite channel": (nan_a, nan_r, np.ones(64)),
+             "dimension mismatch in cascade": (a[:, 1:], bundle_r, np.ones(63))}
+    readers = {f"rmo_optimize-{o}": lambda m, o=o: rmo_optimize(
+        cases[m][0], t, RmoSettings(objective=o, max_iters=3), snr=10.0)
+        for o in OBJECTIVES}
+    readers["effective_channel"] = lambda m: effective_channel(
+        cases[m][1], cases[m][2], bundle_t)
+    assert refusals(readers, list(cases), lambda m: m) == []
