@@ -77,8 +77,13 @@ def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     if not np.isfinite(h).all():
         raise ValueError("non-finite channel")
     _check_snr(snr)
-    s = np.linalg.svd(h, compute_uv=False)
-    return stream_bits(snr / h.shape[1], s ** 2)
+    return _capacity_bits(h, snr / h.shape[1])
+
+
+def _capacity_bits(h: np.ndarray, rho: float) -> float:
+    """capacity_exact's value after its checks, for a finite complex
+    cascade h and rho = snr / n_t."""
+    return stream_bits(rho, np.linalg.svd(h, compute_uv=False) ** 2)
 
 
 def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarray:

@@ -51,6 +51,18 @@ def nmse(estimates, references) -> float:
     return float(np.sum((e - r) ** 2) / denom)
 
 
+def _nmse_cell(estimates, references) -> float | None:
+    """nmse, or None (an empty cell) where it cannot be formed: a zero or
+    subnormal reference energy, or a quotient that is not finite; no
+    numpy warning either way."""
+    r = np.asarray(references, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.sum(r * r) >= np.finfo(float).tiny:
+            return None
+        value = nmse(estimates, r)
+    return value if math.isfinite(value) else None
+
+
 def _finite_k(k_db: float) -> bool:
     """A K-factor in dB that is finite and whose linear value is too."""
     return math.isfinite(k_db) and math.isfinite(db2lin(k_db))
@@ -474,16 +486,18 @@ def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
     if "n_ris_list" not in params:
         raise ValueError(f"preset {name!r} needs n_ris_list (--n-ris)")
     # the unscaled spec refuses sizes below 1 before the floor can hide them
-    spec = ExperimentSpec(preset=name, scale=scale, **params)
-    return replace(spec, n_ris_list=tuple(max(2, int(round(n * scale)))
-                                          for n in spec.n_ris_list))
+    unscaled = ExperimentSpec(preset=name, scale=scale, **params)
+    return replace(unscaled, n_ris_list=tuple(max(2, int(round(n * scale)))
+                                              for n in unscaled.n_ris_list))
 
 
 def _grid(spec: ExperimentSpec) -> list:
-    """The grid points in run order, each holding every per-trial parameter."""
+    """The grid points in run order, each holding every per-trial
+    parameter: a trial reads its sizes, K-factors and SNR only here."""
     sides = ([(k, k) for k in spec.k_sweep_db] if spec.k_sweep_db is not None
              else [(spec.k_t_db, spec.k_r_db)])
-    return [{"n_ris": n, "k_t_db": k_t, "k_r_db": k_r, "snr_db": spec.snr_db}
+    return [{"n_ris": n, "n_t": spec.n_t, "n_r": spec.n_r, "k_t_db": k_t,
+             "k_r_db": k_r, "snr_db": spec.snr_db}
             for n in spec.n_ris_list for k_t, k_r in sides]
 
 
@@ -504,9 +518,10 @@ class _Link:
                  rng: np.random.Generator):
         self.spec = spec
         self.k_t, self.k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
-        self.los_t, self.t = _sample_side(rng, point["n_ris"], spec.n_t,
+        self.los_t, self.t = _sample_side(rng, point["n_ris"], point["n_t"],
                                           self.k_t)
-        self.los_r, h_r = _sample_side(rng, point["n_ris"], spec.n_r, self.k_r)
+        self.los_r, h_r = _sample_side(rng, point["n_ris"], point["n_r"],
+                                       self.k_r)
         self.a = h_r.conj().T
         self.snr = db2lin(point["snr_db"])
 
@@ -587,14 +602,14 @@ def _trial_side(spec, point, trial, rng):
     """A spectrum or hardening trial: the eigenvalues of one sampled
     side's Gram matrix, in descending order, with the largest one's
     asymptotic prediction; _columns decides which of them the CSVs show."""
-    n_ris, k_db = point["n_ris"], point["k_t_db"]
+    n_ris, n_t, k_db = point["n_ris"], point["n_t"], point["k_t_db"]
     k_lin = db2lin(k_db)
-    _, h = _sample_side(rng, n_ris, spec.n_t, k_lin)
+    _, h = _sample_side(rng, n_ris, n_t, k_lin)
     eig = np.linalg.eigvalsh(h.conj().T @ h)[::-1]
-    row = {"trial": trial, "n_ris": n_ris, "n_t": spec.n_t, "k_t_db": k_db,
-           "flag_hardening": _flag_hardening([(k_lin, spec.n_t)]),
+    row = {"trial": trial, "n_ris": n_ris, "n_t": n_t, "k_t_db": k_db,
+           "flag_hardening": _flag_hardening([(k_lin, n_t)]),
            "lambda_1": float(eig[0]),
-           "predicted_1": _los_weight(k_lin) * n_ris * spec.n_t}
+           "predicted_1": _los_weight(k_lin) * n_ris * n_t}
     row.update((f"eig_{i:02d}", float(val)) for i, val in enumerate(eig, start=1))
     return row, {}
 
@@ -608,10 +623,10 @@ def _trial_methods(spec, point, trial, rng):
     column.
     """
     link = _Link(spec, point, rng)
-    row = {"trial": trial, **point, "n_t": spec.n_t, "n_r": spec.n_r,
-           "flag_hardening": _flag_hardening(
-               [(link.k_t, spec.n_t), (link.k_r, spec.n_r)]),
-           "flag_diag": _flag_diag(point["n_ris"], spec.n_t, spec.n_r),
+    n_t, n_r = point["n_t"], point["n_r"]
+    row = {"trial": trial, **point,
+           "flag_hardening": _flag_hardening([(link.k_t, n_t), (link.k_r, n_r)]),
+           "flag_diag": _flag_diag(point["n_ris"], n_t, n_r),
            "lower_bound": link.gain_bound, "error": ""}
     timings = {}
     for name, method in _family(spec).methods.items():
@@ -651,14 +666,13 @@ def _agg_spectrum(spec, points, rows):
     out = []
     for pi, pt in enumerate(points):
         sub = _point_rows(rows, pi)
-        pred = asymptotic_spectrum(pt["n_ris"], spec.n_t,
-                                   db2lin(pt["k_t_db"]))
-        index = range(1, spec.n_t + 1)
+        pred = asymptotic_spectrum(pt["n_ris"], pt["n_t"], db2lin(pt["k_t_db"]))
+        index = range(1, pt["n_t"] + 1)
         emps = [np.array([r[f"eig_{i:02d}"] for r in sub]) for i in index]
         preds = [float(pred.predicted_sq_singular_values[i - 1]) for i in index]
-        per_index = [nmse(emp, np.full(emp.size, p_i))
+        per_index = [_nmse_cell(emp, np.full(emp.size, p_i))
                      for emp, p_i in zip(emps, preds)]
-        agg = float(np.mean(per_index))
+        agg = None if None in per_index else float(np.mean(per_index))
         for i, emp, p_i, err in zip(index, emps, preds, per_index):
             out.append({"point": pi, "n_ris": pt["n_ris"],
                         "k_t_db": pt["k_t_db"], "index": i,
@@ -695,10 +709,10 @@ def _agg_points(spec, points, rows):
 
 
 def _nmse_lambda_1(sub, entry):
-    """None (an empty cell) for a prediction of zero energy: K = 0 linear,
-    or a prediction whose square underflows."""
-    lam, pred = _present(sub, "lambda_1"), entry["predicted_1"]
-    return nmse(lam, np.full(len(lam), pred)) if pred * pred > 0 else None
+    """Empty for a prediction of (near) zero energy: K = 0 linear, or one
+    whose square underflows or whose quotient overflows."""
+    lam = _present(sub, "lambda_1")
+    return _nmse_cell(lam, np.full(len(lam), entry["predicted_1"]))
 
 
 def _ratio_db_sa_lb(sub, entry):
@@ -713,7 +727,7 @@ def _gap_db_sa_rmo(sub, entry):
 
 def _nmse_diag(sub, entry):
     exact, diag = _present(sub, "cap_wsa"), _present(sub, "cap_diag")
-    return nmse(diag, exact) if exact and len(exact) == len(diag) else None
+    return _nmse_cell(diag, exact) if exact and len(exact) == len(diag) else None
 
 
 @dataclass(frozen=True)
@@ -863,7 +877,7 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     rows = []
     for pi, point in enumerate(_grid(spec)):
         link = _Link(spec, point, _trial_rng(spec, pi, 0))
-        row = {"n_ris": point["n_ris"], "n_t": spec.n_t, "n_r": spec.n_r}
+        row = {key: point[key] for key in ("n_ris", "n_t", "n_r")}
         medians = {}
         for name, method in methods.items():
             if name not in spec.methods:

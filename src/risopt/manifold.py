@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (_LN2, _check_snr, capacity_exact, stream_bits,
+from .capacity import (_LN2, _capacity_bits, _check_snr, stream_bits,
                        stream_columns)
 from .channels import cascaded_channel
 from .gain import channel_gain
@@ -63,10 +63,11 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
     of cascaded_channel(a, phi, t), which refuses a non-finite or
     mismatched channel.  The capacity objectives scale by snr / n_t, n_t
     the column count of h_t (n_ris x n_t), and refuse an snr through
-    capacity._check_snr.  The surrogate reads its stream columns from
-    bundles, the SVDs of (h_r_herm, h_t), and makes them itself if None;
-    its value is capacity_diag_approx's bit for bit, from columns made
-    once per run.
+    capacity._check_snr, once per run: the exact capacity is then
+    capacity_exact's core, _capacity_bits, on the checked cascade.  The
+    surrogate reads its stream columns from bundles, the SVDs of
+    (h_r_herm, h_t), and makes them itself if None; its value is
+    capacity_diag_approx's bit for bit, from columns made once per run.
 
     The state is what the value computed on the way: the cascade
     a @ diag(phi) @ t, or for the surrogate the stream projections
@@ -104,7 +105,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
         def evaluate(phi):
             g_mat = cascaded_channel(a, phi, t)
-            return capacity_exact(g_mat, snr), g_mat
+            return _capacity_bits(g_mat, rho), g_mat
 
         def grad(phi, g_mat):
             m = eye + rho * (g_mat @ g_mat.conj().T)

@@ -696,21 +696,64 @@ def test_aggregates_recompute_from_the_written_row_csv(tmp_path, preset,
 
 
 def test_trials_read_every_parameter_from_the_grid_point(monkeypatch):
-    spec = tiny_capacity_spec(trials=2, methods=("wsa", "rmo", "lb"),
-                              rmo_max_iters=3)
-    moved = dataclasses.replace(spec, n_ris_list=(48,), k_t_db=3.0,
-                                k_r_db=-2.0, snr_db=-5.0)
-    expected = run_experiment(moved)
-    assert harness._grid(moved) == [
-        {"n_ris": 48, "k_t_db": 3.0, "k_r_db": -2.0, "snr_db": -5.0}]
-    # the same spec run on moved's grid gives moved's bytes
+    # a gain and a capacity spec run on a moved grid, whose points carry
+    # other sizes, K-factors and SNR, write the moved spec's bytes
+    cap = tiny_capacity_spec(trials=2, methods=("wsa", "rmo", "lb"),
+                             rmo_max_iters=3)
+    gain = preset_spec("custom-gain", n_ris_list=(64,), trials=2, seed=5,
+                       methods=("sa", "rmo", "lb"), rmo_max_iters=3)
+    sizes = dict(n_ris_list=(48,), n_t=3, n_r=5, k_t_db=3.0, k_r_db=-2.0)
+    moved_cap = dataclasses.replace(cap, snr_db=-5.0, **sizes)
+    assert harness._grid(moved_cap) == [
+        {"n_ris": 48, "n_t": 3, "n_r": 5, "k_t_db": 3.0, "k_r_db": -2.0,
+         "snr_db": -5.0}]
     grid = harness._grid
-    monkeypatch.setattr(harness, "_grid", lambda s: grid(moved))
-    got = run_experiment(spec)
-    assert got.to_csv() == expected.to_csv()
-    assert got.to_aggregate_csv() == expected.to_aggregate_csv()
+    for spec, moved in ((cap, moved_cap),
+                        (gain, dataclasses.replace(gain, **sizes))):
+        expected = run_experiment(moved)
+        assert {(r["n_t"], r["n_r"]) for r in expected.rows} == {(3, 5)}
+        monkeypatch.setattr(harness, "_grid", lambda s, moved=moved: grid(moved))
+        got = run_experiment(spec)
+        assert got.to_csv() == expected.to_csv()
+        assert got.to_aggregate_csv() == expected.to_aggregate_csv()
+    # bench_runtime's rows come from the (moved capacity) grid too
+    monkeypatch.setattr(harness, "_grid", lambda s: grid(moved_cap))
     bench = bench_runtime(preset_spec("runtime-capacity", methods=("wsa",)))
-    assert [r["n_ris"] for r in bench.rows] == [48]
+    assert [(r["n_ris"], r["n_t"], r["n_r"]) for r in bench.rows] == [(48, 3, 5)]
+
+
+def test_an_nmse_that_cannot_be_formed_leaves_its_cell_empty(tmp_path):
+    # spectrum at 3000 dB: the bulk predictions (about 1e-298) square to
+    # zero, which used to end the run with "zero reference energy" after
+    # every trial; hardening at -1550 dB: a normal reference energy whose
+    # quotient overflows, which used to warn "overflow encountered"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spectrum = run_experiment(preset_spec(
+            "custom-spectrum", n_ris_list=(64,), n_t=4, k_t_db=3000.0,
+            trials=2))
+        hardening = run_experiment(preset_spec(
+            "fig1c", scale=0.01, trials=2, k_sweep_db=(-1550.0,)))
+    assert [a["nmse"] for a in spectrum.aggregates] == [0.0, None, None, None]
+    assert [a["aggregate_nmse"] for a in spectrum.aggregates] == [None] * 4
+    assert 0.0 < hardening.aggregates[0]["predicted_1"] ** 2
+    assert [a["nmse"] for a in hardening.aggregates] == [None]
+    paths = spectrum.write(str(tmp_path))
+    header, *rows = open(paths["aggregate_csv"]).read().splitlines()
+    assert [row.split(",")[-3:-1] for row in rows] == [
+        ["0.0", ""], ["", ""], ["", ""], ["", ""]]
+
+
+def test_the_aggregate_nmse_cell_takes_a_normal_energy_and_a_finite_quotient():
+    # the public nmse still refuses a zero energy: test_nmse_definition_and_errors
+    cell = harness._nmse_cell
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cell([2.0, 0.0], [1.0, 1.0]) == nmse([2.0, 0.0], [1.0, 1.0])
+        assert cell([1.0], [0.0]) is None
+        assert cell([1.0], [1e-160]) is None      # a subnormal energy
+        assert cell([1e200], [1e-150]) is None    # the quotient overflows
+        assert cell([math.nan], [1.0]) is None
 
 
 def test_method_columns_in_csv_order():
