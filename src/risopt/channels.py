@@ -10,7 +10,7 @@ end-to-end matrix is h_r_herm @ diag(phi) @ h_t with shapes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +26,7 @@ class LosSpec:
     (n_array), is built once per spec and kept read-only, so sampling
     and the LoS configuration read the same array.  The cache
     lives in the instance __dict__, outside the four fields that make
-    equality, hash and repr, and is left out of the pickled state.
+    equality, hash and repr.
     """
 
     ris_geometry: UpaGeometry
@@ -47,9 +47,6 @@ class LosSpec:
         """Rank-1 deterministic component a_ris a_array^H (n_ris x n_array),
         a fresh writable array on every call."""
         return np.outer(self.ris_steering, self.array_steering.conj())
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

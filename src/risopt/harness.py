@@ -75,50 +75,54 @@ def _is_number(value) -> bool:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one Monte Carlo run.
+    """One Monte Carlo run: its preset with the fields given on top.
 
-    k_t_db/k_r_db set the per-side K-factors (not NaN; finite for spectrum
-    and hardening), k_r_db following k_t_db unless given, as n_r follows
-    n_t; a given k_sweep_db is swept on both sides instead.  These, snr_db
-    and scale are numbers (numpy's too, not bools).  n_ris_list, methods
-    and a given k_sweep_db are tuples or lists.  methods are distinct
-    names the family's _FAMILIES record knows (its methods, then "lb"),
-    each writing a shown column (a timing on runtime presets); spectrum
-    and hardening know none.  A field none of whose _READERS run, or that
-    a K sweep replaces, keeps its preset's value.  Sizes, counts and the
+    A _PRESET_BASE field left None takes the preset entry's value, else
+    the base row's; a custom-* preset has no n_ris_list of its own.
+    k_t_db/k_r_db set the per-side K-factors (not NaN; finite for
+    spectrum and hardening), k_r_db following k_t_db unless given, as n_r
+    follows n_t; a k_sweep_db is swept on both sides instead.  These and
+    snr_db are numbers (numpy's too, not bools).  n_ris_list, methods and
+    a k_sweep_db are tuples or lists.  methods are distinct names the
+    family's _FAMILIES record knows (its methods, then "lb"), each
+    writing a shown column (a timing on runtime presets); spectrum and
+    hardening know none.  A field none of whose _READERS run, or that a
+    K sweep replaces, keeps its preset's value.  Sizes, counts and the
     seed are integers (numpy integers too, not bools) of at least their
     _COUNTS minimum, 1 for each n_ris_list entry.  workers is capped at
-    the trial and CPU counts.  scale, finite and > 0, is stored as a
-    float; it records the factor preset_spec applied to the size grid.
+    the trial and CPU counts.
     """
 
     preset: str
-    n_ris_list: tuple
-    n_t: int
+    n_ris_list: tuple | None = None
+    n_t: int | None = None
     n_r: int | None = None        # None means "same as n_t"
-    k_t_db: float = 0.0
+    k_t_db: float | None = None
     k_r_db: float | None = None   # None means "same as k_t_db"
     k_sweep_db: tuple | None = None
-    snr_db: float = 10.0
-    trials: int = 50
+    snr_db: float | None = None
+    trials: int | None = None
     seed: int = 0
-    methods: tuple = ()
-    scale: float = 1.0
+    methods: tuple | None = None
     workers: int = 1
-    rmo_max_iters: int = 200
+    rmo_max_iters: int | None = None
     out_stem: str | None = None
 
     def __post_init__(self) -> None:
+        preset = _preset(self.preset)
+        own = {name: preset.get(name, base) for name, base in _PRESET_BASE.items()}
+        for name, value in own.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.n_ris_list is None:
+            raise ValueError(f"preset {self.preset!r} needs n_ris_list (--n-ris)")
         for name, leader in (("n_r", "n_t"), ("k_r_db", "k_t_db")):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, getattr(self, leader))
-        for name in ("scale", "k_t_db", "k_r_db", "snr_db"):
+        for name in ("k_t_db", "k_r_db", "snr_db"):
             if not _is_number(getattr(self, name)):
                 raise ValueError(f"{name} must be a number; "
                                  f"got {getattr(self, name)!r}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and > 0; got {self.scale!r}")
-        object.__setattr__(self, "scale", float(self.scale))   # the sidecar is JSON
         # ints, and tuples of them, because the sidecar is JSON
         for name, minimum in _COUNTS.items():
             value = _check_count(name, getattr(self, name), minimum)
@@ -144,7 +148,6 @@ class ExperimentSpec:
                    for k in self.k_sweep_db or ()):
             raise ValueError(f"k_sweep_db entries must be numbers; "
                              f"got {list(self.k_sweep_db)}")
-        preset = _preset(self.preset)
         family = preset["family"]
         if family == "spectrum" and min(self.n_ris_list) < self.n_t:
             # the spectrum prediction needs n_ris >= n_t
@@ -153,7 +156,8 @@ class ExperimentSpec:
                              f"got {list(self.n_ris_list)}")
         self._check_methods(family)
         swept = _SWEPT if self.k_sweep_db is not None else ()
-        unset = {"n_r": self.n_t, "k_r_db": self.k_t_db}
+        # what an unread field keeps: its leader, bench_runtime's one worker
+        own.update(n_r=self.n_t, k_r_db=self.k_t_db, workers=1)
         run = () if self.preset.startswith("runtime-") else ("run",)
         reads = {family, *self.methods, *run}
         could_read = {family, *_FAMILIES[family].methods}
@@ -161,8 +165,7 @@ class ExperimentSpec:
             if name not in swept and _READERS[name] & reads:
                 continue
             value = getattr(self, name)
-            default = self.__dataclass_fields__[name].default
-            if value == unset.get(name, preset.get(name, default)):
+            if value == own[name]:
                 continue
             if name in swept:
                 why = ", which sweeps K over k_sweep_db"
@@ -266,8 +269,6 @@ class ExperimentResult:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -420,6 +421,10 @@ def _flag_diag(n_ris: int, n_t: int, n_r: int) -> int:
 _K_SWEEP_FIG1C = tuple(10.0 * math.log10(k) for k in
                        (0.05, 0.2, 0.5, 1.0, 10.0 ** 0.5, 10.0))
 
+# each spec field a preset can set, at its value where the preset sets none
+_PRESET_BASE = dict(n_ris_list=None, n_t=None, k_t_db=0.0, k_sweep_db=None,
+                    snr_db=10.0, trials=50, methods=(), rmo_max_iters=200)
+
 # name -> ExperimentSpec fields plus the family of trial it runs.  "fig*"
 # presets reproduce the paper's figures, "runtime-*" ones are timed by
 # bench_runtime, and the "custom-*" ones behind the CLI's free grids take
@@ -474,19 +479,18 @@ def _preset(name: str) -> dict:
 
 
 def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
-    """Materialize a named preset, scaling the element-count grid.
+    """ExperimentSpec(preset=name, **overrides), its size grid scaled.
 
-    scale, finite and > 0, multiplies every entry of the RIS size grid
-    (rounded, floor 2); other fields can be overridden by keyword.  The
-    custom-* presets have no size grid of their own, so they need
-    n_ris_list.
+    scale, a number (numpy's too, not a bool), finite and > 0, multiplies
+    every entry of the size grid (rounded, floor 2); the spec holds the
+    sizes that run, not the scale.
     """
-    params = {**_preset(name), **overrides}
-    del params["family"]
-    if "n_ris_list" not in params:
-        raise ValueError(f"preset {name!r} needs n_ris_list (--n-ris)")
+    if not _is_number(scale):
+        raise ValueError(f"scale must be a number; got {scale!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and > 0; got {scale!r}")
     # the unscaled spec refuses sizes below 1 before the floor can hide them
-    unscaled = ExperimentSpec(preset=name, scale=scale, **params)
+    unscaled = ExperimentSpec(preset=name, **overrides)
     return replace(unscaled, n_ris_list=tuple(max(2, int(round(n * scale)))
                                               for n in unscaled.n_ris_list))
 
@@ -726,8 +730,7 @@ def _gap_db_sa_rmo(sub, entry):
 
 
 def _nmse_diag(sub, entry):
-    exact, diag = _present(sub, "cap_wsa"), _present(sub, "cap_diag")
-    return _nmse_cell(diag, exact) if exact and len(exact) == len(diag) else None
+    return _nmse_cell(_present(sub, "cap_diag"), _present(sub, "cap_wsa"))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -56,17 +55,11 @@ def test_los_matrix_is_a_fresh_writable_array_per_call():
     assert not np.shares_memory(m1, los.ris_steering)
 
 
-def test_cached_vectors_leave_equality_hash_and_pickle_alone():
+def test_cached_vectors_leave_equality_hash_and_repr_alone():
     los, twin = make_los(seed=3), make_los(seed=3)
-    a = los.ris_steering.copy()
-    los.array_steering
+    los.ris_steering, los.array_steering
     assert los == twin and hash(los) == hash(twin)
     assert repr(los) == repr(twin)
-    back = pickle.loads(pickle.dumps(los))
-    assert back == los and hash(back) == hash(los)
-    assert np.array_equal(back.ris_steering, a)
-    assert not back.ris_steering.flags.writeable
-    assert np.array_equal(back.los_matrix(), los.los_matrix())
 
 
 def test_pure_los_limit_draws_nothing_random():

@@ -221,8 +221,7 @@ def test_spec_refuses_fields_its_methods_never_read(preset, methods, field,
             rf"leave it unset$")):
         preset_spec(preset, n_ris_list=(32,), methods=methods, **{field: value})
     # the preset's own value passes: runtime-gain sets rmo_max_iters=500
-    own = harness._preset(preset).get(
-        field, ExperimentSpec.__dataclass_fields__[field].default)
+    own = harness._preset(preset).get(field, harness._PRESET_BASE[field])
     assert getattr(preset_spec(preset, n_ris_list=(32,), methods=methods,
                                **{field: own}), field) == own
 
@@ -342,9 +341,8 @@ def test_every_shipped_preset_is_accepted():
 @pytest.mark.parametrize("field, value", [
     ("n_ris_list", 64),        # TypeError: 'int' object is not iterable
     ("k_sweep_db", 5.0),       # TypeError
-    ("methods", None),         # TypeError
     ("methods", "lb"),         # read as the two names 'l' and 'b'
-], ids=["n_ris_list-int", "k_sweep_db-float", "methods-none", "methods-str"])
+], ids=["n_ris_list-int", "k_sweep_db-float", "methods-str"])
 def test_a_sequence_field_that_is_not_a_tuple_or_list_is_refused(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a tuple or list; "
                        f"got {re.escape(repr(value))}$"):
@@ -389,12 +387,14 @@ def test_preset_spec_scaling_and_floor():
 
 @pytest.mark.parametrize("scale", [math.nan, -3, 0, math.inf])
 def test_a_directly_built_spec_refuses_a_bad_scale(scale):
-    # each was taken, and the sidecar recorded it ("scale": NaN is not
-    # strict JSON)
+    # each was once taken by the spec, and the sidecar recorded it
+    # ("scale": NaN is not strict JSON); a spec now has no scale, and
+    # preset_spec refuses it with the spec's old text
+    with pytest.raises(TypeError, match="scale"):
+        ExperimentSpec(preset="fig2a", scale=scale)
     with pytest.raises(ValueError, match=re.escape(
             f"scale must be finite and > 0; got {scale!r}")):
-        ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
-                       methods=("wsa", "lb"), scale=scale)
+        preset_spec("fig2a", n_ris_list=(64,), n_t=4, scale=scale)
 
 
 @pytest.mark.parametrize("scale", [True, "2", None],
@@ -402,10 +402,11 @@ def test_a_directly_built_spec_refuses_a_bad_scale(scale):
 def test_a_directly_built_spec_refuses_a_scale_that_is_not_a_number(scale):
     # True used to be taken as 1 and recorded as true in the sidecar, and
     # "2" ended in a TypeError
+    with pytest.raises(TypeError, match="scale"):
+        ExperimentSpec(preset="fig2a", scale=scale)
     with pytest.raises(ValueError, match=re.escape(
             f"scale must be a number; got {scale!r}")):
-        ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
-                       methods=("wsa", "lb"), scale=scale)
+        preset_spec("fig2a", n_ris_list=(64,), n_t=4, scale=scale)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -413,7 +414,9 @@ def test_a_directly_built_spec_refuses_a_scale_that_is_not_a_number(scale):
     for name in ("snr_db", "k_t_db", "k_r_db", "k_sweep_db")
     for label, value in (("bool", True), ("numpy-bool", np.bool_(True)),
                          ("string", "10"), ("none", None))
-    if (name, value) != ("k_r_db", None)])     # None: k_r_db follows k_t_db
+    # None is the preset's value, or for k_r_db k_t_db's; a k_sweep_db
+    # entry of None is refused
+    if value is not None or name == "k_sweep_db"])
 def test_a_directly_built_spec_refuses_a_db_value_that_is_not_a_number(name,
                                                                       value):
     # snr_db=True used to run and write 1, and snr_db="10" ended in a
@@ -442,12 +445,61 @@ def test_a_spec_keeps_each_db_value_as_given():
 @pytest.mark.parametrize("scale", [np.float64(0.5), np.float32(0.5),
                                    np.int64(2), 2],
                          ids=["float64", "float32", "int64", "int"])
-def test_a_spec_stores_its_scale_as_a_float(scale):
-    spec = ExperimentSpec(preset="fig2a", n_ris_list=(64,), n_t=4,
-                          methods=("wsa", "lb"), scale=scale)
-    assert type(spec.scale) is float and spec.scale == float(scale)
+def test_preset_spec_takes_a_numpy_scale_and_the_spec_holds_no_scale(scale):
+    spec = preset_spec("fig2a", n_ris_list=(64,), n_t=4, scale=scale)
+    assert spec.n_ris_list == (int(64 * float(scale)),)
+    assert type(spec.n_ris_list[0]) is int
     res = harness.ExperimentResult(spec, (), [], (), [], [], {})
-    assert json.loads(res.to_json())["spec"]["scale"] == float(scale)
+    assert "scale" not in json.loads(res.to_json())["spec"]
+
+
+def test_a_replaced_grid_writes_a_sidecar_with_no_scale(tmp_path):
+    # the spec used to record 0.05 for the 100 elements it ran
+    spec = dataclasses.replace(preset_spec("fig2a", scale=0.05),
+                               n_ris_list=(100,))
+    run_experiment(spec).write(str(tmp_path))
+    written = json.loads((tmp_path / "fig2a.json").read_text())["spec"]
+    assert "scale" not in written and written["n_ris_list"] == [100]
+    assert len(dataclasses.fields(ExperimentSpec)) == 14
+
+
+@pytest.mark.parametrize("name", harness.preset_names(""))
+def test_a_directly_built_spec_is_its_preset_s_spec(name):
+    need = {"n_ris_list": (64,)} if name.startswith("custom-") else {}
+    assert ExperimentSpec(preset=name, **need) == preset_spec(name, **need)
+    # a field left None takes the preset's value
+    for field in harness._PRESET_BASE:
+        assert ExperimentSpec(preset=name, **{field: None, **need}) == \
+            ExperimentSpec(preset=name, **need)
+    if need:
+        with pytest.raises(ValueError, match=f"^preset '{name}' needs "
+                           r"n_ris_list \(--n-ris\)$"):
+            ExperimentSpec(preset=name)
+
+
+def test_direct_specs_run_their_preset():
+    # each used to take the dataclass's value, not the preset's
+    fig1c = ExperimentSpec(preset="fig1c", n_ris_list=(64,), n_t=4, trials=2)
+    assert fig1c.k_sweep_db == harness._K_SWEEP_FIG1C
+    assert len(run_experiment(fig1c).aggregates) == 6      # it ran one K
+    assert ExperimentSpec(preset="fig1a").trials == 100      # it ran 50
+    fig2c = ExperimentSpec(preset="fig2c", n_ris_list=(64,), n_t=4)
+    assert fig2c.methods == ("wsa", "rmo", "rmo-surrogate", "lb")   # refused
+    # refused: rmo_max_iters = 200 (the dataclass's) is not the preset's 500
+    gain = ExperimentSpec(preset="runtime-gain", n_ris_list=(16,), n_t=4,
+                          methods=("sa",))
+    assert (gain.methods, gain.rmo_max_iters) == (("sa",), 500)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("methods", ("wsa", "lb")), ("snr_db", 10.0), ("k_t_db", 0.0)],
+    ids=["methods-none", "snr_db-none", "k_t_db-none"])
+def test_none_takes_the_preset_s_value(name, value):
+    # each None used to be refused: not a tuple or list, or not a number
+    spec = ExperimentSpec(preset="custom-capacity", n_ris_list=(64,), n_t=4,
+                          **{name: None})
+    assert getattr(spec, name) == value and spec.k_r_db == spec.k_t_db
+    assert ExperimentSpec(preset="fig2c", **{name: None}) == preset_spec("fig2c")
 
 
 def test_run_experiment_rejects_runtime_presets():
