@@ -23,11 +23,11 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .capacity import capacity_exact, configure_wsa, wsa_report
-from .channels import LosSpec, _los_weight, cascaded_channel, sample_ricean
+from .channels import LosSpec, cascaded_channel, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, _check_count, near_square_geometry
 from .manifold import RmoSettings, quantize_1bit, rmo_optimize
-from .spectral import asymptotic_spectrum, svd_bundle
+from .spectral import _spike, asymptotic_spectrum, svd_bundle
 
 
 def db2lin(x_db: float) -> float:
@@ -63,14 +63,17 @@ def _nmse_cell(estimates, references) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _finite_k(k_db: float) -> bool:
-    """A K-factor in dB that is finite and whose linear value is too."""
-    return math.isfinite(k_db) and math.isfinite(db2lin(k_db))
-
-
 def _is_number(value) -> bool:
     """True for a real number, numpy's too, that is not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _plain(value):
+    """A real number (numpy's too, not a bool) as the plain int or float
+    it equals; anything else as it is."""
+    if not _is_number(value):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 @dataclass(frozen=True)
@@ -79,10 +82,10 @@ class ExperimentSpec:
 
     A _PRESET_BASE field left None takes the preset entry's value, else
     the base row's; a custom-* preset has no n_ris_list of its own.
-    k_t_db/k_r_db set the per-side K-factors (not NaN; finite for
-    spectrum and hardening), k_r_db following k_t_db unless given, as n_r
-    follows n_t; a k_sweep_db is swept on both sides instead.  These and
-    snr_db are numbers (numpy's too, not bools).  n_ris_list, methods and
+    k_t_db/k_r_db set the per-side K-factors (not NaN), k_r_db following
+    k_t_db unless given, as n_r follows n_t; a k_sweep_db is swept on both
+    sides instead.  These and snr_db are numbers (numpy's too, not bools),
+    each held as the plain int or float it equals.  n_ris_list, methods and
     a k_sweep_db are tuples or lists.  methods are distinct names the
     family's _FAMILIES record knows (its methods, then "lb"), each
     writing a shown column (a timing on runtime presets); spectrum and
@@ -119,10 +122,13 @@ class ExperimentSpec:
         for name, leader in (("n_r", "n_t"), ("k_r_db", "k_t_db")):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, getattr(self, leader))
+        # plain numbers, because the sidecar is JSON; a NaN SNR is taken
+        # (its trials record their errors), a NaN K-factor is not
         for name in ("k_t_db", "k_r_db", "snr_db"):
-            if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number; "
-                                 f"got {getattr(self, name)!r}")
+            value = _plain(getattr(self, name))
+            if not _is_number(value) or (name != "snr_db" and math.isnan(value)):
+                raise ValueError(f"{name} must be a number; got {value!r}")
+            object.__setattr__(self, name, value)
         # ints, and tuples of them, because the sidecar is JSON
         for name, minimum in _COUNTS.items():
             value = _check_count(name, getattr(self, name), minimum)
@@ -141,13 +147,12 @@ class ExperimentSpec:
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.k_sweep_db is not None and not self.k_sweep_db:
             raise ValueError("k_sweep_db must be nonempty when given")
-        for name in ("k_t_db", "k_r_db"):
-            if math.isnan(getattr(self, name)):
-                raise ValueError(f"{name} must be a number; got nan")
-        if not all(_is_number(k) and not math.isnan(k)
-                   for k in self.k_sweep_db or ()):
-            raise ValueError(f"k_sweep_db entries must be numbers; "
-                             f"got {list(self.k_sweep_db)}")
+        if self.k_sweep_db is not None:
+            sweep = tuple(map(_plain, self.k_sweep_db))
+            if not all(_is_number(k) and not math.isnan(k) for k in sweep):
+                raise ValueError(f"k_sweep_db entries must be numbers; "
+                                 f"got {list(sweep)}")
+            object.__setattr__(self, "k_sweep_db", sweep)
         family = preset["family"]
         if family == "spectrum" and min(self.n_ris_list) < self.n_t:
             # the spectrum prediction needs n_ris >= n_t
@@ -175,18 +180,6 @@ class ExperimentSpec:
                 why = ""
             raise ValueError(f"{name} = {value!r} is not read by {family} "
                              f"preset {self.preset!r}{why}; leave it unset")
-        if not _FAMILIES[family].methods:
-            if not _finite_k(self.k_t_db):
-                raise ValueError(f"k_t_db must be finite in dB and in linear "
-                                 f"scale for {family} preset {self.preset!r}; "
-                                 f"got {self.k_t_db!r}")
-            if not all(map(_finite_k, self.k_sweep_db or ())):
-                raise ValueError(f"k_sweep_db entries must be finite in dB and "
-                                 f"in linear scale for {family} preset "
-                                 f"{self.preset!r}; got {list(self.k_sweep_db)}")
-        if self.k_sweep_db is not None:
-            object.__setattr__(self, "k_sweep_db",
-                               tuple(float(k) for k in self.k_sweep_db))
 
     def _check_methods(self, family: str) -> None:
         """Refuse a name the family does not know, a repeated one, and one
@@ -613,7 +606,7 @@ def _trial_side(spec, point, trial, rng):
     row = {"trial": trial, "n_ris": n_ris, "n_t": n_t, "k_t_db": k_db,
            "flag_hardening": _flag_hardening([(k_lin, n_t)]),
            "lambda_1": float(eig[0]),
-           "predicted_1": _los_weight(k_lin) * n_ris * n_t}
+           "predicted_1": _spike(n_ris, n_t, k_lin)}
     row.update((f"eig_{i:02d}", float(val)) for i, val in enumerate(eig, start=1))
     return row, {}
 

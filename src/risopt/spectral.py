@@ -87,6 +87,12 @@ def laguerre_top_roots(n_big: int, n_small: int) -> np.ndarray:
     return (y - n_big) / (2.0 * math.sqrt(n_big * n_small))
 
 
+def _spike(n_ris: int, n_array: int, k_factor: float) -> float:
+    """The LoS spike K/(K+1) * n_ris * n_array, entry 1 of the prediction
+    outside the bulk regime."""
+    return _los_weight(k_factor) * n_ris * n_array
+
+
 def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> AsymptoticSpectrum:
     """Closed-form prediction of the squared singular values.
 
@@ -98,7 +104,7 @@ def asymptotic_spectrum(n_ris: int, n_array: int, k_factor: float) -> Asymptotic
     """
     _check_count("n_ris", n_ris)
     _check_count("n_array", n_array)
-    spike = _los_weight(k_factor) * n_ris * n_array
+    spike = _spike(n_ris, n_array, k_factor)
     roots = laguerre_top_roots(n_ris, n_array)
     scale = 2.0 * math.sqrt(n_ris * n_array)
     if math.isinf(k_factor):

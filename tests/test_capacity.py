@@ -181,6 +181,12 @@ def test_allocation_validation():
         allocate_sca(np.array([]), np.array([]), snr=1.0, n_t=1)
 
 
+def test_allocation_refuses_a_channel_with_no_positive_stream_gain():
+    # a zero receive side leaves every stream gain at 0: no start can move
+    with pytest.raises(ValueError, match="^no stream has positive gain$"):
+        allocate_sca(np.zeros(3), np.ones(3), 10.0, 3)
+
+
 @pytest.mark.parametrize("d_r, d_t, n_t, message", [
     # a NaN singular value used to end in an IndexError inside the level
     # search, n_t = 0 divided the gains by zero, n_t = 2.5 divided them

@@ -399,18 +399,22 @@ def test_a_bad_method_flag_prints_one_error_line(tmp_path, capsys):
     # a gain trial used to fail with "k_factor must be non-negative"
     (["gain", "--k-db", "nan"], "k_t_db must be a number; got nan"),
     (["capacity", "--k-db", "0", "nan"], "k_r_db must be a number; got nan"),
-    # a spectrum at K = inf used to run every trial, then die in its aggregate
-    (["spectrum", "--k-db", "inf"], "k_t_db must be finite in dB and in "
-     "linear scale for spectrum preset 'custom-spectrum'; got inf"),
-    (["spectrum", "--k-db=-inf"], "k_t_db must be finite in dB and in "
-     "linear scale for spectrum preset 'custom-spectrum'; got -inf"),
-    # one whose linear value overflows used to end in a traceback
-    (["spectrum", "--k-db", "3100"], "k_t_db must be finite in dB and in "
-     "linear scale for spectrum preset 'custom-spectrum'; got 3100.0"),
+    # spectrum once refused an infinite K, and one whose linear value
+    # overflows, which gain and capacity take; it runs them now
+    (["spectrum", "--k-db", "inf"], None),
+    (["spectrum", "--k-db=-inf"], None),
+    (["spectrum", "--k-db", "3100"], None),
 ], ids=["spectrum-nan", "gain-nan", "capacity-nan-k_r", "spectrum-inf",
         "spectrum-minus-inf", "spectrum-overflow"])
 def test_a_nan_or_infinite_k_is_a_clean_error(tmp_path, capsys, argv, message):
+    # a NaN K is refused; an infinite one (message None) writes its files
     argv = [argv[0], "--n-ris", "64", "--nt", "4", "--trials", "2", *argv[1:]]
+    if message is None:
+        assert run_main([*argv, "--out", str(tmp_path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "custom-spectrum.csv", "custom-spectrum.json",
+            "custom-spectrum_aggregate.csv"]
+        return
     assert refusal(tmp_path, capsys, argv) == [f"error: {message}"]
 
 

@@ -285,24 +285,25 @@ def test_spec_refuses_a_repeated_method():
     ("custom-capacity", {"k_r_db": math.nan}, "^k_r_db must be a number; got nan$"),
     ("fig1c", {"k_sweep_db": (3.0, math.nan)},
      r"^k_sweep_db entries must be numbers; got \[3.0, nan\]$"),
-    # a spectrum at K = inf used to die in its aggregate, a sweep entry of
-    # inf to write nan, and one of -inf to die like the spectrum
-    ("custom-spectrum", {"k_t_db": math.inf}, "^k_t_db must be finite in dB "
-     "and in linear scale for spectrum preset 'custom-spectrum'; got inf$"),
-    ("custom-spectrum", {"k_t_db": -math.inf}, "^k_t_db must be finite"),
-    ("fig1c", {"k_sweep_db": (math.inf,)}, "^k_sweep_db entries must be finite "
-     r"in dB and in linear scale for hardening preset 'fig1c'; got \[inf\]$"),
-    ("fig1c", {"k_sweep_db": (0.0, -math.inf)}, "^k_sweep_db entries must be finite"),
-    # a K whose linear value overflows used to raise OverflowError in a trial
-    ("custom-spectrum", {"k_t_db": 3100.0}, "^k_t_db must be finite in dB and "
-     "in linear scale for spectrum preset 'custom-spectrum'; got 3100.0$"),
-    ("fig1c", {"k_sweep_db": (0.0, 3100.0)}, "^k_sweep_db entries must be "
-     r"finite in dB and in linear scale for hardening preset 'fig1c'; "
-     r"got \[0.0, 3100.0\]$"),
+    # spectrum and hardening once refused an infinite K, and one whose
+    # linear value overflows, which gain and capacity take; they run now
+    ("custom-spectrum", {"k_t_db": math.inf}, None),
+    ("custom-spectrum", {"k_t_db": -math.inf}, None),
+    ("fig1c", {"k_sweep_db": (math.inf,)}, None),
+    ("fig1c", {"k_sweep_db": (0.0, -math.inf)}, None),
+    ("custom-spectrum", {"k_t_db": 3100.0}, None),
+    ("fig1c", {"k_sweep_db": (0.0, 3100.0)}, None),
 ], ids=["spectrum-nan", "gain-nan", "capacity-k_r-nan", "sweep-nan",
         "spectrum-inf", "spectrum-minus-inf", "sweep-inf", "sweep-minus-inf",
         "spectrum-overflow", "sweep-overflow"])
 def test_spec_refuses_a_nan_or_infinite_k(preset, fields, message):
+    # a NaN K is refused; an infinite one (message None) runs, with no
+    # numpy warning
+    if message is None:
+        spec = preset_spec(preset, n_ris_list=(32,), n_t=4, trials=2, **fields)
+        assert {name: getattr(spec, name) for name in fields} == fields
+        assert run_experiment(spec).to_json()
+        return
     with pytest.raises(ValueError, match=message):
         preset_spec(preset, n_ris_list=(32,), n_t=4, trials=2, **fields)
 
@@ -313,6 +314,32 @@ def test_gain_and_capacity_keep_pure_los_and_rayleigh(k_db):
         res = run_experiment(preset_spec(preset, n_ris_list=(32,), n_t=4,
                                          trials=2, k_t_db=k_db))
         assert not any(row["error"] for row in res.rows)
+
+    # spectrum and hardening (at the sweep's second point) keep them too
+    def run(preset, k):
+        fields = ({"k_sweep_db": (0.0, k)} if preset == "fig1c"
+                  else {"k_t_db": k})
+        return run_experiment(preset_spec(preset, n_ris_list=(32,), n_t=4,
+                                          trials=2, **fields))
+    at_k = {preset: run(preset, k_db) for preset in ("custom-spectrum", "fig1c")}
+    spectrum = at_k["custom-spectrum"].aggregates
+    hardening = at_k["fig1c"].aggregates[1]
+    if k_db > 0:
+        # pure LoS: the spike is all the energy, so the bulk predicts 0
+        assert spectrum[0]["nmse"] <= 1e-20 and hardening["nmse"] <= 1e-20
+        assert [a["nmse"] for a in spectrum[1:]] == [None] * 3
+        assert {(a["aggregate_nmse"], a["bulk_regime"]) for a in spectrum} == {
+            (None, 0)}
+        # a K whose linear value overflows writes the rows of K = inf
+        for preset, at_inf in at_k.items():
+            assert [{**row, "k_t_db": None}
+                    for row in run(preset, 3100.0).rows] == [
+                {**row, "k_t_db": None} for row in at_inf.rows]
+    else:
+        # Rayleigh: no spike, so the bulk predicts every index
+        assert hardening["predicted_1"] == 0.0 and hardening["nmse"] is None
+        assert all(a["bulk_regime"] == 1 and a["nmse"] is not None
+                   for a in spectrum)
 
 
 @pytest.mark.parametrize("preset, methods", [
@@ -440,6 +467,35 @@ def test_a_spec_keeps_each_db_value_as_given():
     assert (type(spec.k_t_db), type(spec.k_r_db)) == (int, int)
     row = run_experiment(spec).to_csv().splitlines()[1].split(",")
     assert row[5:7] == ["10", "10"] and row[7] == "nan"
+
+
+def test_numpy_db_values_are_held_as_the_python_numbers_they_equal(tmp_path):
+    # a float32 K used to run every trial and write both CSVs, then fail
+    # in to_json, leaving no sidecar
+    plain = {"k_t_db": 3.0, "k_r_db": 1.0, "snr_db": 10}
+    given = {"k_t_db": np.float32(3.0), "k_r_db": np.float16(1.0),
+             "snr_db": np.int64(10)}
+    spec, python_spec = (
+        ExperimentSpec(preset="custom-capacity", n_ris_list=(16,), n_t=2,
+                       trials=1, methods=("wsa",), **fields)
+        for fields in (given, plain))
+    assert {name: type(getattr(spec, name)) for name in plain} == {
+        "k_t_db": float, "k_r_db": float, "snr_db": int}
+    paths = run_experiment(spec).write(str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == [
+        "custom-capacity.csv", "custom-capacity.json",
+        "custom-capacity_aggregate.csv"]
+    written = json.loads(open(paths["json"]).read())["spec"]
+    assert [(written[name], type(written[name])) for name in plain] == [
+        (3.0, float), (1.0, float), (10, int)]
+    assert open(paths["csv"]).read() == run_experiment(python_spec).to_csv()
+    # a sweep entry follows the same rule: an int is no longer a float
+    for sweep, held in (((0, 5), (0, 5)),
+                        ((np.int64(0), np.float32(5.0)), (0, 5.0))):
+        spec = ExperimentSpec(preset="fig1c", n_ris_list=(64,), n_t=4,
+                              k_sweep_db=sweep)
+        assert [(k, type(k)) for k in spec.k_sweep_db] == [
+            (k, type(k)) for k in held]
 
 
 @pytest.mark.parametrize("scale", [np.float64(0.5), np.float32(0.5),
@@ -639,6 +695,28 @@ def test_write_is_atomic_no_temp_left(tmp_path):
     res.write(str(tmp_path))   # overwrite in place
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp")]
     assert leftovers == []
+
+
+def test_a_failed_replace_leaves_the_old_file_and_no_temp(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="^replace refused$"):
+        harness._atomic_write(str(path), "new\n")
+    assert os.listdir(tmp_path) == ["run.csv"]
+    assert path.read_bytes() == b"old\n"
+
+
+def test_an_azimuth_draw_of_minus_pi_is_wrapped_to_pi():
+    # azimuths lie in (-pi, pi]; uniform(-pi, pi) can return -pi itself
+    class Lowest:
+        def uniform(self, low, high):
+            return low
+    assert harness._random_angles(Lowest()) == geometry.AnglePair(math.pi, 0.0)
 
 
 def test_gain_family_rows_and_aggregate():
