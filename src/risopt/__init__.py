@@ -20,7 +20,7 @@ from .channels import LosSpec, cascaded_channel, complex_gaussian, sample_ricean
 from .gain import channel_gain, configure_gain_los, gain_lower_bound
 from .geometry import AnglePair, UpaGeometry, near_square_geometry, upa_steering
 from .harness import (ExperimentResult, ExperimentSpec, bench_runtime, db2lin,
-                      nmse, preset_spec, run_experiment)
+                      preset_spec, run_experiment)
 from .manifold import (RmoResult, RmoSettings, euclidean_gradient,
                        quantize_1bit, riemannian_gradient, rmo_optimize)
 from .spectral import (AsymptoticSpectrum, SvdBundle, asymptotic_spectrum,
@@ -36,7 +36,7 @@ __all__ = [
     "LosSpec", "cascaded_channel", "complex_gaussian", "sample_ricean",
     "channel_gain", "configure_gain_los", "gain_lower_bound",
     "AnglePair", "UpaGeometry", "near_square_geometry", "upa_steering",
-    "ExperimentResult", "ExperimentSpec", "bench_runtime", "db2lin", "nmse",
+    "ExperimentResult", "ExperimentSpec", "bench_runtime", "db2lin",
     "preset_spec", "run_experiment",
     "RmoResult", "RmoSettings", "euclidean_gradient", "quantize_1bit",
     "riemannian_gradient", "rmo_optimize",

@@ -13,8 +13,8 @@ import numpy as np
 
 
 def _signs(x: np.ndarray) -> np.ndarray:
-    # sign(0) := +1 keeps outputs deterministic; complex so that b @ signs
-    # needs no float-to-complex cast
+    # the package's one sign tie, sign(0) := +1, which keeps outputs
+    # deterministic; complex so that b @ signs needs no float-to-complex cast
     return np.where(x >= 0.0, 1.0 + 0.0j, -1.0 + 0.0j)
 
 

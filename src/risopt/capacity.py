@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import sign_align
-from .channels import cascaded_channel
+from .channels import _finite, _same_size, cascaded_channel
 from .gain import channel_gain
 from .geometry import _check_count
 from .spectral import SvdBundle, svd_bundle
@@ -69,15 +69,18 @@ def _check_snr(snr: float | None) -> None:
         raise ValueError(f"snr must be finite; got {snr!r}")
 
 
+def _rho(snr: float | None, n_t: int) -> float:
+    """snr / n_t, identity precoding's per-antenna SNR, once checked."""
+    _check_snr(snr)
+    return snr / n_t
+
+
 def capacity_exact(h_tilde: np.ndarray, snr: float) -> float:
     """log2 det(I + snr/n_t * H H^H) in bits, via singular values; n_t is
     the column count of the n_r x n_t cascade H, and snr is linear,
     positive and finite."""
-    h = np.asarray(h_tilde, dtype=complex)
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite channel")
-    _check_snr(snr)
-    return _capacity_bits(h, snr / h.shape[1])
+    h = _finite(np.asarray(h_tilde, dtype=complex))
+    return _capacity_bits(h, _rho(snr, h.shape[1]))
 
 
 def _capacity_bits(h: np.ndarray, rho: float) -> float:
@@ -99,21 +102,26 @@ def effective_channel(bundle_r: SvdBundle, phi, bundle_t: SvdBundle) -> np.ndarr
     return bundle_r.singular_values[:, None] * core * bundle_t.singular_values
 
 
+def _stream_target(bundle_r: SvdBundle, bundle_t: SvdBundle, i: int, block: slice):
+    """Stream i's target conj(v_R,i) * u_T,i on the elements of block;
+    conj(v_R,i) is row i of V_R^H."""
+    return bundle_r.right_h[i, block] * bundle_t.left[block, i]
+
+
 def stream_columns(bundle_r: SvdBundle, bundle_t: SvdBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Per-stream targets conj(v_R,i) * u_T,i (as columns) and weights
+    """Per-stream targets on every element (as columns) and weights
     d_R,i^2 d_T,i^2, for the min(n_r, n_t) streams.
 
-    conj(v_R,i) is row i of V_R^H.  cols is an F-ordered copy of those
-    rows' transpose, multiplied in place by the columns of U_T, so it is
-    F-ordered at every size.  The layout picks BLAS's kernel for
-    cols.T @ phi and so fixes the bits of the stream projections.  Bundles
-    of different element counts are refused as the cascade refuses them.
+    Each column is _stream_target's, written into an F-ordered array.
+    The layout picks BLAS's kernel for cols.T @ phi and so fixes the bits
+    of the stream projections.  Bundles of different element counts are
+    refused as the cascade refuses them.
     """
-    if bundle_r.right_h.shape[1] != bundle_t.left.shape[0]:
-        raise ValueError("dimension mismatch in cascade")
+    n_s = _same_size(bundle_r.right_h.shape[1], bundle_t.left.shape[0])
     nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    cols = bundle_r.right_h[:nmin].T.copy(order="F")
-    cols *= bundle_t.left[:, :nmin]
+    cols = np.empty((n_s, nmin), dtype=complex, order="F")
+    for i in range(nmin):
+        cols[:, i] = _stream_target(bundle_r, bundle_t, i, slice(None))
     w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
     return cols, w
 
@@ -130,10 +138,10 @@ def capacity_diag_approx(bundle_r: SvdBundle, bundle_t: SvdBundle, phi,
                          snr: float) -> float:
     """Diagonal surrogate: per-stream terms only, in bits; snr is linear,
     positive and finite."""
-    _check_snr(snr)
+    rho = _rho(snr, bundle_t.right_h.shape[1])
     cols, w = stream_columns(bundle_r, bundle_t)
     z = cols.T @ np.asarray(phi).ravel()
-    return stream_bits((snr / bundle_t.right_h.shape[1]) * w, np.abs(z) ** 2)
+    return stream_bits(rho * w, np.abs(z) ** 2)
 
 
 def _water_level(a: np.ndarray, c: np.ndarray, budget: float) -> float:
@@ -326,13 +334,12 @@ def configure_capacity(bundle_r: SvdBundle, bundle_t: SvdBundle,
                          f"streams; the bundles have {n_s} elements and "
                          f"{columns} stream columns")
     states = np.ones(n_s)
-    # each stream's target is formed on its own elements only, the same
-    # values as stream_columns' column i sliced to the block
+    # each stream's target is formed on its own elements only
     start = 0
     for i, end in enumerate(np.cumsum(counts).tolist()):
         if end > start:
-            states[start:end] = sign_align(bundle_r.right_h[i, start:end]
-                                           * bundle_t.left[start:end, i])
+            states[start:end] = sign_align(_stream_target(
+                bundle_r, bundle_t, i, slice(start, end)))
         start = end
     return states
 

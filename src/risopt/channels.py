@@ -103,21 +103,30 @@ def sample_ricean(k_factor: float, los: LosSpec,
     return los_mat
 
 
+def _finite(h: np.ndarray) -> np.ndarray:
+    """h, refused unless every entry is finite: the one channel check."""
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite channel")
+    return h
+
+
+def _same_size(*sizes: int) -> int:
+    """The element count every factor of a cascade has, if they agree."""
+    if len(set(sizes)) != 1:
+        raise ValueError("dimension mismatch in cascade")
+    return sizes[0]
+
+
 def cascaded_channel(h_r_herm: np.ndarray, phi, h_t: np.ndarray) -> np.ndarray:
     """End-to-end channel h_r_herm @ diag(phi) @ h_t.
 
     phi is any length-n_ris vector: a 1-bit configuration or a
     continuous unit-modulus one.  The diagonal is never materialized;
     rows of h_t are scaled instead.  The package's one cascade: it
-    refuses sizes that disagree ("dimension mismatch in cascade") and a
-    non-finite product ("non-finite channel").
+    refuses sizes that disagree and a non-finite product.
     """
     v = np.asarray(phi).ravel()
     h_r_herm = np.asarray(h_r_herm)
     h_t = np.asarray(h_t)
-    if h_r_herm.shape[1] != v.size or h_t.shape[0] != v.size:
-        raise ValueError("dimension mismatch in cascade")
-    h = h_r_herm @ (v[:, None] * h_t)
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite channel")
-    return h
+    _same_size(h_r_herm.shape[1], v.size, h_t.shape[0])
+    return _finite(h_r_herm @ (v[:, None] * h_t))

@@ -41,10 +41,6 @@ class UpaGeometry:
         _check_count("n_horizontal", self.n_horizontal)
         _check_count("n_vertical", self.n_vertical)
 
-    @property
-    def size(self) -> int:
-        return self.n_horizontal * self.n_vertical
-
 
 @dataclass(frozen=True)
 class AnglePair:

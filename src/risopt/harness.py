@@ -39,28 +39,17 @@ def db2lin(x_db: float) -> float:
         return math.inf
 
 
-def nmse(estimates, references) -> float:
-    """Normalized mean squared error sum((e-r)^2) / sum(r^2)."""
-    e = np.asarray(estimates, dtype=float).ravel()
-    r = np.asarray(references, dtype=float).ravel()
-    if e.size != r.size:
-        raise ValueError("length mismatch")
-    denom = float(np.sum(r * r))
-    if denom == 0.0:
-        raise ValueError("zero reference energy")
-    return float(np.sum((e - r) ** 2) / denom)
-
-
 def _nmse_cell(estimates, references) -> float | None:
-    """nmse, or None (an empty cell) where it cannot be formed: a zero or
-    subnormal reference energy, or a quotient that is not finite; no
-    numpy warning either way."""
+    """The normalized mean squared error sum((e-r)^2) / sum(r^2) of two
+    equal-length sequences, or None (an empty cell) where it cannot be
+    formed: a zero or subnormal reference energy, or a quotient that is
+    not finite; no numpy warning either way."""
+    e = np.asarray(estimates, dtype=float)
     r = np.asarray(references, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.sum(r * r) >= np.finfo(float).tiny:
-            return None
-        value = nmse(estimates, r)
-    return value if math.isfinite(value) else None
+    with np.errstate(all="ignore"):
+        denom = np.sum(r * r)
+        value = float(np.sum((e - r) ** 2) / denom)
+    return value if denom >= np.finfo(float).tiny and math.isfinite(value) else None
 
 
 def _is_number(value) -> bool:
@@ -129,6 +118,9 @@ class ExperimentSpec:
             if not _is_number(value) or (name != "snr_db" and math.isnan(value)):
                 raise ValueError(f"{name} must be a number; got {value!r}")
             object.__setattr__(self, name, value)
+        stem = self.out_stem
+        if not (stem is None or isinstance(stem, str) and stem):
+            raise ValueError(f"out_stem must be a non-empty string; got {stem!r}")
         # ints, and tuples of them, because the sidecar is JSON
         for name, minimum in _COUNTS.items():
             value = _check_count(name, getattr(self, name), minimum)

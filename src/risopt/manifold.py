@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (_LN2, _capacity_bits, _check_snr, stream_bits,
-                       stream_columns)
+from .alignment import _signs
+from .capacity import _LN2, _capacity_bits, _rho, stream_bits, stream_columns
 from .channels import cascaded_channel
 from .gain import channel_gain
 from .geometry import _check_count
@@ -61,10 +61,9 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
     The gain and exact-capacity values are channel_gain and capacity_exact
     of cascaded_channel(a, phi, t), which refuses a non-finite or
-    mismatched channel.  The capacity objectives scale by snr / n_t, n_t
-    the column count of h_t (n_ris x n_t), and refuse an snr through
-    capacity._check_snr, once per run: the exact capacity is then
-    capacity_exact's core, _capacity_bits, on the checked cascade.  The
+    mismatched channel.  The capacity objectives scale by capacity._rho
+    of snr and h_t's column count, checked once per run: the exact
+    capacity is then _capacity_bits on the checked cascade.  The
     surrogate reads its stream columns from bundles, the SVDs of
     (h_r_herm, h_t), and makes them itself if None; its value is
     capacity_diag_approx's bit for bit, from columns made once per run.
@@ -97,8 +96,7 @@ def _objective(objective: str, h_r_herm: np.ndarray, h_t: np.ndarray,
 
         return evaluate, grad
 
-    _check_snr(snr)
-    rho = snr / t.shape[1]
+    rho = _rho(snr, t.shape[1])
 
     if objective == "capacity_exact":
         eye = np.eye(a.shape[0])
@@ -252,9 +250,9 @@ def rmo_optimize(h_r_herm: np.ndarray, h_t: np.ndarray, settings: RmoSettings,
 
 
 def quantize_1bit(phi_continuous) -> np.ndarray:
-    """Nearest point of {+1, -1} per element: +1 iff Re >= 0 (ties to +1)."""
+    """Nearest point of {+1, -1} per element: _signs of Re, ties to +1."""
     phi = np.asarray(phi_continuous, dtype=complex).ravel()
     # written so that a NaN modulus fails the test: NaN > 1e-6 is False
     if phi.size == 0 or not np.all(np.abs(np.abs(phi) - 1.0) <= 1e-6):
         raise ValueError("input must be unit modulus")
-    return np.where(phi.real >= 0.0, 1.0, -1.0)
+    return _signs(phi.real).real.copy()

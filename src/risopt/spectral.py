@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _los_weight
+from .channels import _finite, _los_weight
 from .geometry import _check_count
 
 
@@ -55,10 +55,8 @@ class AsymptoticSpectrum:
 def svd_bundle(h: np.ndarray) -> SvdBundle:
     """Thin dense SVD with descending singular values; V^H is kept as
     LAPACK returns it, with no conjugate-transposed copy."""
-    h = np.asarray(h, dtype=complex)
-    if not np.isfinite(h).all():
-        raise ValueError("non-finite channel")
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    u, s, vh = np.linalg.svd(_finite(np.asarray(h, dtype=complex)),
+                             full_matrices=False)
     return SvdBundle(u, s, vh)
 
 

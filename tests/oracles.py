@@ -25,6 +25,14 @@ def brute_force_value(b) -> float:
                      for s in product((1.0, -1.0), repeat=b.size)))
 
 
+def nmse(estimates, references) -> float:
+    """The textbook normalized mean squared error sum((e-r)^2) / sum(r^2),
+    the reference the harness's NMSE cells are checked against."""
+    e = np.asarray(estimates, dtype=float)
+    r = np.asarray(references, dtype=float)
+    return float(np.sum((e - r) ** 2) / np.sum(r ** 2))
+
+
 def water_level_bisect(gains, weights, budget: float) -> float:
     """Reference for capacity._water_level on gain and weight arrays: bisection
     on the level s = 1/eta of the increasing budget residual, independent

@@ -385,6 +385,35 @@ def test_stream_columns_are_f_ordered_at_every_size(n_s, n):
                           (want.T @ phi).view(np.uint64))
 
 
+@pytest.mark.parametrize("n_s,n", [(512, 8), (8192, 8), (5000, 10),
+                                   (20000, 10)])
+def test_each_block_target_is_its_stream_column_sliced_bit_for_bit(
+        monkeypatch, n_s, n):
+    # configure_capacity aligns each stream on a target formed on its own
+    # block; it holds the bits of stream_columns' column on that block at
+    # every offset, an even split's and uneven ones', so the surrogate and
+    # W-SA read one product
+    rng = np.random.default_rng(n_s + n)
+    bundle_r = svd_bundle(complex_gaussian(rng, (n, n_s)))
+    bundle_t = svd_bundle(complex_gaussian(rng, (n_s, n)))
+    cols, _ = stream_columns(bundle_r, bundle_t)
+    assert cols.flags.f_contiguous
+    targets = []
+    monkeypatch.setattr(capacity, "sign_align",
+                        lambda b: targets.append(b) or sign_align(b))
+    splits = [round_allocation(np.full(n, 1.0 / n ** 2), n_s)]
+    for _ in range(3):
+        cuts = np.sort(rng.choice(np.arange(1, n_s), n - 1, replace=False))
+        splits.append(np.diff(cuts, prepend=0, append=n_s))
+    for counts in splits:
+        targets.clear()
+        configure_capacity(bundle_r, bundle_t, counts)
+        assert len(targets) == n
+        for i, idx in enumerate(blocks(counts)):
+            assert np.array_equal(targets[i].view(np.uint64),
+                                  cols[idx, i].view(np.uint64))
+
+
 def masked_column_configuration(bundle_r, bundle_t, counts) -> np.ndarray:
     """The earlier configure_capacity: every stream column over all
     elements, each gathered at its block and aligned."""

@@ -167,6 +167,14 @@ def test_a_missing_argument_file_is_a_clean_error(tmp_path, capsys):
         f"error: [Errno 2] No such file or directory: '{missing}'"]
 
 
+def test_an_empty_out_stem_is_a_clean_error(tmp_path, capsys):
+    # it used to write under the preset's name, the sidecar recording ""
+    argv = ["capacity", "--n-ris", "16", "--nt", "2", "--trials", "1",
+            "--out-stem", ""]
+    assert refusal(tmp_path, capsys, argv) == [
+        "error: out_stem must be a non-empty string; got ''"]
+
+
 def test_a_missing_subcommand_prints_one_error_line(capsys):
     # argparse used to print its usage block and raise SystemExit(2)
     assert run_main([]) == 2

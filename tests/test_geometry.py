@@ -21,7 +21,8 @@ def test_steering_unit_modulus_and_reference_element():
     assert a.shape == (12,)
     assert np.allclose(np.abs(a), 1.0)
     assert a[0] == 1.0 + 0.0j
-    assert np.isclose(np.vdot(a, a).real, geo.size)
+    assert np.isclose(np.vdot(a, a).real,
+                      geo.n_horizontal * geo.n_vertical)
 
 
 def test_steering_flattening_order_horizontal_fastest():
@@ -88,7 +89,7 @@ def test_geometry_validation():
 def test_near_square_geometry(n, expect):
     geo = near_square_geometry(n)
     assert (geo.n_horizontal, geo.n_vertical) == expect
-    assert geo.size == n
+    assert geo.n_horizontal * geo.n_vertical == n
     assert geo.n_horizontal <= geo.n_vertical
 
 

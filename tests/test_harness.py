@@ -19,8 +19,9 @@ import risopt.spectral as spectral
 from risopt.capacity import run_wsa
 from risopt.spectral import asymptotic_spectrum
 from risopt.harness import (ExperimentSpec, _resolve_workers, bench_runtime,
-                            db2lin, nmse, preset_spec, run_experiment)
+                            db2lin, preset_spec, run_experiment)
 
+from .oracles import nmse
 from .test_pinned_outputs import RUNS as PINNED_RUNS, SRC
 
 
@@ -29,16 +30,6 @@ def tiny_capacity_spec(**kw):
                 trials=3, seed=123, methods=("wsa", "lb"))
     base.update(kw)
     return ExperimentSpec(**base)
-
-
-def test_nmse_definition_and_errors():
-    assert nmse([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert nmse([2.0], [1.0]) == pytest.approx(1.0)
-    assert nmse([0.0, 2.0], [1.0, 1.0]) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        nmse([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        nmse([1.0], [0.0])
 
 
 def test_db2lin():
@@ -668,6 +659,17 @@ def test_a_zero_prediction_leaves_the_hardening_nmse_empty(tmp_path):
     assert row.split(",")[header.split(",").index("nmse")] == ""
 
 
+@pytest.mark.parametrize("stem", [5, b"x", "", 1.5],
+                         ids=["int", "bytes", "empty", "float"])
+def test_a_spec_refuses_an_out_stem_that_is_not_a_non_empty_string(stem):
+    # out_stem=5 used to run every trial, then fail in write with a
+    # TypeError and no file; "" wrote under the preset's name while the
+    # sidecar recorded ""
+    with pytest.raises(ValueError, match=re.escape(
+            f"out_stem must be a non-empty string; got {stem!r}")):
+        tiny_capacity_spec(out_stem=stem)
+
+
 def test_csv_and_json_outputs(tmp_path):
     spec = tiny_capacity_spec(out_stem="unit")
     res = run_experiment(spec)
@@ -875,11 +877,13 @@ def test_an_nmse_that_cannot_be_formed_leaves_its_cell_empty(tmp_path):
 
 
 def test_the_aggregate_nmse_cell_takes_a_normal_energy_and_a_finite_quotient():
-    # the public nmse still refuses a zero energy: test_nmse_definition_and_errors
     cell = harness._nmse_cell
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert cell([2.0, 0.0], [1.0, 1.0]) == nmse([2.0, 0.0], [1.0, 1.0])
+        assert cell([1.0, 2.0], [1.0, 2.0]) == 0.0
+        assert cell([2.0], [1.0]) == 1.0
+        assert cell([0.0, 2.0], [1.0, 1.0]) == 1.0
+        assert cell([2.0, 0.0], [1.0, 1.0]) == 1.0
         assert cell([1.0], [0.0]) is None
         assert cell([1.0], [1e-160]) is None      # a subnormal energy
         assert cell([1e200], [1e-150]) is None    # the quotient overflows
@@ -1010,7 +1014,7 @@ def test_wsa_columns_are_run_wsa_bit_for_bit():
 
 @pytest.mark.parametrize("preset,n_ris,n,methods,fields,bound", [
     # fig2a's middle point and fig2b's first.  Each bound sits between
-    # the peak with each channel-sized array held once (6.36, 4.00 units)
+    # the peak with each channel-sized array held once (5.86, 4.00 units)
     # and the one with the sampled receive matrix kept next to its
     # conjugate a and V kept next to LAPACK's V^H (7.87, 5.00)
     ("custom-capacity", 2048, 8, ("wsa", "lb"), {}, 7.0),
@@ -1061,7 +1065,8 @@ def count_svd_bundle(monkeypatch) -> list:
 ])
 def test_a_trial_builds_each_steering_vector_once(monkeypatch, preset, methods):
     # two per side, for its LoS matrix; sa reads the same vectors
-    calls = count_calls(monkeypatch, geometry, "upa_steering", lambda g: g.size)
+    calls = count_calls(monkeypatch, geometry, "upa_steering",
+                        lambda g: g.n_horizontal * g.n_vertical)
     iters = {"rmo_max_iters": 2} if "rmo" in methods else {}
     res = run_experiment(preset_spec(preset, n_ris_list=(36,), n_t=4,
                                      trials=3, methods=methods, **iters))
@@ -1189,6 +1194,41 @@ def test_metadata_records_the_environment(monkeypatch):
     assert sidecar["workers"] == meta["workers"]
     assert sidecar["thread_env"]["OMP_NUM_THREADS"] == "3"
     assert res.to_csv() == run_experiment(tiny_capacity_spec(workers=1)).to_csv()
+
+
+@pytest.fixture
+def fresh_static_environment():
+    """_static_environment is computed once per process; forget it around
+    a test so that a faked platform never outlives it."""
+    harness._static_environment.cache_clear()
+    yield
+    harness._static_environment.cache_clear()
+
+
+def show_config_without_dicts(*args, **kwargs):
+    """numpy < 1.26's show_config, which takes no mode argument."""
+    if kwargs:
+        raise TypeError("show_config() got an unexpected keyword argument")
+
+
+@pytest.mark.parametrize("show_config", [
+    pytest.param(show_config_without_dicts, id="no-mode-argument"),
+    pytest.param(lambda mode=None: {}, id="no-build-dependencies"),
+])
+def test_a_numpy_without_blas_dicts_gives_no_blas_facts(
+        monkeypatch, fresh_static_environment, show_config):
+    monkeypatch.setattr(np, "show_config", show_config)
+    env = harness._static_environment()
+    assert (env["blas_name"], env["blas_version"]) == (None, None)
+    assert env["numpy_version"] == np.__version__
+
+
+def test_a_platform_without_cpu_affinity_gives_none(
+        monkeypatch, fresh_static_environment):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    env = harness._static_environment()
+    assert env["cpu_affinity"] is None
+    assert env["cpu_count"] == os.cpu_count()
 
 
 @pytest.fixture

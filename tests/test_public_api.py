@@ -150,3 +150,31 @@ def test_no_top_level_name_is_defined_twice():
             homes.setdefault(name, []).append(path.name)
     twice = {name: files for name, files in homes.items() if len(files) > 1}
     assert not twice, twice
+
+
+def refusal_text(node: ast.Raise) -> str | None:
+    """The message of `raise X("...")` or `raise X(f"...")`, an f-string
+    as its source, so the same template counts once; None for any other
+    raise."""
+    call = node.exc
+    if not (isinstance(call, ast.Call) and call.args):
+        return None
+    message = call.args[0]
+    if isinstance(message, ast.Constant) and isinstance(message.value, str):
+        return message.value
+    return ast.unparse(message) if isinstance(message, ast.JoinedStr) else None
+
+
+def test_each_refusal_text_is_raised_from_one_place():
+    # a rule that several functions apply lives in one helper they call,
+    # so that a change to it is made in one place
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            text = (refusal_text(node) if isinstance(node, ast.Raise)
+                    else None)
+            if text is not None:
+                sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    twice = {text: where for text, where in sites.items() if len(where) > 1}
+    assert not twice, twice
