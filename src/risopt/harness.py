@@ -227,12 +227,14 @@ class ExperimentResult:
 
     def to_json(self) -> str:
         payload = {
-            "spec": asdict(self.spec),
+            "spec": {name: _json_value(value)
+                     for name, value in asdict(self.spec).items()},
             "metadata": self.metadata,
             "columns": list(self.columns),
             "aggregate_columns": list(self.agg_columns),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
 
     def write(self, out_dir: str) -> dict:
         """Atomically write the rows CSV, the aggregate CSV if there are
@@ -259,6 +261,14 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _json_value(v):
+    """v, or each entry of it, with a non-finite float written as the CSVs
+    write it ("nan", "inf", "-inf"): JSON has no NaN or Infinity."""
+    if isinstance(v, tuple):
+        return [_json_value(x) for x in v]
+    return _fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def _csv_text(columns, rows) -> str:
@@ -468,7 +478,8 @@ def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
 
     scale, a number (numpy's too, not a bool), finite and > 0, multiplies
     every entry of the size grid (rounded, floor 2); the spec holds the
-    sizes that run, not the scale.
+    sizes that run, not the scale.  A product past the float range is
+    refused.
     """
     if not _is_number(scale):
         raise ValueError(f"scale must be a number; got {scale!r}")
@@ -476,17 +487,24 @@ def preset_spec(name: str, scale: float = 1.0, **overrides) -> ExperimentSpec:
         raise ValueError(f"scale must be finite and > 0; got {scale!r}")
     # the unscaled spec refuses sizes below 1 before the floor can hide them
     unscaled = ExperimentSpec(preset=name, **overrides)
-    return replace(unscaled, n_ris_list=tuple(max(2, int(round(n * scale)))
-                                              for n in unscaled.n_ris_list))
+    sizes = []
+    for i, n in enumerate(unscaled.n_ris_list):
+        try:
+            with np.errstate(over="raise"):      # a numpy scale's overflow
+                sizes.append(max(2, int(round(n * scale))))
+        except ArithmeticError:
+            raise ValueError(f"scale {scale!r} takes n_ris_list[{i}] = {n} "
+                             f"past the float range") from None
+    return replace(unscaled, n_ris_list=tuple(sizes))
 
 
 def _grid(spec: ExperimentSpec) -> list:
     """The grid points in run order, each holding every per-trial
-    parameter: a trial reads its sizes, K-factors and SNR only here."""
+    parameter: links, trials and aggregates read them here, never in the spec."""
     sides = ([(k, k) for k in spec.k_sweep_db] if spec.k_sweep_db is not None
              else [(spec.k_t_db, spec.k_r_db)])
     return [{"n_ris": n, "n_t": spec.n_t, "n_r": spec.n_r, "k_t_db": k_t,
-             "k_r_db": k_r, "snr_db": spec.snr_db}
+             "k_r_db": k_r, "snr_db": spec.snr_db, "rmo_max_iters": spec.rmo_max_iters}
             for n in spec.n_ris_list for k_t, k_r in sides]
 
 
@@ -496,16 +514,15 @@ def _grid(spec: ExperimentSpec) -> list:
 
 class _Link:
     """One channel pair sampled at a grid point, with what its methods
-    read: a is the receive side as it enters the cascade (n_r x n_ris),
-    t the transmit side (n_ris x n_t), los_t, los_r and k_t, k_r each
-    side's LoS spec and linear K-factor, snr the point's linear SNR,
-    bundles the SVDs of a, t and gain_bound the asymptotic gain bound.
-    Each channel array is held once: the sampled receive matrix is
-    dropped once a, its conjugate transpose, is formed."""
+    read, and no spec: a is the receive side as it enters the cascade
+    (n_r x n_ris), t the transmit side (n_ris x n_t), los_t, los_r and
+    k_t, k_r each side's LoS spec and linear K-factor, snr and
+    rmo_max_iters the point's linear SNR and RMO budget, bundles the
+    SVDs of a, t and gain_bound the asymptotic gain bound.  Each channel
+    array is held once: the sampled receive matrix is dropped once a,
+    its conjugate transpose, is formed."""
 
-    def __init__(self, spec: ExperimentSpec, point: dict,
-                 rng: np.random.Generator):
-        self.spec = spec
+    def __init__(self, point: dict, rng: np.random.Generator):
         self.k_t, self.k_r = db2lin(point["k_t_db"]), db2lin(point["k_r_db"])
         self.los_t, self.t = _sample_side(rng, point["n_ris"], point["n_t"],
                                           self.k_t)
@@ -513,6 +530,7 @@ class _Link:
                                        self.k_r)
         self.a = h_r.conj().T
         self.snr = db2lin(point["snr_db"])
+        self.rmo_max_iters = point["rmo_max_iters"]
 
     @cached_property
     def bundles(self) -> tuple:
@@ -556,8 +574,7 @@ def _rmo(objective: str, column: str) -> _Method:
     The surrogate objective reads the link's SVDs, so its configure step
     makes them only if no earlier method of the trial did."""
     def configure(link: _Link):
-        settings = RmoSettings(objective=objective,
-                               max_iters=link.spec.rmo_max_iters)
+        settings = RmoSettings(objective=objective, max_iters=link.rmo_max_iters)
         bundles = link.bundles if objective == "capacity_surrogate" else None
         res = rmo_optimize(link.a, link.t, settings, snr=link.snr,
                            bundles=bundles)
@@ -587,7 +604,7 @@ _COUNTS = {"n_t": 1, "n_r": 1, "trials": 1, "seed": 0, "workers": 1,
 
 # --- per-trial work ----------------------------------------------------
 
-def _trial_side(spec, point, trial, rng):
+def _trial_side(methods, point, trial, rng):
     """A spectrum or hardening trial: the eigenvalues of one sampled
     side's Gram matrix, in descending order, with the largest one's
     asymptotic prediction; _columns decides which of them the CSVs show."""
@@ -603,24 +620,23 @@ def _trial_side(spec, point, trial, rng):
     return row, {}
 
 
-def _trial_methods(spec, point, trial, rng):
-    """A gain or capacity trial: run, time and score each requested method.
+def _trial_methods(methods, point, trial, rng):
+    """A gain or capacity trial: run, time and score each method.
 
-    The row holds the point, the link's facts and every value its methods
-    score; _columns decides which of them the CSVs show.  A method that
-    raises leaves its columns empty and its message in the row's error
-    column.
+    methods are the (name, _Method) pairs the spec requested, in run
+    order.  The row holds the point, the link's facts and every value
+    its methods score; _columns decides which of them the CSVs show.  A
+    method that raises leaves its columns empty and its message in the
+    row's error column.
     """
-    link = _Link(spec, point, rng)
+    link = _Link(point, rng)
     n_t, n_r = point["n_t"], point["n_r"]
     row = {"trial": trial, **point,
            "flag_hardening": _flag_hardening([(link.k_t, n_t), (link.k_r, n_r)]),
            "flag_diag": _flag_diag(point["n_ris"], n_t, n_r),
            "lower_bound": link.gain_bound, "error": ""}
     timings = {}
-    for name, method in _family(spec).methods.items():
-        if name not in spec.methods:
-            continue
+    for name, method in methods:
         try:
             t0 = time.perf_counter()
             configured = method.configure(link)
@@ -651,7 +667,7 @@ def _point_rows(rows, point_index):
     return [r for r in rows if r["point"] == point_index]
 
 
-def _agg_spectrum(spec, points, rows):
+def _agg_spectrum(family, points, rows, columns):
     out = []
     for pi, pt in enumerate(points):
         sub = _point_rows(rows, pi)
@@ -677,11 +693,10 @@ def _present(rows, key):
     return [r[key] for r in rows if r.get(key) is not None]
 
 
-def _agg_points(spec, points, rows):
+def _agg_points(family, points, rows, columns):
     """Per point: head from its first row, mean_<col> of each averaged col
     shown (over the rows holding it), then each derived col it can read."""
-    family = _family(spec)
-    shown = set(_columns(spec))
+    shown = set(columns)
     means = [col for col, _, averaged in family.optional
              if averaged and col in shown]
     out = []
@@ -732,6 +747,10 @@ class _Family:
     head: tuple = ()
     derived: tuple = ()
     aggregate: Callable = _agg_points
+
+    def run_order(self, names) -> list:
+        """The (name, method) pairs of the names given, in run order."""
+        return [(name, m) for name, m in self.methods.items() if name in names]
 
 
 # "lb" is the asymptotic gain bound, which every gain or capacity row holds
@@ -794,12 +813,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if spec.preset.startswith("runtime-"):
         raise ValueError("runtime presets are run via bench_runtime")
     family = _family(spec)
+    methods, columns = family.run_order(spec.methods), _columns(spec)
     points = _grid(spec)
     tasks = [(pi, t) for pi in range(len(points)) for t in range(spec.trials)]
 
     def one(task):
         pi, t = task
-        row, timing = family.trial(spec, points[pi], t, _trial_rng(spec, pi, t))
+        row, timing = family.trial(methods, points[pi], t, _trial_rng(spec, pi, t))
         row["point"] = pi
         return row, timing
 
@@ -814,9 +834,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     rows = [row for row, _ in done]
     timings = [timing for _, timing in done]
     # aggregate what the row CSV shows, so it can be recomputed from it
-    columns = _columns(spec)
     shown = [{col: row[col] for col in columns if col in row} for row in rows]
-    aggregates = family.aggregate(spec, points, shown)
+    aggregates = family.aggregate(family, points, shown, columns)
     return ExperimentResult(spec=spec, columns=columns,
                             rows=rows, agg_columns=tuple(aggregates[0]),
                             aggregates=aggregates, timings=timings,
@@ -861,15 +880,13 @@ def bench_runtime(spec: ExperimentSpec) -> ExperimentResult:
     _hold_heap()
     if not spec.preset.startswith("runtime-"):
         raise ValueError("bench_runtime expects a runtime preset")
-    methods = _family(spec).methods
+    methods = _family(spec).run_order(spec.methods)
     rows = []
     for pi, point in enumerate(_grid(spec)):
-        link = _Link(spec, point, _trial_rng(spec, pi, 0))
+        link = _Link(point, _trial_rng(spec, pi, 0))
         row = {key: point[key] for key in ("n_ris", "n_t", "n_r")}
         medians = {}
-        for name, method in methods.items():
-            if name not in spec.methods:
-                continue
+        for name, method in methods:
             col = name.replace("-", "_")
             med, mean = _time_callable(partial(method.configure, link),
                                        *method.repeats)

@@ -25,8 +25,7 @@ from risopt.manifold import OBJECTIVES
 from risopt.spectral import svd_bundle
 
 from .oracles import (brute_force_value, finite_difference_error, los_part,
-                      scattered_part)
-from .test_capacity import stream_gains
+                      scattered_part, stream_gains, two_stream_grid_optimum)
 
 
 def report(capsys, tag, ok, detail):
@@ -224,13 +223,10 @@ def test_c10_allocation_properties(capsys):
         d_r = rng.uniform(0.5, 3.0, 2)
         d_t = rng.uniform(0.5, 3.0, 2)
         snr = float(rng.uniform(2.0, 20.0))
-        a = 0.25 * snr * d_r ** 2 * d_t ** 2 / 2.0
-        t = np.linspace(0.0, 1.0, 40001)
-        grid = (np.log1p(a[0] * t ** 2)
-                + np.log1p(a[1] * (1.0 - t) ** 2)) / math.log(2.0)
+        a = stream_gains(d_r, d_t, snr, 2)
         plan = allocate_sca(d_r, d_t, snr, 2)
         got = float(np.sum(np.log1p(a * plan.fractions)) / math.log(2.0))
-        worst_gap = max(worst_gap, float(grid.max()) - got)
+        worst_gap = max(worst_gap, two_stream_grid_optimum(a, 40001) - got)
     assert worst_gap <= 1e-3
     # symmetric fixed point held exactly from the uniform start
     n = 6

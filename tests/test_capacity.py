@@ -15,8 +15,9 @@ from risopt.channels import cascaded_channel, complex_gaussian, sample_ricean
 from risopt.gain import configure_gain_los
 from risopt.manifold import quantize_1bit
 from risopt.spectral import asymptotic_spectrum, svd_bundle
-from tests.oracles import water_level_bisect
-from tests.test_channels import make_los
+from tests.oracles import (assert_same_plan, best_single_start, bits,
+                           make_los, stream_gains, textbook_stream_columns,
+                           two_stream_grid_optimum, water_level_bisect)
 
 
 def test_water_level_matches_bisection():
@@ -124,13 +125,6 @@ def test_allocation_dominant_stream_takes_everything():
     assert plan.fractions[1] == pytest.approx(0.0, abs=1e-6)
 
 
-def stream_gains(d_r, d_t, snr, n_t):
-    """allocate_sca's stream gains, in its order of operations."""
-    d_r, d_t = np.asarray(d_r, dtype=float), np.asarray(d_t, dtype=float)
-    nmin = min(d_r.size, d_t.size)
-    return 0.25 * snr * (d_r[:nmin] ** 2) * (d_t[:nmin] ** 2) / n_t
-
-
 def test_allocation_equal_gains_recovers_uniform_split():
     # the symmetric point is a fixed point of the iteration; from the
     # uniform start it is held exactly (the multi-start may instead
@@ -156,11 +150,8 @@ def test_allocation_beats_two_stream_grid_search():
         d_r = rng.uniform(0.5, 3.0, 2)
         d_t = rng.uniform(0.5, 3.0, 2)
         snr = float(rng.uniform(2.0, 20.0))
-        a = 0.25 * snr * d_r ** 2 * d_t ** 2 / 2.0
-        t = np.linspace(0.0, 1.0, 20001)
-        obj = (np.log1p(a[0] * t ** 2)
-               + np.log1p(a[1] * (1.0 - t) ** 2)) / math.log(2.0)
-        best = float(obj.max())
+        a = stream_gains(d_r, d_t, snr, 2)
+        best = two_stream_grid_optimum(a, 20001)
         plan = allocate_sca(d_r, d_t, snr, 2)
         got = float(np.sum(np.log1p(a * plan.fractions)) / math.log(2.0))
         assert got >= best - 1e-3
@@ -226,37 +217,6 @@ def test_gains_too_small_for_a_step_are_a_value_error():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="no feasible start"):
             allocate_sca([1.0, 1.0], [1.0, 1.0], 1e-30, 2)
-
-
-def best_single_start(d_r, d_t, snr, n_t):
-    """Oracle for allocate_sca's multi-start: one _sca_from run per
-    documented start (uniform, each live single-stream corner, then
-    gain-proportional), the incumbent replaced only on a strictly larger
-    final objective.  Returns the winning plan and its kind of start."""
-    a = stream_gains(d_r, d_t, snr, n_t)
-    nmin = a.size
-    starts = [("uniform", np.full(nmin, 1.0 / nmin ** 2))]
-    for i in np.flatnonzero(a > 0):
-        corner = np.zeros(nmin)
-        corner[i] = 1.0
-        starts.append(("corner", corner))
-    if nmin > 1:
-        w = np.clip(a, 0.0, None)
-        starts.append(("proportional", (w / w.sum()) ** 2))
-    best = kind = None
-    for name, p0 in starts:
-        plan = capacity._sca_from(a, p0)
-        assert plan is not None, (name, p0)
-        if best is None or plan.objective_trace[-1] > best.objective_trace[-1]:
-            best, kind = plan, name
-    return best, kind
-
-
-def assert_same_plan(got, want):
-    for field in ("fractions", "objective_trace"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)), field
-    assert got.iterations_used == want.iterations_used
-    assert got.converged == want.converged
 
 
 def test_skipped_corners_leave_the_plan_bit_identical():
@@ -358,7 +318,7 @@ def test_configure_capacity_aligns_each_stream_on_its_block():
     bundle_r, bundle_t = svd_bundle(h_r_herm), svd_bundle(h_t)
     counts = round_allocation([0.25, 0.09, 0.04], n_s)
     phi = configure_capacity(bundle_r, bundle_t, counts)
-    cols = bundle_r.right_h[:n].T * bundle_t.left[:, :n]
+    cols, _ = textbook_stream_columns(bundle_r, bundle_t)
     for i, idx in enumerate(blocks(counts)):
         b = cols[idx, i]
         aligned = abs(b @ phi[idx])
@@ -375,14 +335,12 @@ def test_stream_columns_are_f_ordered_at_every_size(n_s, n):
     rng = np.random.default_rng(n_s)
     bundle_r = svd_bundle(complex_gaussian(rng, (n, n_s)))
     bundle_t = svd_bundle(complex_gaussian(rng, (n_s, n)))
-    right = bundle_r.right_h.conj().T                 # V_R
-    want = np.asfortranarray(right[:, :n].conj() * bundle_t.left[:, :n])
+    want, _ = textbook_stream_columns(bundle_r, bundle_t)
     cols, _ = stream_columns(bundle_r, bundle_t)
     assert cols.flags.f_contiguous and cols.strides == want.strides
-    assert np.array_equal(cols.T.view(np.uint64), want.T.view(np.uint64))
+    assert np.array_equal(bits(cols.T), bits(want.T))
     phi = np.exp(1j * rng.uniform(-math.pi, math.pi, n_s))
-    assert np.array_equal((cols.T @ phi).view(np.uint64),
-                          (want.T @ phi).view(np.uint64))
+    assert np.array_equal(bits(cols.T @ phi), bits(want.T @ phi))
 
 
 @pytest.mark.parametrize("n_s,n", [(512, 8), (8192, 8), (5000, 10),
@@ -410,8 +368,7 @@ def test_each_block_target_is_its_stream_column_sliced_bit_for_bit(
         configure_capacity(bundle_r, bundle_t, counts)
         assert len(targets) == n
         for i, idx in enumerate(blocks(counts)):
-            assert np.array_equal(targets[i].view(np.uint64),
-                                  cols[idx, i].view(np.uint64))
+            assert np.array_equal(bits(targets[i]), bits(cols[idx, i]))
 
 
 def masked_column_configuration(bundle_r, bundle_t, counts) -> np.ndarray:

@@ -544,6 +544,18 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.stdout.startswith("csv: ")
 
 
+@pytest.mark.parametrize("argv, entry", [
+    (["figure", "fig2a"], "n_ris_list[0] = 512"),
+    (["bench-runtime", "runtime-gain"], "n_ris_list[0] = 2000"),
+], ids=["figure", "bench-runtime"])
+def test_a_scale_past_the_float_range_is_a_usage_error(tmp_path, capsys,
+                                                       argv, entry):
+    # it used to print an OverflowError traceback and exit 1, the status
+    # of a run whose trials recorded an error
+    assert refusal(tmp_path, capsys, [*argv, "--scale", "1e308"]) == [
+        f"error: scale 1e+308 takes {entry} past the float range"]
+
+
 def test_unknown_preset_rejected_by_parser(tmp_path, capsys):
     err = refusal(tmp_path, capsys, ["figure", "fig7q"])
     assert len(err) == 1

@@ -6,8 +6,7 @@ import pytest
 from risopt.channels import cascaded_channel, sample_ricean
 from risopt.gain import channel_gain, configure_gain_los, gain_lower_bound
 from risopt.spectral import svd_bundle
-from tests.oracles import gain_expansion
-from tests.test_channels import make_los
+from tests.oracles import gain_expansion, make_los
 
 
 def test_channel_gain_is_squared_frobenius_norm():

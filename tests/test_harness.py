@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -403,6 +404,21 @@ def test_preset_spec_scaling_and_floor():
             preset_spec("fig2a", scale=scale)
 
 
+@pytest.mark.parametrize("preset, fields, scale, entry", [
+    ("fig2a", {}, 1e305, "n_ris_list[1] = 2048"),
+    ("fig2a", {}, np.float32(1e37), "n_ris_list[0] = 512"),
+    ("custom-gain", {"n_ris_list": (64, 10 ** 400)}, 1.0,
+     f"n_ris_list[1] = {10 ** 400}"),
+], ids=["float", "float32", "size"])
+def test_preset_spec_refuses_a_scaled_size_past_the_float_range(
+        preset, fields, scale, entry):
+    # the product used to end in an OverflowError (after a numpy warning
+    # for a numpy scale), which the CLI does not take for a usage error
+    with pytest.raises(ValueError, match=re.escape(
+            f"scale {scale!r} takes {entry} past the float range")):
+        preset_spec(preset, scale=scale, **fields)
+
+
 @pytest.mark.parametrize("scale", [math.nan, -3, 0, math.inf])
 def test_a_directly_built_spec_refuses_a_bad_scale(scale):
     # each was once taken by the spec, and the sidecar recorded it
@@ -498,6 +514,36 @@ def test_preset_spec_takes_a_numpy_scale_and_the_spec_holds_no_scale(scale):
     assert type(spec.n_ris_list[0]) is int
     res = harness.ExperimentResult(spec, (), [], (), [], [], {})
     assert "scale" not in json.loads(res.to_json())["spec"]
+
+
+def strict_json(text: str) -> dict:
+    """text parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("preset, fields, written", [
+    ("custom-capacity", {"snr_db": math.nan, "methods": ("wsa",)},
+     {"snr_db": "nan"}),
+    ("custom-spectrum", {"k_t_db": math.inf}, {"k_t_db": "inf", "k_r_db": "inf"}),
+    ("custom-spectrum", {"k_t_db": -math.inf},
+     {"k_t_db": "-inf", "k_r_db": "-inf"}),
+    ("fig1c", {"k_sweep_db": (0.0, math.inf, -math.inf)},
+     {"k_sweep_db": [0.0, "inf", "-inf"]}),
+], ids=["nan-snr", "inf-k", "minus-inf-k", "sweep"])
+def test_a_sidecar_writes_a_non_finite_spec_value_as_the_csvs_do(
+        tmp_path, preset, fields, written):
+    # json.dumps used to write NaN, Infinity and -Infinity, which strict
+    # parsers (jq, JSON.parse) refuse
+    spec = preset_spec(preset, n_ris_list=(32,), n_t=4, trials=1, **fields)
+    paths = run_experiment(spec).write(str(tmp_path))
+    sidecar = strict_json(open(paths["json"]).read())["spec"]
+    assert {name: sidecar[name] for name in written} == written
+    # any other non-finite value fails to serialize, not to parse
+    bad = harness.ExperimentResult(spec, (), [], (), [], [], {"x": math.nan})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        bad.to_json()
 
 
 def test_a_replaced_grid_writes_a_sidecar_with_no_scale(tmp_path):
@@ -829,29 +875,63 @@ def test_aggregates_recompute_from_the_written_row_csv(tmp_path, preset,
 
 def test_trials_read_every_parameter_from_the_grid_point(monkeypatch):
     # a gain and a capacity spec run on a moved grid, whose points carry
-    # other sizes, K-factors and SNR, write the moved spec's bytes
+    # other sizes, K-factors, SNR and RMO budget, write the moved spec's
+    # bytes
     cap = tiny_capacity_spec(trials=2, methods=("wsa", "rmo", "lb"),
-                             rmo_max_iters=3)
+                             rmo_max_iters=5)
     gain = preset_spec("custom-gain", n_ris_list=(64,), trials=2, seed=5,
-                       methods=("sa", "rmo", "lb"), rmo_max_iters=3)
-    sizes = dict(n_ris_list=(48,), n_t=3, n_r=5, k_t_db=3.0, k_r_db=-2.0)
+                       methods=("sa", "rmo", "lb"), rmo_max_iters=5)
+    sizes = dict(n_ris_list=(48,), n_t=3, n_r=5, k_t_db=3.0, k_r_db=-2.0,
+                 rmo_max_iters=1)
     moved_cap = dataclasses.replace(cap, snr_db=-5.0, **sizes)
     assert harness._grid(moved_cap) == [
         {"n_ris": 48, "n_t": 3, "n_r": 5, "k_t_db": 3.0, "k_r_db": -2.0,
-         "snr_db": -5.0}]
+         "snr_db": -5.0, "rmo_max_iters": 1}]
     grid = harness._grid
     for spec, moved in ((cap, moved_cap),
                         (gain, dataclasses.replace(gain, **sizes))):
         expected = run_experiment(moved)
         assert {(r["n_t"], r["n_r"]) for r in expected.rows} == {(3, 5)}
-        monkeypatch.setattr(harness, "_grid", lambda s, moved=moved: grid(moved))
-        got = run_experiment(spec)
+        # the two budgets write different bytes, so a budget read from
+        # the spec shows
+        unmoved_budget = dataclasses.replace(moved, rmo_max_iters=5)
+        assert run_experiment(unmoved_budget).to_csv() != expected.to_csv()
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_grid", lambda s, moved=moved: grid(moved))
+            got = run_experiment(spec)
         assert got.to_csv() == expected.to_csv()
         assert got.to_aggregate_csv() == expected.to_aggregate_csv()
     # bench_runtime's rows come from the (moved capacity) grid too
     monkeypatch.setattr(harness, "_grid", lambda s: grid(moved_cap))
     bench = bench_runtime(preset_spec("runtime-capacity", methods=("wsa",)))
     assert [(r["n_ris"], r["n_t"], r["n_r"]) for r in bench.rows] == [(48, 3, 5)]
+
+
+# the top-level definitions of harness.py that may see a spec: the spec,
+# its result, run_experiment and bench_runtime, and what they call to
+# resolve it once
+SPEC_READERS = {"ExperimentSpec", "ExperimentResult", "preset_spec", "_grid",
+                "_family", "_columns", "_trial_rng", "run_experiment",
+                "bench_runtime"}
+
+
+def test_links_trials_methods_and_aggregates_never_see_a_spec():
+    # a method that read link.spec would ignore a value its grid point
+    # carries, so sweeping that value would silently change nothing
+    tree = ast.parse(open(harness.__file__).read())
+    seen = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            name = top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            name = ast.unparse(getattr(top, "target", None) or top.targets[0])
+        else:
+            continue
+        if any(getattr(node, key, None) == "spec" for node in ast.walk(top)
+               for key in ("id", "attr", "arg")):
+            seen.add(name)
+    assert {"_grid", "run_experiment", "bench_runtime"} <= seen
+    assert seen <= SPEC_READERS, sorted(seen - SPEC_READERS)
 
 
 def test_an_nmse_that_cannot_be_formed_leaves_its_cell_empty(tmp_path):
@@ -1003,7 +1083,7 @@ def test_wsa_columns_are_run_wsa_bit_for_bit():
     for row in res.rows:
         rng = np.random.default_rng(
             np.random.SeedSequence((spec.seed, row["point"], row["trial"])))
-        link = harness._Link(spec, harness._grid(spec)[row["point"]], rng)
+        link = harness._Link(harness._grid(spec)[row["point"]], rng)
         report, plan = run_wsa(link.a, link.t, link.snr)
         got = tuple(row[c] for c in ("cap_wsa", "cap_diag", "cap_lb",
                                      "offdiag_ratio", "iterations_used"))
@@ -1026,10 +1106,11 @@ def test_a_trial_holds_each_channel_sized_array_once(preset, n_ris, n, methods,
     spec = preset_spec(preset, n_ris_list=(n_ris,), n_t=n, methods=methods,
                        trials=1, **fields)
     point = harness._grid(spec)[0]
-    harness._trial_methods(spec, point, 0, harness._trial_rng(spec, 0, 0))
+    methods = harness._family(spec).run_order(spec.methods)
+    harness._trial_methods(methods, point, 0, harness._trial_rng(spec, 0, 0))
     tracemalloc.start()
     try:
-        row, _ = harness._trial_methods(spec, point, 0,
+        row, _ = harness._trial_methods(methods, point, 0,
                                         harness._trial_rng(spec, 0, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

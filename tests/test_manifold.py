@@ -11,14 +11,8 @@ from risopt import manifold
 from risopt.manifold import (OBJECTIVES, RmoSettings, euclidean_gradient,
                              quantize_1bit, riemannian_gradient, rmo_optimize)
 from risopt.spectral import svd_bundle
-from tests.oracles import finite_difference_error
-from tests.test_channels import make_los
-
-
-def bits(x):
-    """The IEEE bit patterns of a float or complex array, so that equal
-    bits means equal values and equal signs of zero."""
-    return np.ascontiguousarray(x).view(np.uint64)
+from tests.oracles import (bits, finite_difference_error, make_los,
+                           ricean_pair, textbook_stream_columns)
 
 
 def random_instance(seed, n_r=8, n_s=4, n_t=8):
@@ -48,13 +42,7 @@ def textbook_gradient(objective, a, t, phi, snr):
                             g_mat)
         return (2.0 * rho / math.log(2.0)) * np.sum((a.conj().T @ x) * t.conj(),
                                                     axis=1)
-    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
-    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    right = bundle_r.right_h.conj().T                 # V_R
-    # F-ordered, as stream_columns lays them out: the layout picks BLAS's
-    # kernel for cols.T @ phi
-    cols = np.asfortranarray(right[:, :nmin].conj() * bundle_t.left[:, :nmin])
-    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+    cols, w = textbook_stream_columns(svd_bundle(a), svd_bundle(t))
     z = cols.T @ phi
     coef = (2.0 * rho / math.log(2.0)) * w / (1.0 + rho * w * np.abs(z) ** 2)
     return cols.conj() @ (coef * z)
@@ -343,13 +331,7 @@ def reference_objective(objective, a, t, snr):
             return (2.0 * rho / ln2) * backproject(x)
         return evaluate, grad
 
-    bundle_r, bundle_t = svd_bundle(a), svd_bundle(t)
-    nmin = min(bundle_r.singular_values.size, bundle_t.singular_values.size)
-    right = bundle_r.right_h.conj().T                 # V_R
-    # F-ordered, as stream_columns lays them out: the layout picks BLAS's
-    # kernel for cols.T @ phi
-    cols = np.asfortranarray(right[:, :nmin].conj() * bundle_t.left[:, :nmin])
-    w = (bundle_r.singular_values[:nmin] ** 2) * (bundle_t.singular_values[:nmin] ** 2)
+    cols, w = textbook_stream_columns(svd_bundle(a), svd_bundle(t))
 
     def evaluate(phi):
         z = cols.T @ phi
@@ -408,13 +390,6 @@ def reference_rmo(a, t, objective, max_iters, snr):
         trace.append(f)
         iterations += 1
     return phi, np.asarray(trace), iterations, grad_norm, stop_reason
-
-
-def ricean_pair(seed, n_s, n_t):
-    rng = np.random.default_rng(seed)
-    h_t = sample_ricean(1.0, make_los(n_s, n_t, seed=seed + 100), rng)
-    h_r = sample_ricean(1.0, make_los(n_s, n_t, seed=seed + 200), rng)
-    return h_r.conj().T, h_t
 
 
 def trajectory_instances():

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from risopt.alignment import sign_align
 from risopt.capacity import _water_level, allocate_sca, round_allocation
-from tests.oracles import brute_force_value
-from tests.test_capacity import assert_same_plan, best_single_start
+from tests.oracles import assert_same_plan, best_single_start, brute_force_value
 
 _SETTINGS = settings(max_examples=200, deadline=None)
 

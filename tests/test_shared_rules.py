@@ -31,7 +31,7 @@ from risopt.manifold import (OBJECTIVES, RmoSettings, euclidean_gradient,
                              rmo_optimize)
 from risopt.spectral import (asymptotic_spectrum, laguerre_top_roots,
                              svd_bundle)
-from tests.test_manifold import bits, ricean_pair
+from tests.oracles import bits, ricean_pair
 
 
 def refusals(readers: dict, values, message) -> list:
